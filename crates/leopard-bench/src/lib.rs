@@ -4,11 +4,7 @@
 //! Each binary in `src/bin/` reproduces one figure; see `DESIGN.md` for
 //! the experiment index and `EXPERIMENTS.md` for recorded results.
 
-use leopard_core::obs;
-use leopard_core::{
-    IsolationLevel, Key, ObsSnapshot, ShardedVerifier, Trace, Value, Verifier, VerifierConfig,
-    VerifyOutcome,
-};
+use leopard_core::{IsolationLevel, Key, Trace, Value, Verifier, VerifierConfig, VerifyOutcome};
 use leopard_db::{Database, DbConfig};
 use leopard_workloads::{preload_database, run_collect, RunLimit, RunOutput, WorkloadGen};
 use std::time::{Duration, Instant};
@@ -98,85 +94,6 @@ pub fn verify_collected(run: &CollectedRun, cfg: VerifierConfig) -> (VerifyOutco
     }
     let outcome = v.finish();
     (outcome, start.elapsed())
-}
-
-/// Per-stage wall-time breakdown of a verification run, read back from
-/// the observability registry ([`leopard_core::obs`]) after the run.
-#[derive(Debug, Clone, Default)]
-pub struct StageBreakdown {
-    /// Cumulative busy time of each shard worker thread.
-    pub shard_busy: Vec<Duration>,
-    /// Cumulative driver/certifier busy time.
-    pub driver_busy: Duration,
-    /// Total driver time spent merging worker epochs.
-    pub epoch_apply: Duration,
-    /// Total time spent in GC passes/barriers (driver and workers).
-    pub gc_pause: Duration,
-    /// Total worker time spent applying trace batches.
-    pub shard_batch: Duration,
-}
-
-impl StageBreakdown {
-    /// Extracts the breakdown from an observability snapshot.
-    #[must_use]
-    pub fn from_snapshot(snap: &ObsSnapshot) -> StageBreakdown {
-        let hist_sum = |name: &str| {
-            Duration::from_micros(
-                snap.histograms
-                    .iter()
-                    .find(|h| h.name == name)
-                    .map_or(0, |h| h.sum_us),
-            )
-        };
-        StageBreakdown {
-            shard_busy: snap
-                .shard_busy_us
-                .iter()
-                .map(|&us| Duration::from_micros(us))
-                .collect(),
-            driver_busy: Duration::from_micros(
-                snap.counter("leopard_driver_busy_us_total").unwrap_or(0),
-            ),
-            epoch_apply: hist_sum("leopard_epoch_apply_us"),
-            gc_pause: hist_sum("leopard_gc_pause_us"),
-            shard_batch: hist_sum("leopard_shard_batch_us"),
-        }
-    }
-}
-
-/// Replays a collected run through the key-sharded verifier at `n`
-/// worker shards, returning the outcome, the wall time and the
-/// per-stage busy breakdown (for critical-path scaling projections on
-/// hosts with fewer cores than shards).
-///
-/// Resets and enables the process-global observability registry for the
-/// duration of the run (the breakdown is read back from it), restoring
-/// the previous enablement afterwards.
-pub fn verify_collected_sharded(
-    run: &CollectedRun,
-    cfg: VerifierConfig,
-    n: usize,
-) -> (VerifyOutcome, Duration, StageBreakdown) {
-    let was_enabled = obs::enabled();
-    obs::reset();
-    obs::set_enabled(true);
-    let mut v = ShardedVerifier::new(cfg, n);
-    for &(k, val) in &run.preload {
-        v.preload(k, val);
-    }
-    let start = Instant::now();
-    for t in &run.merged {
-        v.process(t);
-    }
-    let outcome = v.finish();
-    let wall = start.elapsed();
-    obs::set_enabled(was_enabled);
-    let breakdown = outcome
-        .obs
-        .as_ref()
-        .map(StageBreakdown::from_snapshot)
-        .unwrap_or_default();
-    (outcome, wall, breakdown)
 }
 
 /// Default Leopard configuration for a collected run at `level`.

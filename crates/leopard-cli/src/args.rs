@@ -46,9 +46,6 @@ verify options:
   --checkpoint-every <N>        also checkpoint every N ingested traces
   --mem-budget <BYTES>          cap verifier state; over budget the verifier
                                 forces GC and sheds into degraded coverage
-  --shards <N>                  run N key-sharded verifier worker threads
-                                (default 1 = single-threaded; checkpoints use
-                                the sharded envelope when N > 1)
   --spill-dir <DIR>             spill cold verifier state to segment files
                                 under DIR when over --mem-budget (rung 1.5:
                                 runs before forced dispatch and eviction, so
@@ -91,8 +88,6 @@ chaos options:
   --mem-budget <BYTES>          cap tracer + verifier memory; over budget the
                                 governor forces GC, force-dispatches, then
                                 evicts the laggiest client
-  --shards <N>                  run N key-sharded verifier worker threads
-                                (default 1 = single-threaded)
   --spill-dir <DIR>             spill cold verifier state to segment files
                                 under DIR when over --mem-budget
   --spill-cache-pages <N>       spill page-cache capacity in 4 KiB pages
@@ -376,8 +371,6 @@ pub struct VerifyConfig {
     pub checkpoint_every: Option<u64>,
     /// Memory budget in bytes (`None` = unlimited).
     pub mem_budget: Option<u64>,
-    /// Verifier worker shards (1 = single-threaded).
-    pub shards: usize,
     /// Spill directory for cold verifier state (`None` = in-memory only).
     pub spill_dir: Option<String>,
     /// Spill page-cache capacity in pages (`None` = default).
@@ -405,7 +398,6 @@ impl Default for VerifyConfig {
             checkpoint: None,
             checkpoint_every: None,
             mem_budget: None,
-            shards: 1,
             spill_dir: None,
             spill_cache_pages: None,
             json: false,
@@ -461,8 +453,6 @@ pub struct ChaosConfig {
     pub checkpoint_every: Option<u64>,
     /// Memory budget in bytes (`None` = unlimited).
     pub mem_budget: Option<u64>,
-    /// Verifier worker shards (1 = single-threaded).
-    pub shards: usize,
     /// Spill directory for cold verifier state (`None` = in-memory only).
     pub spill_dir: Option<String>,
     /// Spill page-cache capacity in pages (`None` = default).
@@ -505,7 +495,6 @@ impl Default for ChaosConfig {
             checkpoint: None,
             checkpoint_every: None,
             mem_budget: None,
-            shards: 1,
             spill_dir: None,
             spill_cache_pages: None,
             disk_fault_prob: 0.0,
@@ -649,7 +638,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--checkpoint" => cfg.checkpoint = Some(want::<String>(arg, it.next())?),
                     "--checkpoint-every" => cfg.checkpoint_every = Some(want(arg, it.next())?),
                     "--mem-budget" => cfg.mem_budget = Some(want(arg, it.next())?),
-                    "--shards" => cfg.shards = want(arg, it.next())?,
                     "--spill-dir" => cfg.spill_dir = Some(want::<String>(arg, it.next())?),
                     "--spill-cache-pages" => cfg.spill_cache_pages = Some(want(arg, it.next())?),
                     "--json" => cfg.json = true,
@@ -677,9 +665,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             }
             if cfg.mem_budget == Some(0) {
                 return Err(ParseError("--mem-budget must be at least 1 byte".into()));
-            }
-            if cfg.shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
             }
             if cfg.metrics_interval == Some(0) {
                 return Err(ParseError("--metrics-interval must be at least 1".into()));
@@ -725,7 +710,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--checkpoint" => cfg.checkpoint = Some(want::<String>(flag, it.next())?),
                     "--checkpoint-every" => cfg.checkpoint_every = Some(want(flag, it.next())?),
                     "--mem-budget" => cfg.mem_budget = Some(want(flag, it.next())?),
-                    "--shards" => cfg.shards = want(flag, it.next())?,
                     "--spill-dir" => cfg.spill_dir = Some(want::<String>(flag, it.next())?),
                     "--spill-cache-pages" => cfg.spill_cache_pages = Some(want(flag, it.next())?),
                     "--disk-fault-prob" => cfg.disk_fault_prob = want(flag, it.next())?,
@@ -742,9 +726,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             }
             if cfg.mem_budget == Some(0) {
                 return Err(ParseError("--mem-budget must be at least 1 byte".into()));
-            }
-            if cfg.shards == 0 {
-                return Err(ParseError("--shards must be at least 1".into()));
             }
             for (name, p) in [
                 ("--kill-prob", cfg.kill_prob),
@@ -1019,19 +1000,11 @@ mod tests {
     }
 
     #[test]
-    fn verify_and_chaos_shards_parse() {
-        let cmd = parse_args(&args("verify cap.jsonl --shards 4")).unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.shards, 4);
-        let cmd = parse_args(&args("verify cap.jsonl")).unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.shards, 1);
-        let cmd = parse_args(&args("chaos --shards 8")).unwrap();
-        let Command::Chaos(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.shards, 8);
-        // Zero shards means no verifier at all; reject loudly.
-        assert!(parse_args(&args("verify cap.jsonl --shards 0")).is_err());
-        assert!(parse_args(&args("chaos --shards 0")).is_err());
+    fn removed_shards_flag_is_a_usage_error() {
+        for line in ["verify cap.jsonl --shards 4", "chaos --shards 4"] {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert_eq!(err.0, "unknown flag `--shards`", "{line}");
+        }
     }
 
     #[test]

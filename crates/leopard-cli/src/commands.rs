@@ -8,8 +8,8 @@ use leopard_core::obs;
 use leopard_core::{
     ingest_capture, Backpressure, CaptureHeader, CaptureReader, CaptureWriter, Checkpoint,
     CheckpointError, Endpoint, IsolationLevel, MemBudget, OnlineLeopard, OnlineOptions,
-    PreflightAnalyzer, PreflightConfig, PreflightReport, ServeOptions, Server, ShardedCheckpoint,
-    ShardedVerifier, Verifier, VerifierConfig, VerifyOutcome, CAPTURE_VERSION, TRACE_APPROX_BYTES,
+    PreflightAnalyzer, PreflightConfig, PreflightReport, ServeOptions, Server, Verifier,
+    VerifierConfig, CAPTURE_VERSION, TRACE_APPROX_BYTES,
 };
 use leopard_db::{Database, DbConfig, FaultPlan};
 use leopard_oracle::{corpus_files, run_matrix, CleanRunSpec, Schedule};
@@ -269,100 +269,19 @@ pub fn lint_history(cfg: &LintHistoryConfig, out: &mut dyn Write) -> i32 {
     }
 }
 
-/// The verification engine behind `leopard verify`: the single-threaded
-/// verifier, or the key-sharded pool when `--shards N` (N > 1) was given.
-/// Sharded runs checkpoint to the [`ShardedCheckpoint`] envelope.
-// One engine exists per run, so the variant size gap never multiplies.
-#[allow(clippy::large_enum_variant)]
-enum VerifyEngine {
-    Single(Verifier),
-    Sharded(ShardedVerifier),
-}
-
-impl VerifyEngine {
-    fn process(&mut self, trace: &leopard_core::Trace) {
-        match self {
-            VerifyEngine::Single(v) => v.process(trace),
-            VerifyEngine::Sharded(s) => s.process(trace),
-        }
-    }
-
-    /// Opens the spill tier(s) under `settings` and attaches them; an
-    /// error leaves the engine fully in-memory (the caller decides
-    /// whether that is a counted fallback or fatal).
-    fn attach_spill(
-        &mut self,
-        settings: &leopard_core::SpillSettings,
-    ) -> Result<(), leopard_core::StoreError> {
-        match self {
-            VerifyEngine::Single(v) => {
-                let tier = leopard_core::SpillTier::open(settings)?;
-                v.attach_spill(tier);
-                Ok(())
-            }
-            VerifyEngine::Sharded(s) => s.attach_spill(settings),
-        }
-    }
-
-    /// Records that spilling was requested but could not be enabled:
-    /// bumps the counted-fallback tallies and a coverage note.
-    fn note_spill_unavailable(&mut self, why: &str) {
-        match self {
-            VerifyEngine::Single(v) => v.note_spill_unavailable(why),
-            VerifyEngine::Sharded(s) => s.note_spill_unavailable(why),
-        }
-    }
-
-    fn spill_attached(&self) -> bool {
-        match self {
-            VerifyEngine::Single(v) => v.spill_attached(),
-            VerifyEngine::Sharded(s) => s.spill_attached(),
-        }
-    }
-
-    /// The latched typed store fault, if any. Once set, the engine has
-    /// stopped ingesting and no verdict may be reported.
-    fn store_fault(&self) -> Option<String> {
-        match self {
-            VerifyEngine::Single(v) => v.store_fault().map(ToString::to_string),
-            VerifyEngine::Sharded(s) => s.store_fault().map(str::to_string),
-        }
-    }
-
-    fn write_checkpoint(&mut self, path: &Path) -> Result<(), CheckpointError> {
-        match self {
-            VerifyEngine::Single(v) => {
-                if v.spill_attached() {
-                    // Spilled records are referenced by address from the
-                    // checkpoint, so the tier must be durable first; the
-                    // chained write keeps a good prior generation in case
-                    // this one lands torn.
-                    v.sync_spill().map_err(|e| match e {
-                        leopard_core::StoreError::Io(io) => CheckpointError::Io(io),
-                        other => CheckpointError::Malformed(other.to_string()),
-                    })?;
-                    v.checkpoint().write_chained(path)
-                } else {
-                    v.checkpoint().write(path)
-                }
-            }
-            VerifyEngine::Sharded(s) => {
-                // The checkpoint barrier syncs every shard's tier in the
-                // worker before imaging, so only the write mode differs.
-                if s.spill_attached() {
-                    s.checkpoint().write_chained(path)
-                } else {
-                    s.checkpoint().write(path)
-                }
-            }
-        }
-    }
-
-    fn finish(self) -> VerifyOutcome {
-        match self {
-            VerifyEngine::Single(v) => v.finish(),
-            VerifyEngine::Sharded(s) => s.finish(),
-        }
+/// Writes `verifier`'s checkpoint image for `leopard verify`.
+fn write_checkpoint(verifier: &Verifier, path: &Path) -> Result<(), CheckpointError> {
+    if verifier.spill_attached() {
+        // Spilled records are referenced by address from the checkpoint,
+        // so the tier must be durable first; the chained write keeps a
+        // good prior generation in case this one lands torn.
+        verifier.sync_spill().map_err(|e| match e {
+            leopard_core::StoreError::Io(io) => CheckpointError::Io(io),
+            other => CheckpointError::Malformed(other.to_string()),
+        })?;
+        verifier.checkpoint().write_chained(path)
+    } else {
+        verifier.checkpoint().write(path)
     }
 }
 
@@ -443,94 +362,49 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
     // preload) inside the checkpoint; a fresh one is built from the flags.
     let mut skip = 0u64;
     let mut verifier = if let Some(ckpt_path) = &cfg.resume {
-        // The shard count selects the checkpoint format: a sharded run
-        // images itself as a ShardedCheckpoint envelope, a single-threaded
-        // run as a flat Checkpoint. `read_chained` transparently accepts
-        // plain pre-chain files and falls back past corrupt head
-        // generations, surfacing the fallback as a warning.
-        let engine = if cfg.shards > 1 {
-            match ShardedCheckpoint::read_chained(Path::new(ckpt_path)).and_then(
-                |(ckpt, warning)| ShardedVerifier::resume(&ckpt).map(|v| (ckpt, warning, v)),
-            ) {
-                Ok((ckpt, warning, mut v)) => {
-                    skip = ckpt.traces_fed;
-                    if let Some(w) = &warning {
-                        let _ = writeln!(out, "warning: {w}");
-                    }
-                    let spilled: u64 = ckpt.shards.iter().map(|s| s.spill.len() as u64).sum();
-                    match (&spill, spilled) {
-                        (Some(settings), _) => {
-                            if let Err(e) = v.resume_spill(&ckpt, settings) {
-                                if spilled > 0 {
-                                    let _ = writeln!(
-                                        out,
-                                        "error: checkpoint references {spilled} spilled \
-                                         record(s) but the spill tier cannot be opened: {e}"
-                                    );
-                                    return 1;
-                                }
-                                v.note_spill_unavailable(&e.to_string());
-                            }
+        // `read_chained` transparently accepts plain pre-chain files and
+        // falls back past corrupt head generations, surfacing the fallback
+        // as a warning.
+        let v = match Checkpoint::read_chained(Path::new(ckpt_path)).and_then(|(ckpt, warning)| {
+            Verifier::from_checkpoint(&ckpt).map(|v| (ckpt, warning, v))
+        }) {
+            Ok((ckpt, warning, mut v)) => {
+                skip = ckpt.traces_ingested;
+                if let Some(w) = &warning {
+                    let _ = writeln!(out, "warning: {w}");
+                    v.note_degraded_load(w);
+                }
+                match (&spill, ckpt.spill.len()) {
+                    (Some(settings), _) => match leopard_core::SpillTier::open(settings) {
+                        Ok(tier) => v.resume_spill(tier, &ckpt.spill),
+                        Err(e) if ckpt.spill.is_empty() => {
+                            v.note_spill_unavailable(&e.to_string());
                         }
-                        (None, 0) => {}
-                        (None, _) => {
+                        Err(e) => {
                             let _ = writeln!(
                                 out,
-                                "error: checkpoint references {spilled} spilled record(s) \
-                                 but no --spill-dir was given"
+                                "error: checkpoint references {} spilled record(s) \
+                                 but the spill tier cannot be opened: {e}",
+                                ckpt.spill.len()
                             );
                             return 1;
                         }
+                    },
+                    (None, 0) => {}
+                    (None, n) => {
+                        let _ = writeln!(
+                            out,
+                            "error: checkpoint references {n} spilled record(s) \
+                             but no --spill-dir was given"
+                        );
+                        return 1;
                     }
-                    VerifyEngine::Sharded(v)
                 }
-                Err(e) => {
-                    let _ = writeln!(out, "error: cannot resume from {ckpt_path}: {e}");
-                    return 1;
-                }
+                v
             }
-        } else {
-            match Checkpoint::read_chained(Path::new(ckpt_path)).and_then(|(ckpt, warning)| {
-                Verifier::from_checkpoint(&ckpt).map(|v| (ckpt, warning, v))
-            }) {
-                Ok((ckpt, warning, mut v)) => {
-                    skip = ckpt.traces_ingested;
-                    if let Some(w) = &warning {
-                        let _ = writeln!(out, "warning: {w}");
-                        v.note_degraded_load(w);
-                    }
-                    match (&spill, ckpt.spill.len()) {
-                        (Some(settings), _) => match leopard_core::SpillTier::open(settings) {
-                            Ok(tier) => v.resume_spill(tier, &ckpt.spill),
-                            Err(e) if ckpt.spill.is_empty() => {
-                                v.note_spill_unavailable(&e.to_string());
-                            }
-                            Err(e) => {
-                                let _ = writeln!(
-                                    out,
-                                    "error: checkpoint references {} spilled record(s) \
-                                     but the spill tier cannot be opened: {e}",
-                                    ckpt.spill.len()
-                                );
-                                return 1;
-                            }
-                        },
-                        (None, 0) => {}
-                        (None, n) => {
-                            let _ = writeln!(
-                                out,
-                                "error: checkpoint references {n} spilled record(s) \
-                                 but no --spill-dir was given"
-                            );
-                            return 1;
-                        }
-                    }
-                    VerifyEngine::Single(v)
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "error: cannot resume from {ckpt_path}: {e}");
-                    return 1;
-                }
+            Err(e) => {
+                let _ = writeln!(out, "error: cannot resume from {ckpt_path}: {e}");
+                return 1;
             }
         };
         if !cfg.json {
@@ -539,7 +413,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
                 "resumed from {ckpt_path}: {skip} traces already ingested"
             );
         }
-        engine
+        v
     } else {
         let mut vcfg = VerifierConfig::for_level(cfg.level);
         vcfg.clock_skew_bound = cfg.skew_bound;
@@ -548,16 +422,9 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
         if let Some(bytes) = cfg.mem_budget {
             vcfg.mem_budget = MemBudget::bytes(bytes);
         }
-        let mut v = if cfg.shards > 1 {
-            VerifyEngine::Sharded(ShardedVerifier::new(vcfg, cfg.shards))
-        } else {
-            VerifyEngine::Single(Verifier::new(vcfg))
-        };
+        let mut v = Verifier::new(vcfg);
         for &(k, val) in &reader.header().preload.clone() {
-            match &mut v {
-                VerifyEngine::Single(v) => v.preload(k, val),
-                VerifyEngine::Sharded(s) => s.preload(k, val),
-            }
+            v.preload(k, val);
         }
         v
     };
@@ -567,12 +434,15 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
     // coverage note, never a silent change of verdict.
     if let Some(settings) = &spill {
         if !verifier.spill_attached() {
-            if let Err(e) = verifier.attach_spill(settings) {
-                let _ = writeln!(
-                    out,
-                    "warning: spill tier unavailable ({e}); continuing in memory"
-                );
-                verifier.note_spill_unavailable(&e.to_string());
+            match leopard_core::SpillTier::open(settings) {
+                Ok(tier) => verifier.attach_spill(tier),
+                Err(e) => {
+                    let _ = writeln!(
+                        out,
+                        "warning: spill tier unavailable ({e}); continuing in memory"
+                    );
+                    verifier.note_spill_unavailable(&e.to_string());
+                }
             }
         }
     }
@@ -587,7 +457,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
             // metrics snapshot, then exit with the conventional 128+SIG
             // code so wrappers can tell "interrupted" from "violations".
             if let Some(path) = &ckpt_out {
-                if let Err(e) = verifier.write_checkpoint(path) {
+                if let Err(e) = write_checkpoint(&verifier, path) {
                     let _ = writeln!(out, "error: cannot checkpoint: {e}");
                     return 1;
                 }
@@ -625,7 +495,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
                 sinks.tick();
                 if let (Some(path), Some(every)) = (&ckpt_out, cfg.checkpoint_every) {
                     if processed.is_multiple_of(every) {
-                        if let Err(e) = verifier.write_checkpoint(path) {
+                        if let Err(e) = write_checkpoint(&verifier, path) {
                             let _ = writeln!(out, "error: cannot checkpoint: {e}");
                             return 1;
                         }
@@ -640,7 +510,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
         }
     }
     if let Some(path) = &ckpt_out {
-        if let Err(e) = verifier.write_checkpoint(path) {
+        if let Err(e) = write_checkpoint(&verifier, path) {
             let _ = writeln!(out, "error: cannot checkpoint: {e}");
             return 1;
         }
@@ -808,7 +678,6 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
         checkpoint_path: cfg.checkpoint.as_ref().map(PathBuf::from),
         checkpoint_every: cfg.checkpoint_every,
         backpressure,
-        shards: cfg.shards,
         spill: spill.clone(),
         ..OnlineOptions::default()
     };
@@ -1645,7 +1514,6 @@ mod tests {
         let code = verify(
             &VerifyConfig {
                 file: path.clone(),
-                shards: 2,
                 json: true,
                 metrics_out: Some(metrics.clone()),
                 trace_out: Some(trace.clone()),
@@ -1711,103 +1579,6 @@ mod tests {
         let code = verify(
             &VerifyConfig {
                 file: path.clone(),
-                resume: Some(ckpt.clone()),
-                ..VerifyConfig::default()
-            },
-            &mut out,
-        );
-        let resumed = String::from_utf8_lossy(&out);
-        assert_eq!(code, 0, "{resumed}");
-        assert!(resumed.contains("resumed from"), "{resumed}");
-        assert!(resumed.contains("verdict: CLEAN"), "{resumed}");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&ckpt);
-    }
-
-    #[test]
-    fn sharded_verify_agrees_with_single_threaded() {
-        let path = tmp("shard_cap");
-        let mut out = Vec::new();
-        let code = record(
-            &RecordConfig {
-                workload: "blindw-rw".to_string(),
-                threads: 2,
-                txns: 40,
-                out: path.clone(),
-                ..RecordConfig::default()
-            },
-            &mut out,
-        );
-        assert_eq!(code, 0);
-
-        let run = |shards: usize| {
-            let mut out = Vec::new();
-            let code = verify(
-                &VerifyConfig {
-                    file: path.clone(),
-                    shards,
-                    json: true,
-                    ..VerifyConfig::default()
-                },
-                &mut out,
-            );
-            (code, String::from_utf8_lossy(&out).into_owned())
-        };
-        let (code1, single) = run(1);
-        let (code4, sharded) = run(4);
-        assert_eq!(code1, 0, "{single}");
-        assert_eq!(code4, 0, "{sharded}");
-        // The JSON summaries agree except for the peak-footprint fields,
-        // which measure the engine's own topology.
-        let strip = |s: &str| {
-            s.split(',')
-                .filter(|f| !f.contains("peak_"))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        assert_eq!(strip(&single), strip(&sharded));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_checkpoint_then_resume_agrees() {
-        let path = tmp("shard_ckpt_cap");
-        let ckpt = tmp("shard_ckpt_state");
-        let mut out = Vec::new();
-        let code = record(
-            &RecordConfig {
-                workload: "blindw-rw".to_string(),
-                threads: 2,
-                txns: 40,
-                out: path.clone(),
-                ..RecordConfig::default()
-            },
-            &mut out,
-        );
-        assert_eq!(code, 0);
-
-        // Sharded pass writing intermediate + final envelope checkpoints.
-        let mut out = Vec::new();
-        let code = verify(
-            &VerifyConfig {
-                file: path.clone(),
-                shards: 3,
-                checkpoint: Some(ckpt.clone()),
-                checkpoint_every: Some(50),
-                ..VerifyConfig::default()
-            },
-            &mut out,
-        );
-        let full = String::from_utf8_lossy(&out).into_owned();
-        assert_eq!(code, 0, "{full}");
-        assert!(full.contains("checkpoint written"), "{full}");
-
-        // Resuming the envelope re-ingests nothing, reaches the same verdict.
-        let mut out = Vec::new();
-        let code = verify(
-            &VerifyConfig {
-                file: path.clone(),
-                shards: 3,
                 resume: Some(ckpt.clone()),
                 ..VerifyConfig::default()
             },

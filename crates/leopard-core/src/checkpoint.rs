@@ -31,9 +31,8 @@ use std::path::Path;
 /// Current checkpoint format version; bumped on incompatible change.
 ///
 /// Version 3: pending reads are ordered by their birth position in the
-/// stream (`born_seq`, `born_elem`) instead of a private heap counter, so
-/// the order is meaningful across verifier shards; the counter field was
-/// dropped. Version 3 also introduces the [`ShardedCheckpoint`] envelope.
+/// stream (`born_seq`, `born_elem`) instead of a private heap counter; the
+/// counter field was dropped.
 ///
 /// Version 4: checkpoints became incremental under the spill tier — the
 /// image carries a spill index (paged-out records stay in their segment
@@ -41,7 +40,10 @@ use std::path::Path;
 /// grew spill accounting. Written through
 /// [`crate::store::GenChain`] when spilling is enabled, with CRC'd
 /// generations and corrupt-head fallback.
-pub const CHECKPOINT_VERSION: u32 = 4;
+///
+/// Version 5: the key-sharded engine is gone — matched reads lost their
+/// cross-shard ordering key and the sharded envelope no longer exists.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// A deferred consistent-read check, flattened for checkpointing
 /// (mirrors the verifier's private pending-read heap entries).
@@ -263,93 +265,6 @@ impl Checkpoint {
     }
 }
 
-/// A complete image of a [`crate::verify::ShardedVerifier`] mid-stream:
-/// one per-shard [`Checkpoint`] image per worker shard plus the driver's
-/// cross-shard certifier state, under a single versioned envelope.
-///
-/// Checkpoints are only taken at emission barriers (every shard's effect
-/// buffer drained and applied), so the envelope is byte-stable: two runs
-/// that fed the same traces produce identical envelopes regardless of
-/// worker-thread scheduling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardedCheckpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
-    /// Number of worker shards; resume rebuilds exactly this many.
-    pub n_shards: u64,
-    /// The configuration the run was started with.
-    pub config: VerifierConfig,
-    /// Traces fed to the sharded verifier so far, *including* quarantined
-    /// ones — the resume cursor: skip this many traces of the capture.
-    pub traces_fed: u64,
-    /// Per-shard verifier images, in shard order.
-    pub shards: Vec<Checkpoint>,
-    /// The driver's cross-shard dependency graph.
-    pub graph: Vec<NodeSnap>,
-    /// Quarantine gate: traces seen by the gate.
-    pub quarantine_seq: u64,
-    /// Quarantine gate: last admitted `ts_bef` per client.
-    pub quarantine_clients: Vec<(ClientId, Timestamp)>,
-    /// Quarantine gate: transactions with an admitted terminal.
-    pub quarantine_terminals: Vec<TxnId>,
-    /// Driver-side run counters (traces, committed, aborted, budget).
-    pub counters: VerifyCounters,
-    /// Deduction statistics summed across shards.
-    pub stats: DeductionStats,
-    /// Violations found so far, in sequential emission order.
-    pub report: BugReport,
-    /// Coverage accumulated so far.
-    pub coverage: Coverage,
-}
-
-impl ShardedCheckpoint {
-    /// Serializes to one JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("checkpoint serializes")
-    }
-
-    /// Parses a JSON document, validating the format version.
-    pub fn from_json(json: &str) -> Result<ShardedCheckpoint, CheckpointError> {
-        let ckpt: ShardedCheckpoint =
-            serde_json::from_str(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version {
-                found: ckpt.version,
-                expected: CHECKPOINT_VERSION,
-            });
-        }
-        Ok(ckpt)
-    }
-
-    /// Writes the envelope to `path` atomically and durably
-    /// (write-to-temp, fsync, rename, fsync parent directory).
-    pub fn write(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_atomic_durable(path, &self.to_json())
-    }
-
-    /// Reads and parses an envelope from `path`.
-    pub fn read(path: &Path) -> Result<ShardedCheckpoint, CheckpointError> {
-        let json = fs::read_to_string(path)?;
-        ShardedCheckpoint::from_json(&json)
-    }
-
-    /// Writes the envelope as a new generation of the generation chain
-    /// rooted at `path` (see [`Checkpoint::write_chained`]).
-    pub fn write_chained(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_chained_json(path, &self.to_json())
-    }
-
-    /// Reads the newest good envelope generation at `path`, with
-    /// corrupt-head fallback (see [`Checkpoint::read_chained`]).
-    pub fn read_chained(
-        path: &Path,
-    ) -> Result<(ShardedCheckpoint, Option<String>), CheckpointError> {
-        let (json, warning) = read_chained_json(path)?;
-        Ok((ShardedCheckpoint::from_json(&json)?, warning))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,9 +292,23 @@ mod tests {
     fn version_mismatch_is_rejected() {
         let v = Verifier::new(VerifierConfig::for_level(IsolationLevel::Serializable));
         let mut ckpt = v.checkpoint();
-        ckpt.version = 99;
-        let err = Checkpoint::from_json(&ckpt.to_json()).unwrap_err();
-        assert!(matches!(err, CheckpointError::Version { found: 99, .. }));
+        for found in [99, 4] {
+            ckpt.version = found;
+            let err = Checkpoint::from_json(&ckpt.to_json()).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::Version { found: f, .. } if f == found),
+                "{err}"
+            );
+        }
+        // The envelope the removed sharded engine wrote at version 4: its
+        // per-shard images sit one level down, so it is not an image at all.
+        let image = ckpt.to_json();
+        let envelope = format!(
+            r#"{{"version":4,"n_shards":2,"config":{},"traces_fed":0,"shards":[{image},{image}],"graph":[]}}"#,
+            serde_json::to_string(&ckpt.config).expect("config serializes"),
+        );
+        let err = Checkpoint::from_json(&envelope).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
     #[test]

@@ -78,9 +78,7 @@ pub use capture::{CaptureError, CaptureHeader, CaptureReader, CaptureWriter, CAP
 pub use catalog::{
     catalog, CertifierRule, DbmsProfile, IsolationLevel, MechanismSet, SnapshotLevel,
 };
-pub use checkpoint::{
-    Checkpoint, CheckpointError, PendingReadSnap, ShardedCheckpoint, CHECKPOINT_VERSION,
-};
+pub use checkpoint::{Checkpoint, CheckpointError, PendingReadSnap, CHECKPOINT_VERSION};
 pub use interval::{Interval, PairOrder};
 pub use lockwitness::{TrackedMutex, TrackedMutexGuard};
 pub use obs::{ObsSnapshot, Registry};
@@ -106,7 +104,7 @@ pub use store::{
 pub use trace::{OpKind, Trace, TraceBuilder};
 pub use types::{ClientId, Key, Timestamp, TxnId, Value};
 pub use verify::{
-    Coverage, Footprint, ShardedVerifier, Verifier, VerifierConfig, VerifyCounters, VerifyOutcome,
+    Coverage, Footprint, Verifier, VerifierConfig, VerifyCounters, VerifyOutcome,
     MAX_COVERAGE_NOTES,
 };
 pub use wire::{Frame, FrameDecoder, Hello, RejectReason, TraceFrame, WireError, WIRE_VERSION};

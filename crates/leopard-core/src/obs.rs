@@ -2,26 +2,25 @@
 //!
 //! Leopard's value is *efficient online* verification, which makes the
 //! engine's own behavior part of the product: where a streaming run
-//! spends time (shard workers vs. the serial certifier), how far the
+//! spends time (dispatch, GC, spill, checkpoint), how far the
 //! dispatch watermark lags the newest capture, and how often the
 //! overload ladder fires are all questions a verdict alone cannot
 //! answer. This module is the single, dependency-free answer:
 //!
 //! * a static [`Registry`] of atomic **counters**, **gauges** and
 //!   fixed-bucket **histograms** covering every stage of the chain
-//!   (ingest, dispatch, certifier epoch apply, GC, budget ladder,
+//!   (ingest, dispatch, GC, budget ladder,
 //!   sheds/evictions/quarantines);
 //! * **span** instrumentation — bounded ring buffer of
 //!   `(stage, lane, start, duration)` records around capture →
-//!   preflight → dispatch → shard workers → certifier merge → GC
-//!   barrier → checkpoint → report;
+//!   preflight → dispatch → GC barrier → spill → checkpoint → report;
 //! * three **exporters**: Prometheus text exposition
 //!   ([`Registry::render_prometheus`]), a structured JSON snapshot
 //!   ([`Registry::snapshot`], embedded in
 //!   [`VerifyOutcome`](crate::VerifyOutcome) / `--json` output), and a
 //!   Chrome trace-event timeline ([`Registry::render_chrome_trace`])
-//!   loadable in Perfetto / `about://tracing`, with one lane per shard
-//!   plus driver/certifier and pipeline lanes.
+//!   loadable in Perfetto / `about://tracing`, with one lane each for
+//!   the verifier, the pipeline, the online governor and the CLI.
 //!
 //! Everything is lock-free: plain relaxed atomics for tallies, a
 //! release-published / acquire-read sequence word per span slot. The
@@ -54,15 +53,11 @@ pub const BUCKET_BOUNDS_US: [u64; 14] = [
     1_000_000,
 ];
 
-/// Maximum number of per-shard busy lanes tracked by the registry.
-/// Shards beyond this fold into the last lane.
-pub const MAX_SHARD_LANES: usize = 64;
-
 /// Capacity of the span ring buffer. Once full, the oldest spans are
 /// overwritten in claim order.
 pub const SPAN_CAPACITY: usize = 4096;
 
-/// Trace lane (Chrome-trace `tid`) of the driver/certifier thread.
+/// Trace lane (Chrome-trace `tid`) of the verifier.
 pub const LANE_DRIVER: u32 = 0;
 /// Trace lane of the two-level dispatch pipeline.
 pub const LANE_PIPELINE: u32 = 61;
@@ -70,13 +65,6 @@ pub const LANE_PIPELINE: u32 = 61;
 pub const LANE_ONLINE: u32 = 62;
 /// Trace lane of CLI-driven stages (capture read, preflight, report).
 pub const LANE_CLI: u32 = 63;
-
-/// Trace lane of shard worker `shard` (0-based). Lanes saturate just
-/// below the fixed utility lanes so arbitrary shard counts stay valid.
-#[must_use]
-pub fn shard_lane(shard: usize) -> u32 {
-    1 + (shard.min(59) as u32)
-}
 
 /// Monotonic counters tracked by the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,12 +97,8 @@ pub enum Counter {
     QuarantinedTraces,
     /// Reads demoted to unverifiable in degraded mode.
     DemotedReads,
-    /// Cross-shard certifier merge rounds (epoch batches applied).
-    CertifierMerges,
     /// Checkpoint images serialized to disk.
     CheckpointsWritten,
-    /// Cumulative driver/certifier busy time, microseconds.
-    DriverBusyUs,
     /// Wire frames decoded by the serve daemon (all streams).
     WireFrames,
     /// Wire payload bytes decoded by the serve daemon.
@@ -140,7 +124,7 @@ pub enum Counter {
     SpillIoErrors,
 }
 
-const COUNTER_COUNT: usize = 28;
+const COUNTER_COUNT: usize = 26;
 
 impl Counter {
     /// Every counter, in registry (and exposition) order.
@@ -159,9 +143,7 @@ impl Counter {
         Counter::StallEvictions,
         Counter::QuarantinedTraces,
         Counter::DemotedReads,
-        Counter::CertifierMerges,
         Counter::CheckpointsWritten,
-        Counter::DriverBusyUs,
         Counter::WireFrames,
         Counter::WireBytes,
         Counter::WireDecodeErrors,
@@ -200,9 +182,7 @@ impl Counter {
             Counter::StallEvictions => "leopard_stall_evictions_total",
             Counter::QuarantinedTraces => "leopard_quarantined_traces_total",
             Counter::DemotedReads => "leopard_demoted_reads_total",
-            Counter::CertifierMerges => "leopard_certifier_merges_total",
             Counter::CheckpointsWritten => "leopard_checkpoints_written_total",
-            Counter::DriverBusyUs => "leopard_driver_busy_us_total",
             Counter::WireFrames => "leopard_wire_frames_total",
             Counter::WireBytes => "leopard_wire_bytes_total",
             Counter::WireDecodeErrors => "leopard_wire_decode_errors_total",
@@ -239,9 +219,7 @@ impl Counter {
             Counter::StallEvictions => "Clients evicted for stalling (eviction timeout).",
             Counter::QuarantinedTraces => "Traces quarantined by degraded-mode admission.",
             Counter::DemotedReads => "Reads demoted to unverifiable in degraded mode.",
-            Counter::CertifierMerges => "Cross-shard certifier merge rounds.",
             Counter::CheckpointsWritten => "Checkpoint images serialized to disk.",
-            Counter::DriverBusyUs => "Cumulative driver/certifier busy time, microseconds.",
             Counter::WireFrames => "Wire frames decoded by the serve daemon.",
             Counter::WireBytes => "Wire payload bytes decoded by the serve daemon.",
             Counter::WireDecodeErrors => {
@@ -274,13 +252,11 @@ pub enum Gauge {
     PeakMemBytes,
     /// High-water mark of retained entries.
     PeakMemEntries,
-    /// Shard count of the active engine (0 = sequential).
-    Shards,
     /// Bytes held in spill segment files on disk.
     SpillBytes,
 }
 
-const GAUGE_COUNT: usize = 6;
+const GAUGE_COUNT: usize = 5;
 
 impl Gauge {
     /// Every gauge, in registry (and exposition) order.
@@ -289,7 +265,6 @@ impl Gauge {
         Gauge::MemBytes,
         Gauge::PeakMemBytes,
         Gauge::PeakMemEntries,
-        Gauge::Shards,
         Gauge::SpillBytes,
     ];
 
@@ -308,7 +283,6 @@ impl Gauge {
             Gauge::MemBytes => "leopard_mem_bytes",
             Gauge::PeakMemBytes => "leopard_peak_mem_bytes",
             Gauge::PeakMemEntries => "leopard_peak_mem_entries",
-            Gauge::Shards => "leopard_shards",
             Gauge::SpillBytes => "leopard_spill_bytes",
         }
     }
@@ -323,7 +297,6 @@ impl Gauge {
             Gauge::MemBytes => "Current estimated bytes retained by the verification chain.",
             Gauge::PeakMemBytes => "High-water mark of estimated retained bytes.",
             Gauge::PeakMemEntries => "High-water mark of retained entries.",
-            Gauge::Shards => "Shard count of the active engine (0 = sequential).",
             Gauge::SpillBytes => "Bytes held in spill segment files on disk.",
         }
     }
@@ -334,25 +307,19 @@ impl Gauge {
 pub enum HistId {
     /// Wall time of one pipeline drain call that dispatched traces.
     DispatchLatencyUs,
-    /// Wall time of one certifier epoch-merge round.
-    EpochApplyUs,
-    /// Wall time of one garbage-collection pass (or GC barrier).
+    /// Wall time of one garbage-collection pass.
     GcPauseUs,
-    /// Wall time of one shard-worker batch.
-    ShardBatchUs,
     /// Wall time of one spill pass (records written out under pressure).
     SpillPassUs,
 }
 
-const HIST_COUNT: usize = 5;
+const HIST_COUNT: usize = 3;
 
 impl HistId {
     /// Every histogram, in registry (and exposition) order.
     pub const ALL: [HistId; HIST_COUNT] = [
         HistId::DispatchLatencyUs,
-        HistId::EpochApplyUs,
         HistId::GcPauseUs,
-        HistId::ShardBatchUs,
         HistId::SpillPassUs,
     ];
 
@@ -368,9 +335,7 @@ impl HistId {
     pub fn name(self) -> &'static str {
         match self {
             HistId::DispatchLatencyUs => "leopard_dispatch_latency_us",
-            HistId::EpochApplyUs => "leopard_epoch_apply_us",
             HistId::GcPauseUs => "leopard_gc_pause_us",
-            HistId::ShardBatchUs => "leopard_shard_batch_us",
             HistId::SpillPassUs => "leopard_spill_pass_us",
         }
     }
@@ -380,9 +345,7 @@ impl HistId {
     pub fn help(self) -> &'static str {
         match self {
             HistId::DispatchLatencyUs => "Wall time of one dispatching pipeline drain call (us).",
-            HistId::EpochApplyUs => "Wall time of one certifier epoch-merge round (us).",
             HistId::GcPauseUs => "Wall time of one garbage-collection pass (us).",
-            HistId::ShardBatchUs => "Wall time of one shard-worker batch (us).",
             HistId::SpillPassUs => "Wall time of one spill pass (us).",
         }
     }
@@ -399,11 +362,7 @@ pub enum Stage {
     Preflight = 1,
     /// Pipeline dispatch (watermark advance + drain).
     Dispatch = 2,
-    /// A shard worker processing one trace batch.
-    ShardBatch = 3,
-    /// The driver merging shard epochs (serial certifier section).
-    CertifierMerge = 4,
-    /// A GC pass or cross-shard GC barrier.
+    /// A garbage-collection pass.
     GcBarrier = 5,
     /// Serializing a checkpoint image.
     Checkpoint = 6,
@@ -421,8 +380,6 @@ impl Stage {
             Stage::Capture => "capture",
             Stage::Preflight => "preflight",
             Stage::Dispatch => "dispatch",
-            Stage::ShardBatch => "shard-batch",
-            Stage::CertifierMerge => "certifier-merge",
             Stage::GcBarrier => "gc-barrier",
             Stage::Checkpoint => "checkpoint",
             Stage::Report => "report",
@@ -435,8 +392,6 @@ impl Stage {
             0 => Some(Stage::Capture),
             1 => Some(Stage::Preflight),
             2 => Some(Stage::Dispatch),
-            3 => Some(Stage::ShardBatch),
-            4 => Some(Stage::CertifierMerge),
             5 => Some(Stage::GcBarrier),
             6 => Some(Stage::Checkpoint),
             7 => Some(Stage::Report),
@@ -520,8 +475,8 @@ impl SpanRing {
     }
 }
 
-/// The observability registry: every counter, gauge, histogram,
-/// per-shard busy lane and span slot, as lock-free atomics.
+/// The observability registry: every counter, gauge, histogram and
+/// span slot, as lock-free atomics.
 ///
 /// A process-global instance backs the module-level free functions
 /// ([`ctr`], [`span_start`], …); tests construct private instances so
@@ -531,7 +486,6 @@ pub struct Registry {
     counters: [AtomicU64; COUNTER_COUNT],
     gauges: [AtomicU64; GAUGE_COUNT],
     hists: [Hist; HIST_COUNT],
-    shard_busy_us: [AtomicU64; MAX_SHARD_LANES],
     spans: SpanRing,
 }
 
@@ -546,7 +500,6 @@ impl Registry {
             counters: [const { AtomicU64::new(0) }; COUNTER_COUNT],
             gauges: [const { AtomicU64::new(0) }; GAUGE_COUNT],
             hists: [const { Hist::new() }; HIST_COUNT],
-            shard_busy_us: [const { AtomicU64::new(0) }; MAX_SHARD_LANES],
             spans: SpanRing::new(),
         }
     }
@@ -575,9 +528,6 @@ impl Registry {
         }
         for h in &self.hists {
             h.reset();
-        }
-        for lane in &self.shard_busy_us {
-            lane.store(0, Ordering::Relaxed); // relaxed: reset between bench cells; no readers race a reset
         }
         self.spans.head.store(0, Ordering::Relaxed); // relaxed: reset between bench cells; no readers race a reset
         for slot in &self.spans.slots {
@@ -615,13 +565,6 @@ impl Registry {
     /// Records one microsecond observation into a histogram.
     pub fn hist_observe(&self, h: HistId, us: u64) {
         self.hists[h.idx()].observe(us);
-    }
-
-    /// Stores the cumulative busy time of shard `shard` (µs). Shards
-    /// beyond [`MAX_SHARD_LANES`] fold into the last lane.
-    pub fn shard_busy_store(&self, shard: usize, us: u64) {
-        let lane = shard.min(MAX_SHARD_LANES - 1);
-        self.shard_busy_us[lane].store(us, Ordering::Relaxed); // relaxed: last-writer-wins sample, read only by exporters
     }
 
     /// Records one completed span. A no-op while disabled.
@@ -674,16 +617,11 @@ impl Registry {
                 }
             })
             .collect();
-        let shards = (self.gauge_value(Gauge::Shards) as usize).min(MAX_SHARD_LANES);
-        let shard_busy_us = (0..shards)
-            .map(|i| self.shard_busy_us[i].load(Ordering::Relaxed)) // relaxed: exporter read of an independent sample
-            .collect();
         let recorded = self.spans.head.load(Ordering::Relaxed); // relaxed: exporter read of an independent tally
         ObsSnapshot {
             counters,
             gauges,
             histograms,
-            shard_busy_us,
             spans_recorded: recorded,
             spans_retained: recorded.min(SPAN_CAPACITY as u64),
         }
@@ -700,20 +638,6 @@ impl Registry {
         for g in Gauge::ALL {
             render_header(&mut out, g.name(), g.help(), "gauge");
             render_sample(&mut out, g.name(), &[], self.gauge_value(g));
-        }
-        let shards = (self.gauge_value(Gauge::Shards) as usize).min(MAX_SHARD_LANES);
-        if shards > 0 {
-            let name = "leopard_shard_busy_us_total";
-            render_header(
-                &mut out,
-                name,
-                "Cumulative busy time of each shard worker, microseconds.",
-                "counter",
-            );
-            for i in 0..shards {
-                let v = self.shard_busy_us[i].load(Ordering::Relaxed); // relaxed: exporter read of an independent sample
-                render_sample(&mut out, name, &[("shard", &i.to_string())], v);
-            }
         }
         for h in HistId::ALL {
             let hist = &self.hists[h.idx()];
@@ -747,8 +671,8 @@ impl Registry {
     }
 
     /// Renders the span ring as a Chrome trace-event (Perfetto) JSON
-    /// document: one complete (`"ph":"X"`) event per retained span, one
-    /// named lane per shard plus driver/pipeline/online/CLI lanes.
+    /// document: one complete (`"ph":"X"`) event per retained span, on
+    /// named verifier/pipeline/online/CLI lanes.
     #[must_use]
     pub fn render_chrome_trace(&self) -> String {
         let mut events: Vec<(u64, u64, Stage, u32)> = Vec::new();
@@ -804,11 +728,11 @@ impl Default for Registry {
 
 fn lane_name(lane: u32) -> String {
     match lane {
-        LANE_DRIVER => "driver/certifier".to_string(),
+        LANE_DRIVER => "verifier".to_string(),
         LANE_PIPELINE => "pipeline".to_string(),
         LANE_ONLINE => "online-engine".to_string(),
         LANE_CLI => "cli".to_string(),
-        n => format!("shard-{}", n - 1),
+        n => format!("lane-{n}"),
     }
 }
 
@@ -896,8 +820,6 @@ pub struct ObsSnapshot {
     pub gauges: Vec<MetricSample>,
     /// Every histogram with per-bucket tallies.
     pub histograms: Vec<HistSnapshot>,
-    /// Cumulative busy microseconds per shard (empty when sequential).
-    pub shard_busy_us: Vec<u64>,
     /// Spans recorded since the last reset (including overwritten).
     pub spans_recorded: u64,
     /// Spans still retained in the ring.
@@ -1017,14 +939,6 @@ pub fn gauge_max(g: Gauge, v: u64) {
 pub fn hist(h: HistId, us: u64) {
     if GLOBAL.enabled() {
         GLOBAL.hist_observe(h, us);
-    }
-}
-
-/// Stores a shard's cumulative busy time when recording is enabled.
-#[inline]
-pub fn shard_busy(shard: usize, us: u64) {
-    if GLOBAL.enabled() {
-        GLOBAL.shard_busy_store(shard, us);
     }
 }
 
@@ -1196,17 +1110,17 @@ mod tests {
     #[test]
     fn exposition_histogram_buckets_are_cumulative_and_end_at_inf() {
         let r = fresh();
-        r.hist_observe(HistId::EpochApplyUs, 10);
-        r.hist_observe(HistId::EpochApplyUs, 10);
-        r.hist_observe(HistId::EpochApplyUs, 200);
-        r.hist_observe(HistId::EpochApplyUs, 10_000_000);
+        r.hist_observe(HistId::SpillPassUs, 10);
+        r.hist_observe(HistId::SpillPassUs, 10);
+        r.hist_observe(HistId::SpillPassUs, 200);
+        r.hist_observe(HistId::SpillPassUs, 10_000_000);
         let text = r.render_prometheus();
-        assert!(text.contains("leopard_epoch_apply_us_bucket{le=\"50\"} 2\n"));
-        assert!(text.contains("leopard_epoch_apply_us_bucket{le=\"250\"} 3\n"));
-        assert!(text.contains("leopard_epoch_apply_us_bucket{le=\"1000000\"} 3\n"));
-        assert!(text.contains("leopard_epoch_apply_us_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("leopard_epoch_apply_us_count 4\n"));
-        assert!(text.contains("leopard_epoch_apply_us_sum 10000220\n"));
+        assert!(text.contains("leopard_spill_pass_us_bucket{le=\"50\"} 2\n"));
+        assert!(text.contains("leopard_spill_pass_us_bucket{le=\"250\"} 3\n"));
+        assert!(text.contains("leopard_spill_pass_us_bucket{le=\"1000000\"} 3\n"));
+        assert!(text.contains("leopard_spill_pass_us_bucket{le=\"+Inf\"} 4\n"));
+        assert!(text.contains("leopard_spill_pass_us_count 4\n"));
+        assert!(text.contains("leopard_spill_pass_us_sum 10000220\n"));
     }
 
     #[test]
@@ -1234,7 +1148,6 @@ mod tests {
         for h in HistId::ALL {
             assert!(is_valid_metric_name(h.name()), "{}", h.name());
         }
-        assert!(is_valid_label_name("shard"));
         assert!(is_valid_label_name("le"));
         assert!(!is_valid_metric_name("9starts_with_digit"));
         assert!(!is_valid_metric_name("has-dash"));
@@ -1245,9 +1158,6 @@ mod tests {
     #[test]
     fn exposition_lines_match_the_text_format() {
         let r = fresh();
-        r.gauge_set(Gauge::Shards, 3);
-        r.shard_busy_store(0, 11);
-        r.shard_busy_store(2, 33);
         r.ctr_add(Counter::Dispatched, 7);
         for line in r.render_prometheus().lines() {
             if line.starts_with('#') {
@@ -1265,10 +1175,6 @@ mod tests {
             let name = series.split('{').next().expect("series has a name"); // lint: allow(L001): test assertion
             assert!(is_valid_metric_name(name), "bad metric name in: {line}");
         }
-        let text = r.render_prometheus();
-        assert!(text.contains("leopard_shard_busy_us_total{shard=\"0\"} 11\n"));
-        assert!(text.contains("leopard_shard_busy_us_total{shard=\"2\"} 33\n"));
-        assert!(!text.contains("{shard=\"3\"}"), "lane past Shards gauge");
     }
 
     #[test]
@@ -1293,7 +1199,7 @@ mod tests {
     fn span_ring_wraps_and_trace_render_is_valid_json() {
         let r = fresh();
         for i in 0..(SPAN_CAPACITY as u64 + 10) {
-            r.record_span(Stage::ShardBatch, shard_lane(1), i, 1);
+            r.record_span(Stage::Dispatch, LANE_PIPELINE, i, 1);
         }
         let snap = r.snapshot();
         assert_eq!(snap.spans_recorded, SPAN_CAPACITY as u64 + 10);
@@ -1303,8 +1209,8 @@ mod tests {
         // process_name + one thread_name + SPAN_CAPACITY retained spans.
         assert_eq!(trace.matches("\"ph\":\"M\"").count(), 2);
         assert_eq!(trace.matches("\"ph\":\"X\"").count(), SPAN_CAPACITY);
-        assert!(trace.contains("\"args\":{\"name\":\"shard-1\"}"));
-        assert!(trace.contains("\"name\":\"shard-batch\""));
+        assert!(trace.contains("\"args\":{\"name\":\"pipeline\"}"));
+        assert!(trace.contains("\"name\":\"dispatch\""));
     }
 
     #[test]
@@ -1329,26 +1235,22 @@ mod tests {
     #[test]
     fn snapshot_serializes_to_json_and_back() {
         let r = fresh();
-        r.ctr_add(Counter::CertifierMerges, 4);
-        r.gauge_set(Gauge::Shards, 2);
-        r.shard_busy_store(0, 100);
-        r.shard_busy_store(1, 200);
+        r.ctr_add(Counter::GcPasses, 4);
+        r.gauge_set(Gauge::MemBytes, 2);
         let snap = r.snapshot();
         let json = serde_json::to_string(&snap).expect("snapshot serializes"); // lint: allow(L001): test assertion
         let back: ObsSnapshot = serde_json::from_str(&json).expect("snapshot round-trips"); // lint: allow(L001): test assertion
         assert_eq!(snap, back);
-        assert_eq!(back.shard_busy_us, vec![100, 200]);
-        assert_eq!(back.counter("leopard_certifier_merges_total"), Some(4));
+        assert_eq!(back.counter("leopard_gc_passes_total"), Some(4));
+        assert_eq!(back.gauge("leopard_mem_bytes"), Some(2));
     }
 
     #[test]
-    fn lane_names_cover_utility_and_shard_lanes() {
-        assert_eq!(lane_name(LANE_DRIVER), "driver/certifier");
+    fn lane_names_cover_every_lane() {
+        assert_eq!(lane_name(LANE_DRIVER), "verifier");
         assert_eq!(lane_name(LANE_PIPELINE), "pipeline");
         assert_eq!(lane_name(LANE_ONLINE), "online-engine");
         assert_eq!(lane_name(LANE_CLI), "cli");
-        assert_eq!(lane_name(shard_lane(0)), "shard-0");
-        assert_eq!(lane_name(shard_lane(7)), "shard-7");
-        assert_eq!(shard_lane(10_000), 60, "shard lanes saturate");
+        assert_eq!(lane_name(7), "lane-7");
     }
 }

@@ -28,13 +28,11 @@
 //! assert!(outcome.report.is_clean());
 //! ```
 
-use crate::budget::MemUsage;
 use crate::lockwitness::TrackedMutex;
 use crate::obs;
 use crate::pipeline::{Backpressure, ChannelTracer, ClientHandle, PipelineConfig, PipelineStats};
-use crate::trace::Trace;
 use crate::types::{ClientId, Key, Value};
-use crate::verify::{ShardedVerifier, Verifier, VerifierConfig, VerifyOutcome};
+use crate::verify::{Verifier, VerifierConfig, VerifyOutcome};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,12 +61,6 @@ pub struct OnlineOptions {
     /// couple ingest rate to verification rate (blocking) or shed with a
     /// counter (lossy). See [`Backpressure`].
     pub backpressure: Backpressure,
-    /// Number of verifier worker shards. `0` or `1` (the default) runs
-    /// the single-threaded [`Verifier`]; larger values run the key-sharded
-    /// [`ShardedVerifier`] with this many worker threads. Checkpoints
-    /// written by a sharded chain use the [`crate::ShardedCheckpoint`]
-    /// envelope instead of [`crate::Checkpoint`].
-    pub shards: usize,
     /// Disk-spilling backing tier for cold verifier state — rung 1.5 of
     /// the overload ladder, between forced GC and forced dispatch. When
     /// the tier cannot be attached or a spill write fails, the chain
@@ -78,171 +70,24 @@ pub struct OnlineOptions {
     pub spill: Option<crate::store::SpillSettings>,
 }
 
-/// The verification engine behind the online chain: the single-threaded
-/// verifier, or the key-sharded pool when [`OnlineOptions::shards`] > 1.
-/// Every governor action (overload ladder, eviction notes, checkpointing)
-/// is delegated so the worker loop is engine-agnostic.
-// One engine exists per run, so the variant size gap never multiplies.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Engine {
-    Single(Verifier),
-    Sharded(ShardedVerifier),
-}
-
-impl Engine {
-    fn new(cfg: VerifierConfig, shards: usize) -> Engine {
-        if shards > 1 {
-            Engine::Sharded(ShardedVerifier::new(cfg, shards))
-        } else {
-            Engine::Single(Verifier::new(cfg))
-        }
+/// Best-effort checkpoint write: an unwritable checkpoint must not take
+/// the verification down.
+fn write_checkpoint(verifier: &Verifier, path: &Path) {
+    let span = obs::span_start();
+    // Sync first so the image never references unsynced pages; sync
+    // failures are retried/counted by the tier and surface at resume as a
+    // typed corrupt-store error.
+    let _ = verifier.sync_spill();
+    if verifier.spill_attached() {
+        // A spill-backed image is written through the generation chain so
+        // a torn head falls back to the previous good generation instead
+        // of aborting.
+        let _ = verifier.checkpoint().write_chained(path);
+    } else {
+        let _ = verifier.checkpoint().write(path);
     }
-
-    fn preload(&mut self, key: Key, value: Value) {
-        match self {
-            Engine::Single(v) => v.preload(key, value),
-            Engine::Sharded(s) => s.preload(key, value),
-        }
-    }
-
-    fn process(&mut self, trace: &Trace) {
-        match self {
-            Engine::Single(v) => v.process(trace),
-            Engine::Sharded(s) => s.process(trace),
-        }
-    }
-
-    /// Best-effort checkpoint write: an unwritable checkpoint must not
-    /// take the verification down.
-    fn write_checkpoint(&mut self, path: &Path) {
-        let span = obs::span_start();
-        match self {
-            Engine::Single(v) => {
-                // Sync first so the image never references unsynced
-                // pages; sync failures are retried/counted by the tier
-                // and surface at resume as a typed corrupt-store error.
-                let _ = v.sync_spill();
-                if v.spill_attached() {
-                    // A spill-backed image is written through the
-                    // generation chain so a torn head falls back to the
-                    // previous good generation instead of aborting.
-                    let _ = v.checkpoint().write_chained(path);
-                } else {
-                    let _ = v.checkpoint().write(path);
-                }
-            }
-            Engine::Sharded(s) => {
-                // The checkpoint barrier syncs every shard's tier.
-                if s.spill_attached() {
-                    let _ = s.checkpoint().write_chained(path);
-                } else {
-                    let _ = s.checkpoint().write(path);
-                }
-            }
-        }
-        obs::span_end(obs::Stage::Checkpoint, obs::LANE_ONLINE, span);
-        obs::ctr(obs::Counter::CheckpointsWritten, 1);
-    }
-
-    fn force_gc(&mut self) {
-        match self {
-            Engine::Single(v) => v.force_gc(),
-            Engine::Sharded(s) => s.force_gc(),
-        }
-    }
-
-    fn mem_usage(&self) -> MemUsage {
-        match self {
-            Engine::Single(v) => v.mem_usage(),
-            Engine::Sharded(s) => s.mem_usage(),
-        }
-    }
-
-    fn observe_usage(&mut self, usage: MemUsage) {
-        obs::gauge_set(obs::Gauge::MemBytes, usage.bytes);
-        match self {
-            Engine::Single(v) => v.observe_usage(usage),
-            Engine::Sharded(s) => s.observe_usage(usage),
-        }
-    }
-
-    fn note_evicted_client(&mut self, client: ClientId) {
-        match self {
-            Engine::Single(v) => v.note_evicted_client(client),
-            Engine::Sharded(s) => s.note_evicted_client(client),
-        }
-    }
-
-    fn note_budget_eviction(&mut self, client: ClientId) {
-        match self {
-            Engine::Single(v) => v.note_budget_eviction(client),
-            Engine::Sharded(s) => s.note_budget_eviction(client),
-        }
-    }
-
-    fn note_shed_traces(&mut self, n: u64) {
-        match self {
-            Engine::Single(v) => v.note_shed_traces(n),
-            Engine::Sharded(s) => s.note_shed_traces(n),
-        }
-    }
-
-    fn note_forced_dispatch(&mut self) {
-        match self {
-            Engine::Single(v) => v.note_forced_dispatch(),
-            Engine::Sharded(s) => s.note_forced_dispatch(),
-        }
-    }
-
-    /// Attaches the spill tier(s); the sharded engine receives one tier
-    /// per shard under `shard-<i>` subdirectories.
-    fn attach_spill(
-        &mut self,
-        settings: &crate::store::SpillSettings,
-    ) -> crate::store::StoreResult<()> {
-        match self {
-            Engine::Single(v) => {
-                let tier = crate::store::SpillTier::open(settings)?;
-                v.attach_spill(tier);
-                Ok(())
-            }
-            Engine::Sharded(s) => s.attach_spill(settings),
-        }
-    }
-
-    /// `true` when rung 1.5 is armed: a tier is attached, still
-    /// accepting writes, and no store fault has latched.
-    fn can_spill(&self) -> bool {
-        match self {
-            Engine::Single(v) => v.can_spill(),
-            Engine::Sharded(s) => s.spill_attached() && s.store_fault().is_none(),
-        }
-    }
-
-    /// Runs one spill pass (rung 1.5). The sharded engine runs it as a
-    /// full barrier so the usage read afterwards reflects the drain.
-    fn spill(&mut self) {
-        match self {
-            Engine::Single(v) => v.spill_pass(),
-            Engine::Sharded(s) => s.spill(),
-        }
-    }
-
-    /// Records a failed tier attachment (counted fallback).
-    fn note_spill_unavailable(&mut self, why: &str) {
-        match self {
-            Engine::Single(v) => v.note_spill_unavailable(why),
-            Engine::Sharded(s) => s.note_spill_unavailable(why),
-        }
-    }
-
-    fn finish(self) -> VerifyOutcome {
-        match self {
-            Engine::Single(v) => v.finish(),
-            Engine::Sharded(s) => s.finish(),
-        }
-    }
+    obs::span_end(obs::Stage::Checkpoint, obs::LANE_ONLINE, span);
+    obs::ctr(obs::Counter::CheckpointsWritten, 1);
 }
 
 /// [`OnlineLeopard::finish_with_timeout`] gave up waiting: some client
@@ -356,10 +201,11 @@ impl OnlineLeopard {
         let (done_tx, done_rx) = mpsc::channel();
         let worker = std::thread::spawn(move || {
             let shared = worker_shared;
-            let mut verifier = Engine::new(cfg, opts.shards);
+            let mut verifier = Verifier::new(cfg);
             if let Some(settings) = opts.spill.as_ref() {
-                if let Err(e) = verifier.attach_spill(settings) {
-                    verifier.note_spill_unavailable(&e.to_string());
+                match crate::store::SpillTier::open(settings) {
+                    Ok(tier) => verifier.attach_spill(tier),
+                    Err(e) => verifier.note_spill_unavailable(&e.to_string()),
                 }
             }
             for (k, v) in preload {
@@ -385,7 +231,7 @@ impl OnlineLeopard {
                         (opts.checkpoint_path.as_deref(), opts.checkpoint_every)
                     {
                         if every > 0 && processed.is_multiple_of(every) {
-                            verifier.write_checkpoint(path);
+                            write_checkpoint(&verifier, path);
                         }
                     }
                 }
@@ -417,7 +263,7 @@ impl OnlineLeopard {
                         usage = verifier.mem_usage() + tracer.mem_usage();
                     }
                     if budget.exceeded_by(usage) && verifier.can_spill() {
-                        verifier.spill();
+                        verifier.spill_pass();
                         usage = verifier.mem_usage() + tracer.mem_usage();
                     }
                     if budget.exceeded_by(usage) {
@@ -445,11 +291,13 @@ impl OnlineLeopard {
                     // Record the governed (post-ladder) footprint: the HWM
                     // measures what governance let stand, not the spike it
                     // just removed.
-                    verifier.observe_usage(verifier.mem_usage() + tracer.mem_usage());
+                    let usage = verifier.mem_usage() + tracer.mem_usage();
+                    obs::gauge_set(obs::Gauge::MemBytes, usage.bytes);
+                    verifier.observe_usage(usage);
                 }
                 if shared.checkpoint.swap(false, Ordering::SeqCst) {
                     if let Some(path) = opts.checkpoint_path.as_deref() {
-                        verifier.write_checkpoint(path);
+                        write_checkpoint(&verifier, path);
                     }
                 }
                 {
@@ -498,7 +346,7 @@ impl OnlineLeopard {
             if let Some(path) = opts.checkpoint_path.as_deref() {
                 if opts.checkpoint_every.is_some() {
                     // Final image so a post-run resume replays nothing.
-                    verifier.write_checkpoint(path);
+                    write_checkpoint(&verifier, path);
                 }
             }
             let result = (verifier.finish(), tracer.stats());
@@ -786,64 +634,6 @@ mod tests {
         assert!(outcome.coverage.evicted_clients.contains(&ClientId(1)));
         assert!(!outcome.coverage.is_complete());
         assert!(stats.forced_dispatches >= 1);
-    }
-
-    #[test]
-    fn sharded_chain_matches_single_threaded_chain() {
-        let run = |shards: usize| {
-            let (leopard, handles) = OnlineLeopard::start_opts(
-                2,
-                VerifierConfig::for_level(IsolationLevel::Serializable),
-                OnlineOptions {
-                    shards,
-                    ..OnlineOptions::default()
-                },
-                (0..8).map(|k| (Key(k), Value(0))).collect(),
-            );
-            let mut joins = Vec::new();
-            for (c, handle) in handles.into_iter().enumerate() {
-                joins.push(std::thread::spawn(move || {
-                    for i in 0..40u64 {
-                        let txn = TxnId((c as u64) * 1000 + i + 1);
-                        let base = i * 100 + c as u64 * 3;
-                        let key = Key(c as u64 * 4 + (i % 4));
-                        handle.record(Trace::new(
-                            iv(base + 1, base + 2),
-                            ClientId(c as u32),
-                            txn,
-                            OpKind::Write(vec![(key, Value(1_000_000 + txn.0))]),
-                        ));
-                        handle.record(Trace::new(
-                            iv(base + 3, base + 4),
-                            ClientId(c as u32),
-                            txn,
-                            OpKind::Commit,
-                        ));
-                    }
-                }));
-            }
-            for j in joins {
-                j.join().unwrap();
-            }
-            leopard.finish()
-        };
-        let single = run(1);
-        let sharded = run(4);
-        assert!(single.report.is_clean(), "{}", single.report);
-        assert_eq!(
-            format!("{:?}", single.report),
-            format!("{:?}", sharded.report)
-        );
-        assert_eq!(
-            format!("{:?}", single.stats),
-            format!("{:?}", sharded.stats)
-        );
-        assert_eq!(single.counters.traces, sharded.counters.traces);
-        assert_eq!(single.counters.committed, sharded.counters.committed);
-        assert_eq!(
-            format!("{:?}", single.coverage),
-            format!("{:?}", sharded.coverage)
-        );
     }
 
     #[test]

@@ -104,63 +104,48 @@ impl LockTable {
         out: &mut Vec<(Key, LockCheck)>,
     ) {
         for &key in keys {
-            self.release_one(txn, key, release, out);
-        }
-    }
-
-    /// Mirrors the release of the lock `txn` holds on a single `key`,
-    /// appending the pairwise checks to `out` — the per-key unit of
-    /// [`LockTable::release_txn`], exposed so a sharded verifier can walk
-    /// the transaction's global key list and release only the keys a shard
-    /// owns while preserving the sequential check order.
-    pub fn release_one(
-        &mut self,
-        txn: TxnId,
-        key: Key,
-        release: Interval,
-        out: &mut Vec<(Key, LockCheck)>,
-    ) {
-        self.dirty.insert(key);
-        let Some(entries) = self.locks.get_mut(&key) else {
-            return;
-        };
-        let Some(self_idx) = entries
-            .iter()
-            .position(|e| e.txn == txn && e.release.is_none())
-        else {
-            return;
-        };
-        entries[self_idx].release = Some(release);
-        let (own_acquire, own_release) = (entries[self_idx].acquire, release);
-        for (i, other) in entries.iter().enumerate() {
-            if i == self_idx || other.txn == txn {
+            self.dirty.insert(key);
+            let Some(entries) = self.locks.get_mut(&key) else {
                 continue;
+            };
+            let Some(self_idx) = entries
+                .iter()
+                .position(|e| e.txn == txn && e.release.is_none())
+            else {
+                continue;
+            };
+            entries[self_idx].release = Some(release);
+            let (own_acquire, own_release) = (entries[self_idx].acquire, release);
+            for (i, other) in entries.iter().enumerate() {
+                if i == self_idx || other.txn == txn {
+                    continue;
+                }
+                let Some(other_release) = other.release else {
+                    continue; // checked when the other lock releases
+                };
+                let check = match resolve_exclusive_pair(
+                    &own_acquire,
+                    &own_release,
+                    &other.acquire,
+                    &other_release,
+                ) {
+                    PairOrder::CertainlyConcurrent => LockCheck::Violation {
+                        own_acquire,
+                        other: (other.txn, other.acquire, other_release),
+                    },
+                    PairOrder::FirstThenSecond => LockCheck::Order {
+                        first: txn,
+                        second: other.txn,
+                        certain: !own_acquire.overlaps(&other.acquire),
+                    },
+                    PairOrder::SecondThenFirst => LockCheck::Order {
+                        first: other.txn,
+                        second: txn,
+                        certain: !own_acquire.overlaps(&other.acquire),
+                    },
+                };
+                out.push((key, check));
             }
-            let Some(other_release) = other.release else {
-                continue; // checked when the other lock releases
-            };
-            let check = match resolve_exclusive_pair(
-                &own_acquire,
-                &own_release,
-                &other.acquire,
-                &other_release,
-            ) {
-                PairOrder::CertainlyConcurrent => LockCheck::Violation {
-                    own_acquire,
-                    other: (other.txn, other.acquire, other_release),
-                },
-                PairOrder::FirstThenSecond => LockCheck::Order {
-                    first: txn,
-                    second: other.txn,
-                    certain: !own_acquire.overlaps(&other.acquire),
-                },
-                PairOrder::SecondThenFirst => LockCheck::Order {
-                    first: other.txn,
-                    second: txn,
-                    certain: !own_acquire.overlaps(&other.acquire),
-                },
-            };
-            out.push((key, check));
         }
     }
 

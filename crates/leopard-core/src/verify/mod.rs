@@ -16,14 +16,12 @@
 
 mod depgraph;
 mod lock_table;
-mod shard;
 mod txn_table;
 mod version_store;
 
 pub use depgraph::{CertifierViolation, DepGraph, NodeSnap};
 pub use lock_table::{KeyLocks, LockCheck, LockEntry, LockTable};
-pub use shard::ShardedVerifier;
-pub use txn_table::{MatchedRead, ReadRunKey, TxnInfo, TxnOutcome, TxnSnap, TxnTable};
+pub use txn_table::{MatchedRead, TxnInfo, TxnOutcome, TxnSnap, TxnTable};
 pub use version_store::{
     KeyVersions, PruneBreakdown, ReadMatch, RecordVersions, SpillIndexEntry, VersionClass,
     VersionEntry, VersionStore, VersionUid,
@@ -256,9 +254,8 @@ pub struct VerifyOutcome {
 /// `snapshot.hi`).
 ///
 /// The tie-break after `due` is the check's *birth position* in the
-/// stream — (trace sequence, element index) — which is identical to the
-/// old insertion-counter order in a single verifier, but stays globally
-/// comparable when the heap is partitioned across shards.
+/// stream — (trace sequence, element index) — so equal-`due` checks run in
+/// the order they were deferred.
 #[derive(Debug)]
 struct PendingRead {
     due: Timestamp,
@@ -293,105 +290,6 @@ impl Ord for PendingRead {
     }
 }
 
-/// Identity of one worker within a [`ShardedVerifier`]: shard `shard` of
-/// `of`. A verifier with no role (`None`) runs in *direct* mode — the
-/// classic single-threaded verifier, applying every effect immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRole {
-    /// This shard's index, in `0..of`.
-    pub shard: usize,
-    /// Total shard count.
-    pub of: usize,
-}
-
-/// The shard a key routes to: `fxhash(key) % n`.
-pub(crate) fn shard_of(key: Key, n: usize) -> usize {
-    use std::hash::Hasher as _;
-    let mut h = crate::fxhash::FxHasher::default();
-    h.write_u64(key.0);
-    (h.finish() as usize) % n
-}
-
-// Emission phases within one trace's processing, in sequential order:
-// pending-read flush, inline per-element / per-lock-key checks, the
-// certifier node, matched-read replay, then the per-write-key loop.
-const PH_FLUSH: u64 = 1;
-const PH_INLINE: u64 = 2;
-const PH_NODE: u64 = 3;
-const PH_REPLAY: u64 = 4;
-const PH_WRITEKEY: u64 = 5;
-/// Driver-side quarantine notes. Smaller than every shard phase: a trace
-/// quarantined after `k` admissions is keyed `[k, PH_QUAR, ..]`, sorting
-/// after everything the k-th admitted trace emitted (seq `k - 1`) and
-/// before the next admitted trace's first flush (`[k, PH_FLUSH, ..]`) —
-/// exactly where the sequential verifier interleaves the note.
-pub(crate) const PH_QUAR: u64 = 0;
-
-/// Global emission key: `[seq, phase, a, b, c, d, e, sub]`, lexicographic.
-/// Two properties make the sharded merge deterministic and equivalent to
-/// the sequential verifier: every emission site is owned by exactly one
-/// shard (keys never collide across shards), and sorting the union of all
-/// shards' emissions by this key reconstructs the exact order in which the
-/// sequential verifier would have produced them.
-pub(crate) type EmitKey = [u64; 8];
-
-/// A state change the sequential verifier would apply to the global
-/// (non-per-key) structures: the bug report, the dependency graph and the
-/// coverage block. Worker shards buffer these; the driver merges and
-/// applies them in emission-key order at every barrier.
-#[derive(Debug)]
-pub(crate) enum Effect {
-    /// Append a violation to the bug report.
-    Violation(Violation),
-    /// Add a certifier node for a committed transaction (shard 0 only).
-    AddNode {
-        /// The committed transaction.
-        txn: TxnId,
-        /// Its snapshot-generation interval.
-        snapshot: Interval,
-        /// Its commit interval.
-        commit: Interval,
-    },
-    /// Add a dependency edge (the driver runs the certifier rules on it).
-    Edge {
-        /// Source transaction.
-        from: TxnId,
-        /// Target transaction.
-        to: TxnId,
-        /// Dependency kind.
-        kind: DepKind,
-    },
-    /// A consistent-read mismatch demoted to a coverage note.
-    Demoted(String),
-    /// A trace quarantined by the driver's admission gate (degraded
-    /// mode). Produced by the driver itself, never by a shard; it rides
-    /// the same merge so coverage notes keep the sequential interleaving.
-    Quarantined(String),
-}
-
-/// Ambient emission cursor: the current 7-word site prefix plus a
-/// monotonically increasing `sub` counter for multiple emissions from the
-/// same site. Only maintained when the verifier has a shard role.
-#[derive(Debug, Default, Clone, Copy)]
-struct EmitCursor {
-    prefix: [u64; 7],
-    sub: u64,
-}
-
-impl EmitCursor {
-    fn set(&mut self, prefix: [u64; 7]) {
-        self.prefix = prefix;
-        self.sub = 0;
-    }
-
-    fn next(&mut self) -> EmitKey {
-        let p = self.prefix;
-        let k = [p[0], p[1], p[2], p[3], p[4], p[5], p[6], self.sub];
-        self.sub += 1;
-        k
-    }
-}
-
 /// The mechanism-mirrored verifier.
 #[derive(Debug)]
 pub struct Verifier {
@@ -409,12 +307,6 @@ pub struct Verifier {
     quarantine: QuarantineGate,
     // Scratch buffers reused across traces to avoid per-trace allocation.
     scratch_lock_checks: Vec<(Key, LockCheck)>,
-    // Sharded operation (None = direct mode, identical to the classic
-    // single-threaded verifier).
-    role: Option<ShardRole>,
-    cursor: EmitCursor,
-    cur_seq: u64,
-    emit_buf: Vec<(EmitKey, Effect)>,
     /// First unrecoverable spill-store failure. Once latched the
     /// verifier refuses further work: a spilled chain that cannot be
     /// faulted back in makes any verdict unreliable, and a typed error
@@ -444,46 +336,15 @@ impl Verifier {
             coverage: Coverage::default(),
             quarantine: QuarantineGate::default(),
             scratch_lock_checks: Vec::new(),
-            role: None,
-            cursor: EmitCursor::default(),
-            cur_seq: 0,
-            emit_buf: Vec::new(),
             store_fault: None,
             spill_writes_enabled: true,
-        }
-    }
-
-    /// Creates a verifier operating as one shard of a [`ShardedVerifier`]:
-    /// per-key state is restricted to owned keys and global effects are
-    /// buffered for the driver instead of applied.
-    pub(crate) fn for_shard(cfg: VerifierConfig, role: ShardRole) -> Verifier {
-        let mut v = Verifier::new(cfg);
-        v.role = Some(role);
-        v
-    }
-
-    /// Assigns a shard role to a verifier restored from a per-shard
-    /// checkpoint image.
-    pub(crate) fn assume_role(&mut self, role: ShardRole) {
-        self.role = Some(role);
-    }
-
-    /// `true` when this verifier is responsible for `key` (always, in
-    /// direct mode).
-    #[inline]
-    fn owns(&self, key: Key) -> bool {
-        match self.role {
-            None => true,
-            Some(r) => shard_of(key, r.of) == r.shard,
         }
     }
 
     /// Installs the initial database state: reads may observe these values
     /// before the first traced write commits.
     pub fn preload(&mut self, key: Key, value: Value) {
-        if self.owns(key) {
-            self.versions.preload(key, value);
-        }
+        self.versions.preload(key, value);
     }
 
     /// Processes one dispatched trace. Traces must arrive in
@@ -508,10 +369,8 @@ impl Verifier {
         // Degraded mode: route ill-formed traces (inverted interval,
         // per-client clock regression, post-terminal operation, duplicate
         // mismatched terminal) to quarantine instead of corrupting the
-        // mirrored state; verification continues on the rest. In shard
-        // mode the driver gates admission before broadcasting, so shards
-        // only ever see admitted traces.
-        if self.cfg.degraded && self.role.is_none() {
+        // mirrored state; verification continues on the rest.
+        if self.cfg.degraded {
             if let Some(diag) = self.quarantine.admit(trace) {
                 self.coverage.quarantined_traces += 1;
                 self.coverage.push_note(format!("quarantined: {diag}"));
@@ -519,9 +378,6 @@ impl Verifier {
                 return;
             }
         }
-        // Sequence number of this trace in the admitted stream: the anchor
-        // word of every emission key it produces.
-        self.cur_seq = self.counters.traces;
         // Clock-skew tolerance: widen the interval so bounded
         // synchronisation error cannot fabricate a "certain" order. Only
         // the interval is adjusted; the operation payload is borrowed.
@@ -550,13 +406,7 @@ impl Verifier {
                 self.txns.observe(trace.txn, trace.client, interval);
                 for (ei, &(key, value)) in set.iter().enumerate() {
                     if me {
-                        // The lock itself lives on the owning shard, but
-                        // every shard records the key in the transaction's
-                        // lock set: the commit-time release loop walks the
-                        // *global* key list so check indices agree.
-                        if self.owns(key) {
-                            self.locks.acquire(key, trace.txn, interval);
-                        }
+                        self.locks.acquire(key, trace.txn, interval);
                         let info = self.txns.observe(trace.txn, trace.client, interval);
                         if !info.locked_read_keys.contains(&key) {
                             info.locked_read_keys.push(key);
@@ -573,12 +423,10 @@ impl Verifier {
                     .observe(trace.txn, trace.client, interval)
                     .first_op;
                 for &(key, value) in set {
-                    if self.owns(key) {
-                        self.versions
-                            .install(key, value, trace.txn, interval, snapshot);
-                        if me {
-                            self.locks.acquire(key, trace.txn, interval);
-                        }
+                    self.versions
+                        .install(key, value, trace.txn, interval, snapshot);
+                    if me {
+                        self.locks.acquire(key, trace.txn, interval);
                     }
                     let info = self.txns.observe(trace.txn, trace.client, interval);
                     if info.own_writes.insert(key, value).is_none() {
@@ -597,18 +445,7 @@ impl Verifier {
         }
 
         self.counters.traces += 1;
-        if self.role.is_none() {
-            // Sharded runs count admissions at the driver; a worker's
-            // local tally would multiply-count broadcast traces.
-            obs::ctr(obs::Counter::OpsIngested, 1);
-        }
-        if self.role.is_some() {
-            // Shard mode: GC and budget enforcement are epoch-coordinated
-            // by the driver (a lone shard cannot compute the global GC low
-            // watermark, and per-shard budget checks would diverge from the
-            // aggregate the governor acts on).
-            return;
-        }
+        obs::ctr(obs::Counter::OpsIngested, 1);
         if self.cfg.gc && self.counters.traces.is_multiple_of(self.cfg.gc_every) {
             self.collect_garbage();
         }
@@ -681,11 +518,7 @@ impl Verifier {
             }
         }
         if t0.is_some() {
-            let lane = match self.role {
-                None => obs::LANE_DRIVER,
-                Some(r) => obs::shard_lane(r.shard),
-            };
-            let dur = obs::span_end(obs::Stage::Spill, lane, t0);
+            let dur = obs::span_end(obs::Stage::Spill, obs::LANE_DRIVER, t0);
             obs::hist(obs::HistId::SpillPassUs, dur);
         }
         if let Some(tier) = self.versions.spill_tier() {
@@ -713,9 +546,8 @@ impl Verifier {
     fn fault_in_for(&mut self, trace: &Trace) {
         match &trace.op {
             OpKind::Read(set) | OpKind::LockedRead(set) | OpKind::Write(set) => {
-                for i in 0..set.len() {
-                    let key = set[i].0;
-                    if self.owns(key) && !self.fault_in(key) {
+                for &(key, _) in set {
+                    if !self.fault_in(key) {
                         return;
                     }
                 }
@@ -733,7 +565,7 @@ impl Verifier {
                 keys.sort_unstable();
                 keys.dedup();
                 for key in keys {
-                    if self.owns(key) && !self.fault_in(key) {
+                    if !self.fault_in(key) {
                         return;
                     }
                 }
@@ -837,7 +669,6 @@ impl Verifier {
     /// Flushes every remaining deferred check and returns the outcome.
     #[must_use]
     pub fn finish(mut self) -> VerifyOutcome {
-        self.cur_seq = u64::MAX;
         self.flush_pending_reads(Timestamp::MAX);
         self.counters.peak_footprint = self.counters.peak_footprint.max(self.footprint().total());
         let mut coverage = self.coverage;
@@ -994,10 +825,6 @@ impl Verifier {
                 &ckpt.quarantine_terminals,
             ),
             scratch_lock_checks: Vec::new(),
-            role: None,
-            cursor: EmitCursor::default(),
-            cur_seq: 0,
-            emit_buf: Vec::new(),
             // A checkpoint referencing spilled records cannot verify
             // without its spill directory: latch the typed error now;
             // [`Verifier::resume_spill`] clears it.
@@ -1055,108 +882,6 @@ impl Verifier {
         &self.versions
     }
 
-    // ----- shard emission plumbing ----------------------------------------
-
-    /// Positions the emission cursor at a new site (no-op in direct mode).
-    #[inline]
-    fn set_cursor(&mut self, prefix: [u64; 7]) {
-        if self.role.is_some() {
-            self.cursor.set(prefix);
-        }
-    }
-
-    /// The match-time run key for a [`MatchedRead`]: the first five cursor
-    /// words, which globally order read-check executions across shards.
-    fn run_key(&self) -> ReadRunKey {
-        match self.role {
-            None => ReadRunKey::default(),
-            Some(_) => {
-                let p = self.cursor.prefix;
-                ReadRunKey {
-                    seq: p[0],
-                    phase: p[1],
-                    a: p[2],
-                    b: p[3],
-                    c: p[4],
-                }
-            }
-        }
-    }
-
-    /// Appends a violation (direct) or buffers it for the driver (shard).
-    fn emit_violation(&mut self, v: Violation) {
-        match self.role {
-            None => self.report.violations.push(v),
-            Some(_) => {
-                let k = self.cursor.next();
-                self.emit_buf.push((k, Effect::Violation(v)));
-            }
-        }
-    }
-
-    /// Counts and notes a demoted read (direct) or buffers it (shard);
-    /// the driver applies the note cap so shards emit uncapped.
-    fn emit_demoted(&mut self, note: String) {
-        match self.role {
-            None => {
-                self.coverage.demoted_reads += 1;
-                self.coverage.push_note(note);
-                obs::ctr(obs::Counter::DemotedReads, 1);
-            }
-            Some(_) => {
-                let k = self.cursor.next();
-                self.emit_buf.push((k, Effect::Demoted(note)));
-            }
-        }
-    }
-
-    /// Drains the buffered effects (shard mode), naturally sorted: within
-    /// one shard, emission keys are produced in increasing order.
-    pub(crate) fn take_emissions(&mut self) -> Vec<(EmitKey, Effect)> {
-        std::mem::take(&mut self.emit_buf)
-    }
-
-    /// Minimum snapshot `ts_bef` among this shard's deferred read checks.
-    pub(crate) fn pending_low(&self) -> Option<Timestamp> {
-        self.pending_reads
-            .iter()
-            .map(|Reverse(p)| p.snapshot.lo)
-            .min()
-    }
-
-    /// The earliest active snapshot (GC low-watermark input).
-    pub(crate) fn earliest_active(&self) -> Option<Timestamp> {
-        self.txns.earliest_active_snapshot()
-    }
-
-    /// Current stream position (max widened `ts_bef` seen).
-    pub(crate) fn stream_pos(&self) -> Timestamp {
-        self.stream_pos
-    }
-
-    /// Driver-coordinated GC with a globally computed low watermark; the
-    /// shard-local graph is empty, so only the per-key structures and the
-    /// transaction table are pruned.
-    pub(crate) fn shard_gc(&mut self, low: Timestamp) {
-        self.versions.prune(low);
-        self.locks.prune(low);
-        self.txns.prune(low);
-    }
-
-    /// Finish-time flush for a worker shard: runs every remaining deferred
-    /// check, emitting under the terminal sequence number so finish
-    /// emissions sort after every trace's.
-    pub(crate) fn shard_finish_flush(&mut self) {
-        self.cur_seq = u64::MAX;
-        self.flush_pending_reads(Timestamp::MAX);
-    }
-
-    /// Transactions with no terminal trace, sorted (identical across
-    /// shards: every shard tracks the full transaction table).
-    pub(crate) fn active_txns(&self) -> Vec<TxnId> {
-        self.txns.active_txns()
-    }
-
     // ----- consistent read ------------------------------------------------
 
     #[allow(clippy::too_many_arguments)]
@@ -1170,11 +895,7 @@ impl Verifier {
         force_statement: bool,
         elem: u64,
     ) {
-        if !self.owns(key) {
-            return;
-        }
         let Some(level) = cr else { return };
-        self.set_cursor([self.cur_seq, PH_INLINE, elem, 0, 0, 0, 0]);
         let Some(info) = self.txns.get(txn) else {
             return;
         };
@@ -1186,12 +907,12 @@ impl Verifier {
                 if self.cfg.degraded {
                     // A dropped write delivery of the same transaction can
                     // make the last *observed* own-write stale: demote.
-                    self.emit_demoted(format!(
+                    self.demote_read(format!(
                         "demoted: {txn} read {observed} of {key} over own write {own} \
                          (possible missing write delivery)"
                     ));
                 } else {
-                    self.emit_violation(Violation::ConsistentRead {
+                    self.report.violations.push(Violation::ConsistentRead {
                         reader: txn,
                         key,
                         observed,
@@ -1212,7 +933,7 @@ impl Verifier {
         // overlap the snapshot interval has been dispatched.
         let check = PendingRead {
             due: snapshot.hi,
-            born_seq: self.cur_seq,
+            born_seq: self.counters.traces,
             born_elem: elem,
             reader: txn,
             key,
@@ -1225,6 +946,14 @@ impl Verifier {
         } else {
             self.pending_reads.push(Reverse(check));
         }
+    }
+
+    /// Counts and notes a consistent-read mismatch demoted to coverage
+    /// (degraded mode only).
+    fn demote_read(&mut self, note: String) {
+        self.coverage.demoted_reads += 1;
+        self.coverage.push_note(note);
+        obs::ctr(obs::Counter::DemotedReads, 1);
     }
 
     fn flush_pending_reads(&mut self, up_to: Timestamp) {
@@ -1242,15 +971,6 @@ impl Verifier {
                     self.pending_reads.push(Reverse(check));
                     return;
                 }
-                self.set_cursor([
-                    self.cur_seq,
-                    PH_FLUSH,
-                    check.due.0,
-                    check.born_seq,
-                    check.born_elem,
-                    0,
-                    0,
-                ]);
                 self.run_read_check(&check);
             }
         }
@@ -1274,7 +994,6 @@ impl Verifier {
                 } else {
                     self.stats.wr.deduced += 1;
                 }
-                let run_key = self.run_key();
                 if let Some(info) = self.txns.get_mut(check.reader) {
                     let matched = MatchedRead {
                         key: check.key,
@@ -1282,7 +1001,6 @@ impl Verifier {
                         writer,
                         read_op: check.read_op,
                         interval_certain,
-                        run_key,
                     };
                     match info.outcome {
                         // Reader still running: buffer until its commit.
@@ -1325,14 +1043,14 @@ impl Verifier {
                 // certifier keep full power — their evidence is commit
                 // intervals, which mangling cannot move.
                 if self.cfg.degraded {
-                    self.emit_demoted(format!(
+                    self.demote_read(format!(
                         "demoted: {} read {} of {} matched no candidate \
                          (explainable by a missing delivery)",
                         check.reader, check.observed, check.key
                     ));
                     return;
                 }
-                self.emit_violation(Violation::ConsistentRead {
+                self.report.violations.push(Violation::ConsistentRead {
                     reader: check.reader,
                     key: check.key,
                     observed: check.observed,
@@ -1381,87 +1099,60 @@ impl Verifier {
         let matched_reads = std::mem::take(&mut info.matched_reads);
         self.counters.committed += 1;
 
-        // Mutual exclusion: release all locks, checking pairs (§V-B). The
-        // per-key release walks the transaction's global key list so a
-        // shard (which holds only its owned keys' locks) emits checks
-        // under the same key index as the sequential verifier would.
-        if self.cfg.mechanisms.mutual_exclusion {
-            let mut checks = std::mem::take(&mut self.scratch_lock_checks);
-            let mut all_keys = write_keys.clone();
-            all_keys.extend_from_slice(&locked_read_keys);
-            for (ki, &key) in all_keys.iter().enumerate() {
-                if !self.owns(key) {
-                    continue;
-                }
-                self.set_cursor([self.cur_seq, PH_INLINE, ki as u64, 0, 0, 0, 0]);
-                checks.clear();
-                self.locks.release_one(txn, key, commit, &mut checks);
-                for (key, check) in checks.drain(..) {
-                    if let LockCheck::Violation { own_acquire, other } = check {
-                        self.emit_violation(Violation::MutualExclusion {
-                            key,
-                            first: (txn, own_acquire, commit),
-                            second: other,
-                        });
-                    }
-                    // Orders are re-derived during version adjacency below;
-                    // nothing else to do here.
-                }
-            }
-            self.scratch_lock_checks = checks;
-        }
+        // Mutual exclusion: release all locks, checking pairs (§V-B).
+        // Orders are re-derived during version adjacency below.
+        self.release_locks(txn, &write_keys, &locked_read_keys, commit);
 
         // Install versions: they become visible within the commit interval.
-        for &key in &write_keys {
-            if self.owns(key) {
-                self.versions
-                    .commit(txn, std::slice::from_ref(&key), commit);
-            }
-        }
+        self.versions.commit(txn, &write_keys, commit);
 
         // Serialization certifier: node plus the dependencies this commit
-        // completes. In shard mode the node is emitted by shard 0 alone
-        // (every shard sees every commit; one announcement suffices).
-        self.set_cursor([self.cur_seq, PH_NODE, 0, 0, 0, 0, 0]);
-        match self.role {
-            None => self.graph.add_node(txn, snapshot, commit),
-            Some(r) => {
-                if r.shard == 0 {
-                    let k = self.cursor.next();
-                    self.emit_buf.push((
-                        k,
-                        Effect::AddNode {
-                            txn,
-                            snapshot,
-                            commit,
-                        },
-                    ));
-                }
-            }
-        }
+        // completes.
+        self.graph.add_node(txn, snapshot, commit);
 
-        // wr edges (and derived rw edges) from this transaction's reads,
-        // replayed in match order (the run key reconstructs that order
-        // across shards).
+        // wr edges (and derived rw edges) from this transaction's reads.
         for m in &matched_reads {
-            let rk = m.run_key;
-            self.set_cursor([self.cur_seq, PH_REPLAY, rk.seq, rk.phase, rk.a, rk.b, rk.c]);
             self.emit_matched_read(txn, m);
         }
 
         // FUW + ww adjacency per written key.
-        for (ki, &key) in write_keys.iter().enumerate() {
-            if !self.owns(key) {
-                continue;
-            }
+        for &key in &write_keys {
             if self.cfg.mechanisms.first_updater_wins {
-                self.set_cursor([self.cur_seq, PH_WRITEKEY, ki as u64, 0, 0, 0, 0]);
                 self.check_fuw(txn, key, snapshot, commit);
             }
             self.settle_version_order(txn, key);
-            self.set_cursor([self.cur_seq, PH_WRITEKEY, ki as u64, 1, 0, 0, 0]);
             self.link_version_adjacency(txn, key);
         }
+    }
+
+    /// Mirrors the release, at a terminal, of every lock `txn` held (on its
+    /// written keys, then its locked-read keys) and reports each holder
+    /// pair that was certainly concurrent.
+    fn release_locks(
+        &mut self,
+        txn: TxnId,
+        write_keys: &[Key],
+        locked_read_keys: &[Key],
+        release: Interval,
+    ) {
+        if !self.cfg.mechanisms.mutual_exclusion {
+            return;
+        }
+        let mut checks = std::mem::take(&mut self.scratch_lock_checks);
+        self.locks
+            .release_txn(txn, write_keys, release, &mut checks);
+        self.locks
+            .release_txn(txn, locked_read_keys, release, &mut checks);
+        for (key, check) in checks.drain(..) {
+            if let LockCheck::Violation { own_acquire, other } = check {
+                self.report.violations.push(Violation::MutualExclusion {
+                    key,
+                    first: (txn, own_acquire, release),
+                    second: other,
+                });
+            }
+        }
+        self.scratch_lock_checks = checks;
     }
 
     /// Moves `txn`'s freshly committed version to its mechanism-resolved
@@ -1548,36 +1239,10 @@ impl Verifier {
 
         // Locks were held regardless of the outcome: ME violations between
         // an aborted and any other transaction are still bugs.
-        if self.cfg.mechanisms.mutual_exclusion {
-            let mut checks = std::mem::take(&mut self.scratch_lock_checks);
-            let mut all_keys = write_keys.clone();
-            all_keys.extend_from_slice(&locked_read_keys);
-            for (ki, &key) in all_keys.iter().enumerate() {
-                if !self.owns(key) {
-                    continue;
-                }
-                self.set_cursor([self.cur_seq, PH_INLINE, ki as u64, 0, 0, 0, 0]);
-                checks.clear();
-                self.locks.release_one(txn, key, abort, &mut checks);
-                for (key, check) in checks.drain(..) {
-                    if let LockCheck::Violation { own_acquire, other } = check {
-                        self.emit_violation(Violation::MutualExclusion {
-                            key,
-                            first: (txn, own_acquire, abort),
-                            second: other,
-                        });
-                    }
-                }
-            }
-            self.scratch_lock_checks = checks;
-        }
+        self.release_locks(txn, &write_keys, &locked_read_keys, abort);
 
         // Aborted versions are discarded (§II-A).
-        for &key in &write_keys {
-            if self.owns(key) {
-                self.versions.abort(txn, std::slice::from_ref(&key));
-            }
-        }
+        self.versions.abort(txn, &write_keys);
     }
 
     /// First-updater-wins (§V-C, Alg. 2): for every other committed writer
@@ -1601,7 +1266,7 @@ impl Verifier {
             }
         }
         for (other_txn, other_snapshot, other_commit) in violations {
-            self.emit_violation(Violation::FirstUpdaterWins {
+            self.report.violations.push(Violation::FirstUpdaterWins {
                 key,
                 first: (txn, snapshot, commit),
                 second: (other_txn, other_snapshot, other_commit),
@@ -1761,15 +1426,8 @@ impl Verifier {
         }
     }
 
-    /// Adds a dependency edge and reports any certifier-rule match
-    /// (direct), or buffers the edge for the driver's cross-shard
-    /// certifier (shard mode — the certifier needs the *global* graph).
+    /// Adds a dependency edge and reports any certifier-rule match.
     fn add_dep(&mut self, from: TxnId, to: TxnId, kind: DepKind) {
-        if self.role.is_some() {
-            let k = self.cursor.next();
-            self.emit_buf.push((k, Effect::Edge { from, to, kind }));
-            return;
-        }
         let rule = self.cfg.mechanisms.certifier;
         if let Some(v) = self.graph.add_edge(from, to, kind, rule) {
             self.report
@@ -1805,11 +1463,7 @@ impl Verifier {
         self.graph.prune(low);
         self.txns.prune(low);
         if t0.is_some() {
-            let lane = match self.role {
-                None => obs::LANE_DRIVER,
-                Some(r) => obs::shard_lane(r.shard),
-            };
-            let dur = obs::span_end(obs::Stage::GcBarrier, lane, t0);
+            let dur = obs::span_end(obs::Stage::GcBarrier, obs::LANE_DRIVER, t0);
             obs::hist(obs::HistId::GcPauseUs, dur);
             obs::ctr(obs::Counter::GcPasses, 1);
             let after = self.footprint().total();

@@ -6,27 +6,6 @@ use crate::interval::Interval;
 use crate::types::{ClientId, Key, TxnId, Value};
 use serde::{Deserialize, Serialize};
 
-/// Globally ordered identity of the read-check execution that matched a
-/// read (sharded verification, [`super::ShardedVerifier`]): the first five
-/// words of the shard emission key at match time. Replaying a committing
-/// transaction's matched reads in `ReadRunKey` order reconstructs the exact
-/// order the sequential verifier matched them in, regardless of which shard
-/// owned each key. All-zero in single-threaded (direct) mode, where the
-/// buffer's insertion order already is the match order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ReadRunKey {
-    /// Stream sequence number of the trace whose processing ran the check.
-    pub seq: u64,
-    /// Emission phase within that trace (pending-read flush vs inline).
-    pub phase: u64,
-    /// First phase-specific word (due timestamp or element index).
-    pub a: u64,
-    /// Second phase-specific word (the pending read's birth sequence).
-    pub b: u64,
-    /// Third phase-specific word (the pending read's birth element).
-    pub c: u64,
-}
-
 /// A read-set element uniquely matched to a version (§V-A): the source of
 /// a wr dependency, buffered until the reading transaction commits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,8 +21,6 @@ pub struct MatchedRead {
     /// `true` when the candidate set had size one, i.e. the match was
     /// already certain from non-overlapping intervals alone.
     pub interval_certain: bool,
-    /// Match-time ordering identity for sharded replay (zero when direct).
-    pub run_key: ReadRunKey,
 }
 
 /// Terminal state of a transaction as observed from its trace.

@@ -3,8 +3,7 @@
 //!
 //! Every committed golden-corpus capture is replayed twice — once with
 //! the global observability registry disabled, once enabled — through
-//! the sequential [`Verifier`] and the key-sharded [`ShardedVerifier`]
-//! at 4 and 8 shards, and the verdict projections are compared
+//! the [`Verifier`], and the verdict projections are compared
 //! byte-for-byte. Mid-stream checkpoint JSON is compared the same way:
 //! instrumentation must not leak into persisted state. The `obs` field
 //! of [`VerifyOutcome`] itself is the one permitted difference (`None`
@@ -16,14 +15,10 @@
 //! document shape against private-detail drift.
 
 use leopard_core::obs::{self, Counter, Gauge, HistId, Registry, Stage};
-use leopard_core::{
-    CaptureReader, Key, ShardedVerifier, Trace, Value, Verifier, VerifierConfig, VerifyOutcome,
-};
+use leopard_core::{CaptureReader, Key, Trace, Value, Verifier, VerifierConfig, VerifyOutcome};
 use leopard_oracle::LEVELS;
 use std::fs::File;
 use std::path::PathBuf;
-
-const SHARD_COUNTS: &[usize] = &[4, 8];
 
 /// The comparable projection of a verdict: everything the verifier
 /// deduced about the history. Excludes only the `obs` snapshot, which
@@ -41,49 +36,24 @@ struct RunResult {
     obs_present: bool,
 }
 
-fn run_one(
-    preload: &[(Key, Value)],
-    traces: &[Trace],
-    cfg: VerifierConfig,
-    shards: usize,
-) -> RunResult {
+fn run_one(preload: &[(Key, Value)], traces: &[Trace], cfg: VerifierConfig) -> RunResult {
     let mid = traces.len() / 2;
-    if shards > 1 {
-        let mut v = ShardedVerifier::new(cfg, shards);
-        for &(k, val) in preload {
-            v.preload(k, val);
-        }
-        for t in &traces[..mid] {
-            v.process(t);
-        }
-        let mid_checkpoint = v.checkpoint().to_json();
-        for t in &traces[mid..] {
-            v.process(t);
-        }
-        let outcome = v.finish();
-        RunResult {
-            projection: comparable(&outcome),
-            mid_checkpoint,
-            obs_present: outcome.obs.is_some(),
-        }
-    } else {
-        let mut v = Verifier::new(cfg);
-        for &(k, val) in preload {
-            v.preload(k, val);
-        }
-        for t in &traces[..mid] {
-            v.process(t);
-        }
-        let mid_checkpoint = v.checkpoint().to_json();
-        for t in &traces[mid..] {
-            v.process(t);
-        }
-        let outcome = v.finish();
-        RunResult {
-            projection: comparable(&outcome),
-            mid_checkpoint,
-            obs_present: outcome.obs.is_some(),
-        }
+    let mut v = Verifier::new(cfg);
+    for &(k, val) in preload {
+        v.preload(k, val);
+    }
+    for t in &traces[..mid] {
+        v.process(t);
+    }
+    let mid_checkpoint = v.checkpoint().to_json();
+    for t in &traces[mid..] {
+        v.process(t);
+    }
+    let outcome = v.finish();
+    RunResult {
+        projection: comparable(&outcome),
+        mid_checkpoint,
+        obs_present: outcome.obs.is_some(),
     }
 }
 
@@ -91,12 +61,12 @@ fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }
 
-/// Corpus × {1, 4, 8} shards × observability {off, on}: identical
+/// Corpus × levels × observability {off, on}: identical
 /// verdict projections and identical mid-stream checkpoints. The whole
 /// sweep lives in one test function because the registry is
 /// process-global; no other test in this binary touches it.
 #[test]
-fn observability_is_verdict_neutral_across_corpus_and_shards() {
+fn observability_is_verdict_neutral_across_corpus() {
     let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
         .expect("tests/corpus exists")
         .filter_map(|e| {
@@ -118,35 +88,33 @@ fn observability_is_verdict_neutral_across_corpus_and_shards() {
             .collect();
         for level in LEVELS {
             let cfg = VerifierConfig::for_level(level);
-            for shards in std::iter::once(1usize).chain(SHARD_COUNTS.iter().copied()) {
-                let what = format!("{name} @ {level:?} x{shards}");
-                obs::set_enabled(false);
-                let off = run_one(&preload, &traces, cfg, shards);
-                assert!(
-                    !off.obs_present,
-                    "{what}: obs-off outcome carries a snapshot"
-                );
+            let what = format!("{name} @ {level:?}");
+            obs::set_enabled(false);
+            let off = run_one(&preload, &traces, cfg);
+            assert!(
+                !off.obs_present,
+                "{what}: obs-off outcome carries a snapshot"
+            );
 
-                obs::reset();
-                obs::set_enabled(true);
-                let on = run_one(&preload, &traces, cfg, shards);
-                let ingested = obs::counter_value(Counter::OpsIngested);
-                obs::set_enabled(false);
-                assert!(on.obs_present, "{what}: obs-on outcome lost its snapshot");
+            obs::reset();
+            obs::set_enabled(true);
+            let on = run_one(&preload, &traces, cfg);
+            let ingested = obs::counter_value(Counter::OpsIngested);
+            obs::set_enabled(false);
+            assert!(on.obs_present, "{what}: obs-on outcome lost its snapshot");
 
-                assert_eq!(
-                    off.projection, on.projection,
-                    "{what}: enabling observability changed the verdict"
-                );
-                assert_eq!(
-                    off.mid_checkpoint, on.mid_checkpoint,
-                    "{what}: enabling observability changed the checkpoint image"
-                );
-                assert!(
-                    ingested > 0,
-                    "{what}: obs-on run recorded no ingested operations"
-                );
-            }
+            assert_eq!(
+                off.projection, on.projection,
+                "{what}: enabling observability changed the verdict"
+            );
+            assert_eq!(
+                off.mid_checkpoint, on.mid_checkpoint,
+                "{what}: enabling observability changed the checkpoint image"
+            );
+            assert!(
+                ingested > 0,
+                "{what}: obs-on run recorded no ingested operations"
+            );
         }
     }
 }
@@ -161,16 +129,12 @@ fn populated_registry() -> Box<Registry> {
     r.set_enabled(true);
     r.ctr_add(Counter::OpsIngested, 1234);
     r.ctr_add(Counter::GcPasses, 7);
-    r.gauge_set(Gauge::Shards, 3);
     r.gauge_set(Gauge::WatermarkLag, 42);
-    r.shard_busy_store(0, 1_000);
-    r.shard_busy_store(1, 2_000);
-    r.shard_busy_store(2, 3_000);
     for us in [10, 80, 300, 7_000, 2_000_000] {
-        r.hist_observe(HistId::EpochApplyUs, us);
+        r.hist_observe(HistId::GcPauseUs, us);
     }
-    r.record_span(Stage::ShardBatch, 1, 100, 50);
-    r.record_span(Stage::CertifierMerge, 0, 200, 25);
+    r.record_span(Stage::Dispatch, obs::LANE_PIPELINE, 100, 50);
+    r.record_span(Stage::GcBarrier, obs::LANE_DRIVER, 200, 25);
     r
 }
 
@@ -240,9 +204,9 @@ fn histogram_buckets_are_cumulative_and_capped_by_inf() {
     let mut inf = None;
     let mut count = None;
     for line in text.lines() {
-        if line.starts_with("leopard_epoch_apply_us_bucket{le=\"+Inf\"}") {
+        if line.starts_with("leopard_gc_pause_us_bucket{le=\"+Inf\"}") {
             inf = line.rsplit(' ').next().and_then(|v| v.parse::<u64>().ok());
-        } else if line.starts_with("leopard_epoch_apply_us_bucket") {
+        } else if line.starts_with("leopard_gc_pause_us_bucket") {
             let v: u64 = line
                 .rsplit(' ')
                 .next()
@@ -250,7 +214,7 @@ fn histogram_buckets_are_cumulative_and_capped_by_inf() {
                 .expect("bucket value");
             assert!(v >= prev, "bucket counts must be cumulative: {line:?}");
             prev = v;
-        } else if line.starts_with("leopard_epoch_apply_us_count") {
+        } else if line.starts_with("leopard_gc_pause_us_count") {
             count = line.rsplit(' ').next().and_then(|v| v.parse::<u64>().ok());
         }
     }
@@ -284,12 +248,12 @@ fn chrome_trace_document_names_every_lane() {
     let trace = r.render_chrome_trace();
     assert!(trace.starts_with('{') && trace.ends_with('}'));
     assert!(trace.contains("\"traceEvents\""));
-    // Two complete events were recorded, on the driver lane and shard 0.
+    // Two complete events were recorded, on the pipeline and verifier lanes.
     assert_eq!(trace.matches("\"ph\":\"X\"").count(), 2);
-    assert!(trace.contains("\"name\":\"shard-batch\""));
-    assert!(trace.contains("\"name\":\"certifier-merge\""));
-    assert!(trace.contains("driver/certifier"));
-    assert!(trace.contains("shard-0"));
+    assert!(trace.contains("\"name\":\"dispatch\""));
+    assert!(trace.contains("\"name\":\"gc-barrier\""));
+    assert!(trace.contains("\"args\":{\"name\":\"pipeline\"}"));
+    assert!(trace.contains("\"args\":{\"name\":\"verifier\"}"));
     // Metadata events name the lanes before any span references them.
     assert!(trace.contains("\"thread_name\""));
 }
@@ -302,7 +266,6 @@ fn snapshot_round_trips_counter_names() {
     assert_eq!(snap.counter("leopard_gc_passes_total"), Some(7));
     assert_eq!(snap.counter("no_such_counter"), None);
     assert_eq!(snap.gauge("leopard_watermark_lag"), Some(42));
-    assert_eq!(snap.shard_busy_us, vec![1_000, 2_000, 3_000]);
     let json = serde_json::to_string(&snap).expect("snapshot serializes");
     assert!(json.contains("\"leopard_ops_ingested_total\""));
 }

@@ -2,9 +2,8 @@
 //! observationally invisible.
 //!
 //! Every golden-corpus capture, at every isolation level, is verified
-//! three ways — fully in memory with no budget, under a starvation-level
-//! [`MemBudget`] with a spill tier attached (single-threaded), and the
-//! same budgeted+spilling configuration key-sharded — and the verdicts
+//! two ways — fully in memory with no budget, and under a starvation-level
+//! [`MemBudget`] with a spill tier attached — and the verdicts
 //! are compared field-for-field: same fault list, same deduction
 //! statistics, same counters, same coverage. The only fields excluded
 //! are the budget/footprint gauges, which measure the engine's memory
@@ -20,8 +19,8 @@
 use leopard::testseed::test_seed;
 use leopard_core::store::io::FaultSpec;
 use leopard_core::{
-    CaptureReader, Checkpoint, Key, MemBudget, ShardedVerifier, SpillSettings, SpillTier, Trace,
-    Value, Verifier, VerifierConfig, VerifyOutcome,
+    CaptureReader, Checkpoint, Key, MemBudget, SpillSettings, SpillTier, Trace, Value, Verifier,
+    VerifierConfig, VerifyOutcome,
 };
 use leopard_oracle::{generate_clean_capture, CleanRunSpec, Schedule, LEVELS};
 use std::fs::File;
@@ -93,36 +92,6 @@ fn run_spilling(
     out
 }
 
-fn run_spilling_sharded(
-    preload: &[(Key, Value)],
-    traces: &[Trace],
-    cfg: VerifierConfig,
-    budget: u64,
-    settings: &SpillSettings,
-    shards: usize,
-) -> VerifyOutcome {
-    let mut cfg = cfg;
-    cfg.mem_budget = MemBudget::bytes(budget);
-    let mut s = ShardedVerifier::new(cfg, shards);
-    s.attach_spill(settings).expect("attach sharded spill");
-    for &(k, val) in preload {
-        s.preload(k, val);
-    }
-    for t in traces {
-        s.process(t);
-    }
-    // Drive the spill rung explicitly: sharded budget governance is
-    // epoch-coordinated by the embedding engine, not per-trace.
-    s.spill();
-    let out = s.finish();
-    assert!(
-        out.store_fault.is_none(),
-        "sharded spill run latched a store fault"
-    );
-    let _ = std::fs::remove_dir_all(&settings.dir);
-    out
-}
-
 /// A budget low enough to force the spill rung but high enough that the
 /// ladder never needs the coverage-costing rungs below it.
 fn starvation_budget(unconstrained_peak: u64) -> u64 {
@@ -134,8 +103,8 @@ fn corpus_dir() -> PathBuf {
 }
 
 /// Every committed golden-corpus capture, at every isolation level:
-/// unconstrained, budget+spill, and budget+spill+shards all agree, and
-/// no spilling run pays any coverage.
+/// unconstrained and budget+spill agree, and no spilling run pays any
+/// coverage.
 #[test]
 fn golden_corpus_verdicts_survive_spilling() {
     let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
@@ -179,14 +148,6 @@ fn golden_corpus_verdicts_survive_spilling() {
                 "{name} @ {level:?}: spill rung must pre-empt eviction"
             );
             total_spilled += spilled.counters.budget.spilled_records;
-
-            let settings = SpillSettings::new(tmp_dir(&format!("s{fi}-{li}")));
-            let sharded = run_spilling_sharded(&preload, &traces, cfg, budget, &settings, 2);
-            assert_eq!(
-                expected,
-                comparable(&sharded),
-                "{name} @ {level:?}: sharded spilling changed the verdict"
-            );
         }
     }
     assert!(
