@@ -126,8 +126,10 @@ serve options:
   --dir <DIR>                   per-stream checkpoint + verdict directory;
                                 scanned on startup for crash recovery
                                 (default leopard-serve)
-  --checkpoint-every <N>        checkpoint each stream every N ingested
-                                traces (default 512)
+  --checkpoint-every <N>        make the cursor durable every N ingested traces
+                                per stream: journal the frames, write a full
+                                image once the journal is as large as the
+                                last one (default 512)
   --global-budget <BYTES>       shared admission pool across all streams
                                 (default unlimited)
   --spill-dir <DIR>             spill cold stream state to per-stream segment
@@ -200,7 +202,7 @@ pub struct ServeCliConfig {
     pub control: Option<String>,
     /// Checkpoint + verdict directory.
     pub dir: String,
-    /// Per-stream checkpoint cadence (ingested traces).
+    /// Per-stream durability cadence (ingested traces between boundaries).
     pub checkpoint_every: u64,
     /// Shared admission pool in bytes (0 = unlimited).
     pub global_budget: u64,

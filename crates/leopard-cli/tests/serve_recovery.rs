@@ -3,7 +3,9 @@
 //!
 //! * kill -9 the daemon mid-stream, restart it on the same checkpoint
 //!   directory, replay the capture — the final verdict and the on-disk
-//!   checkpoint must be byte-identical to an uninterrupted run;
+//!   checkpoint must be byte-identical to an uninterrupted run — also when
+//!   the last durable boundary before the kill was a journal append, not
+//!   an image;
 //! * a stream whose verifier panics is quarantined into a degraded
 //!   verdict while a concurrently-ingesting healthy stream (and every
 //!   later stream) is untouched.
@@ -229,6 +231,134 @@ fn kill_dash_nine_then_restart_matches_uninterrupted_run_byte_for_byte() {
     let verdict_json = fs::read_to_string(kill_dir.join("t.verdict.json")).unwrap();
     assert_eq!(ckpt, ref_ckpt, "checkpoint not byte-identical");
     assert_eq!(verdict_json, ref_verdict_json, "verdict not byte-identical");
+}
+
+/// Opens stream `t` with the capture's header, asserts the `Ack` cursor,
+/// and sends the capture's traces `resume_from + 1 ..= upto` without a
+/// `Bye`. The connection is returned open.
+fn feed_partial(
+    endpoint: &Endpoint,
+    capture: &Path,
+    expect_resume_from: u64,
+    upto: u64,
+) -> leopard_core::serve::WireConn {
+    let file = fs::File::open(capture).unwrap();
+    let mut reader = CaptureReader::new(file).unwrap();
+    let header = reader.header().clone();
+    let mut sock = endpoint.connect().unwrap();
+    write_frame(
+        &mut sock,
+        &Frame::Hello(Hello {
+            version: WIRE_VERSION,
+            stream: "t".to_string(),
+            description: header.description,
+            level: IsolationLevel::Serializable,
+            mem_budget: 0,
+            preload: header.preload,
+        }),
+    )
+    .unwrap();
+    sock.flush().unwrap();
+    match read_frame(&mut sock).unwrap() {
+        Some(Frame::Ack { resume_from }) => assert_eq!(resume_from, expect_resume_from),
+        other => panic!("expected Ack, got {other:?}"),
+    }
+    for seq in 1..=upto {
+        let trace = reader
+            .next_trace()
+            .unwrap()
+            .expect("capture is long enough");
+        if seq > expect_resume_from {
+            write_frame(&mut sock, &Frame::Trace(TraceFrame { seq, trace })).unwrap();
+        }
+    }
+    sock.flush().unwrap();
+    sock
+}
+
+/// Polls the `streams` listing until its only stream is in this state
+/// with this durable cursor.
+fn wait_for_stream(control: &Endpoint, state: &str, cursor: u64) {
+    let want = format!("\"state\":\"{state}\",\"ingested\":{cursor}}}");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let streams = control_command(control, "streams").unwrap_or_default();
+        if streams.contains(&want) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "stream never became {state} at {cursor}: {streams}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+fn metric(control: &Endpoint, name: &str) -> u64 {
+    let metrics = control_command(control, "metrics").unwrap();
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+}
+
+/// Kill -9 after a boundary that wrote no image: with `--checkpoint-every
+/// 8` the boundary at 8 writes the stream's first image and the boundary
+/// at 16 only appends eight frames to the journal. The restart must ack
+/// 16 — image cursor plus journal replay — and still converge on the
+/// uninterrupted run's bytes.
+#[test]
+fn kill_dash_nine_after_a_journal_only_boundary_resumes_from_the_journal() {
+    let base = scratch("kill9wal");
+    let capture = record_capture(&base);
+
+    let ref_dir = base.join("ref");
+    let d = Daemon::spawn(&base.join("ref-sock"), &ref_dir, 8, &[]);
+    let ref_verdict = ingest_file(&d.ingest, &capture, "t").unwrap();
+    d.shutdown();
+    let ref_ckpt = fs::read_to_string(ref_dir.join("t.ckpt")).unwrap();
+    let ref_verdict_json = fs::read_to_string(ref_dir.join("t.verdict.json")).unwrap();
+
+    let kill_dir = base.join("kill");
+    let sock_dir = base.join("kill-sock");
+    let d = Daemon::spawn(&sock_dir, &kill_dir, 8, &[]);
+    let sock = feed_partial(&d.ingest, &capture, 0, 20);
+    // The listing shows the durable cursor of a stream that is still
+    // being fed; 16 means the second boundary has been synced.
+    wait_for_stream(&d.control, "active", 16);
+    assert_eq!(metric(&d.control, "leopard_checkpoints_written_total"), 1);
+    assert_eq!(metric(&d.control, "leopard_journal_appends_total"), 1);
+    d.kill9();
+    drop(sock);
+    let image = leopard_core::Checkpoint::read(&kill_dir.join("t.ckpt")).unwrap();
+    assert_eq!(image.traces_ingested, 8, "the only image is the first");
+
+    let d = Daemon::spawn(&sock_dir, &kill_dir, 8, &[]);
+    wait_for_stream(&d.control, "idle", 16);
+    assert_eq!(
+        metric(&d.control, "leopard_journal_replayed_frames_total"),
+        0
+    );
+    // A bare handshake: the Ack must name 16, and getting there replayed
+    // the eight journaled frames. Dropping it makes the stream idle again.
+    drop(feed_partial(&d.ingest, &capture, 16, 16));
+    assert_eq!(
+        metric(&d.control, "leopard_journal_replayed_frames_total"),
+        8
+    );
+    wait_for_stream(&d.control, "idle", 16);
+    let verdict = ingest_file(&d.ingest, &capture, "t").unwrap();
+    d.shutdown();
+
+    assert_eq!(verdict, ref_verdict, "verdicts diverged after crash");
+    let ckpt = fs::read_to_string(kill_dir.join("t.ckpt")).unwrap();
+    let verdict_json = fs::read_to_string(kill_dir.join("t.verdict.json")).unwrap();
+    assert_eq!(ckpt, ref_ckpt, "checkpoint not byte-identical");
+    assert_eq!(verdict_json, ref_verdict_json, "verdict not byte-identical");
+    assert!(
+        !kill_dir.join("t.wal").exists(),
+        "a finished stream keeps no journal"
+    );
 }
 
 /// Counts segment files in a stream's spill-tier directory.

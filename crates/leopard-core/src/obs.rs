@@ -99,6 +99,12 @@ pub enum Counter {
     DemotedReads,
     /// Checkpoint images serialized to disk.
     CheckpointsWritten,
+    /// Batches of wire frames appended (and synced) to a stream journal.
+    JournalAppends,
+    /// Bytes appended to stream journals.
+    JournalBytes,
+    /// Journal frames replayed through a verifier at stream recovery.
+    JournalReplayedFrames,
     /// Wire frames decoded by the serve daemon (all streams).
     WireFrames,
     /// Wire payload bytes decoded by the serve daemon.
@@ -124,7 +130,7 @@ pub enum Counter {
     SpillIoErrors,
 }
 
-const COUNTER_COUNT: usize = 26;
+const COUNTER_COUNT: usize = 29;
 
 impl Counter {
     /// Every counter, in registry (and exposition) order.
@@ -144,6 +150,9 @@ impl Counter {
         Counter::QuarantinedTraces,
         Counter::DemotedReads,
         Counter::CheckpointsWritten,
+        Counter::JournalAppends,
+        Counter::JournalBytes,
+        Counter::JournalReplayedFrames,
         Counter::WireFrames,
         Counter::WireBytes,
         Counter::WireDecodeErrors,
@@ -183,6 +192,9 @@ impl Counter {
             Counter::QuarantinedTraces => "leopard_quarantined_traces_total",
             Counter::DemotedReads => "leopard_demoted_reads_total",
             Counter::CheckpointsWritten => "leopard_checkpoints_written_total",
+            Counter::JournalAppends => "leopard_journal_appends_total",
+            Counter::JournalBytes => "leopard_journal_bytes_total",
+            Counter::JournalReplayedFrames => "leopard_journal_replayed_frames_total",
             Counter::WireFrames => "leopard_wire_frames_total",
             Counter::WireBytes => "leopard_wire_bytes_total",
             Counter::WireDecodeErrors => "leopard_wire_decode_errors_total",
@@ -220,6 +232,11 @@ impl Counter {
             Counter::QuarantinedTraces => "Traces quarantined by degraded-mode admission.",
             Counter::DemotedReads => "Reads demoted to unverifiable in degraded mode.",
             Counter::CheckpointsWritten => "Checkpoint images serialized to disk.",
+            Counter::JournalAppends => "Frame batches appended and synced to stream journals.",
+            Counter::JournalBytes => "Bytes appended to stream journals.",
+            Counter::JournalReplayedFrames => {
+                "Journal frames replayed through a verifier at stream recovery."
+            }
             Counter::WireFrames => "Wire frames decoded by the serve daemon.",
             Counter::WireBytes => "Wire payload bytes decoded by the serve daemon.",
             Counter::WireDecodeErrors => {

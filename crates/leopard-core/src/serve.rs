@@ -7,13 +7,15 @@
 //! input — or a panic inside its verifier — is quarantined into a
 //! degraded verdict without touching its neighbors. Global admission
 //! control ([`GlobalAdmission`]) refuses handshakes the shared memory
-//! pool cannot cover. Every stream is checkpointed durably every
+//! pool cannot cover. Every stream's ingest cursor is made durable every
 //! `checkpoint_every` ingested traces and on disconnect, keyed by stream
-//! name under the checkpoint directory; on restart the daemon re-opens
-//! every checkpoint it finds, and a reconnecting client is told the
-//! resume cursor in the handshake `Ack`, so a `kill -9` mid-stream
-//! converges to a final verdict and checkpoint byte-identical to an
-//! uninterrupted run.
+//! name under the checkpoint directory: a full image of the verifier
+//! (`<stream>.ckpt`) now and then, and in between a journal of the wire
+//! frames ingested since (`<stream>.wal`, [`crate::store::Journal`]). On
+//! restart the daemon re-opens every image it finds and replays its
+//! journal, and a reconnecting client is told the resume cursor in the
+//! handshake `Ack`, so a `kill -9` mid-stream converges to a final
+//! verdict and checkpoint byte-identical to an uninterrupted run.
 //!
 //! A second (control) endpoint serves the [`crate::obs`] registry's
 //! Prometheus exposition and a tiny line protocol: `metrics`, `streams`,
@@ -28,6 +30,7 @@ use crate::catalog::{IsolationLevel, MechanismSet};
 use crate::checkpoint::{write_atomic_durable, Checkpoint, CheckpointError};
 use crate::lockwitness::TrackedMutex;
 use crate::obs;
+use crate::store::{FsIo, GenChain, Journal, RetryPolicy, StoreError, StoreIo, StoreResult};
 use crate::verify::{Verifier, VerifierConfig, VerifyOutcome};
 use crate::wire::{
     read_frame, write_frame, Frame, FrameDecoder, Hello, RejectReason, TraceFrame, WireError,
@@ -193,9 +196,12 @@ pub struct ServeOptions {
     /// Directory holding per-stream checkpoints and verdicts. Created if
     /// missing; scanned for existing checkpoints on startup.
     pub checkpoint_dir: PathBuf,
-    /// Checkpoint every N ingested traces per stream (also on disconnect
-    /// and on shutdown). Checkpoints land on exact multiples of N, which
-    /// is what makes interrupted and uninterrupted runs byte-identical.
+    /// Make each stream's cursor durable every N ingested traces (also on
+    /// disconnect and on shutdown): the frames since the last boundary
+    /// are journaled and synced, and a full image replaces the journal
+    /// once it has grown to the size of the last image. Boundaries land
+    /// on exact multiples of N, so after a kill -9 the `Ack` cursor is at
+    /// least the last multiple of N the daemon passed.
     pub checkpoint_every: u64,
     /// Global admission pool in bytes (0 = unlimited).
     pub global_budget_bytes: u64,
@@ -205,10 +211,10 @@ pub struct ServeOptions {
     /// the generation chain (manifest + CRC-verified generations with
     /// corrupt-head fallback at resume).
     pub spill: Option<crate::store::SpillSettings>,
-    /// Retry schedule for periodic stream-checkpoint writes: transient
+    /// Retry schedule for stream image and journal writes: transient
     /// I/O failures back off and retry; only repeated failure degrades
     /// the stream.
-    pub checkpoint_retry: crate::store::RetryPolicy,
+    pub checkpoint_retry: RetryPolicy,
 }
 
 impl ServeOptions {
@@ -221,7 +227,7 @@ impl ServeOptions {
             checkpoint_every: 512,
             global_budget_bytes: 0,
             spill: None,
-            checkpoint_retry: crate::store::RetryPolicy::default(),
+            checkpoint_retry: RetryPolicy::default(),
         }
     }
 }
@@ -272,7 +278,8 @@ pub struct StreamInfo {
     pub level: String,
     /// Current state label.
     pub state: String,
-    /// Ingest cursor: traces admitted so far.
+    /// Durable cursor: traces ingested and recoverable after a crash. An
+    /// active stream advances it at every `checkpoint_every` boundary.
     pub ingested: u64,
 }
 
@@ -442,6 +449,11 @@ pub fn stream_checkpoint_path(dir: &Path, stream: &str) -> PathBuf {
     dir.join(format!("{}.ckpt", sanitize_stream_name(stream)))
 }
 
+/// The journal path for a stream name under `dir`.
+fn stream_journal_path(dir: &Path, stream: &str) -> PathBuf {
+    dir.join(format!("{}.wal", sanitize_stream_name(stream)))
+}
+
 /// The verdict path for a stream name under `dir`.
 #[must_use]
 pub fn stream_verdict_path(dir: &Path, stream: &str) -> PathBuf {
@@ -510,11 +522,13 @@ impl Server {
     }
 
     /// Scans the checkpoint directory and registers every parseable
-    /// stream checkpoint as idle with its resume cursor. Unparseable or
-    /// temporary files are skipped — recovery must never refuse to start
-    /// over one bad file.
+    /// stream image as idle with its durable cursor: the image's cursor
+    /// plus the frames of the stream's journal that replay onto it.
+    /// Unparseable or temporary files are skipped — recovery must never
+    /// refuse to start over one bad file.
     fn recover_streams(&self) -> std::io::Result<()> {
-        for entry in std::fs::read_dir(&self.shared.opts.checkpoint_dir)? {
+        let dir = &self.shared.opts.checkpoint_dir;
+        for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let path = entry.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -523,18 +537,22 @@ impl Server {
             let Some(stem) = name.strip_suffix(".ckpt") else {
                 continue;
             };
-            match Checkpoint::read_chained(&path) {
-                Ok((ckpt, _warning)) => {
-                    let level = level_label_of(&ckpt.config.mechanisms);
-                    self.shared.update_stream(
-                        stem,
-                        &level,
-                        StreamState::Idle,
-                        ckpt.traces_ingested,
-                    );
-                }
-                Err(_) => continue,
-            }
+            let Ok(Some((ckpt, _warning, _bytes))) = read_image(&FsIo, &path) else {
+                continue;
+            };
+            // A finished stream has no journal; do not create one for it.
+            let wal = stream_journal_path(dir, stem);
+            let journaled = if wal.exists() {
+                Journal::open(&FsIo, &wal, ckpt.traces_ingested).map_or(0, |(_, r)| r.len())
+            } else {
+                0
+            };
+            self.shared.update_stream(
+                stem,
+                &level_label_of(&ckpt.config.mechanisms),
+                StreamState::Idle,
+                ckpt.traces_ingested + journaled as u64,
+            );
         }
         Ok(())
     }
@@ -760,100 +778,7 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
     };
 
     // --- Build or resume the stream's verifier -------------------------
-    let vcfg = stream_config(hello.level, hello.mem_budget);
-    let ckpt_path = stream_checkpoint_path(&shared.opts.checkpoint_dir, &hello.stream);
-    let spill_settings = stream_spill_settings(&shared.opts, &hello.stream);
-    let (verifier, mut cursor) = if ckpt_path.exists() {
-        match Checkpoint::read_chained(&ckpt_path).and_then(|(ckpt, warning)| {
-            Verifier::from_checkpoint(&ckpt).map(|v| (ckpt, warning, v))
-        }) {
-            Ok((ckpt, warning, mut v)) => {
-                if ckpt.config != vcfg {
-                    reject(
-                        &mut sock,
-                        RejectReason::Malformed,
-                        "handshake configuration differs from the stream's checkpoint",
-                    );
-                    return;
-                }
-                if let Some(w) = warning {
-                    // Generation fallback: degraded-but-safe — the older
-                    // image plus the resume cursor reaches the identical
-                    // verdict, so warn in coverage instead of aborting.
-                    v.note_degraded_load(&w);
-                }
-                match spill_settings.as_ref() {
-                    Some(s) => match crate::store::SpillTier::open(s) {
-                        Ok(tier) => v.resume_spill(tier, &ckpt.spill),
-                        Err(e) if ckpt.spill.is_empty() => {
-                            v.note_spill_unavailable(&e.to_string());
-                        }
-                        Err(e) => {
-                            reject(
-                                &mut sock,
-                                RejectReason::Malformed,
-                                &format!(
-                                    "checkpoint references {} spilled records but the \
-                                     spill tier cannot be opened: {e}",
-                                    ckpt.spill.len()
-                                ),
-                            );
-                            return;
-                        }
-                    },
-                    None if !ckpt.spill.is_empty() => {
-                        reject(
-                            &mut sock,
-                            RejectReason::Malformed,
-                            &format!(
-                                "checkpoint references {} spilled records but the daemon \
-                                 has no spill directory configured",
-                                ckpt.spill.len()
-                            ),
-                        );
-                        return;
-                    }
-                    None => {}
-                }
-                (v, ckpt.traces_ingested)
-            }
-            Err(e) => {
-                reject(
-                    &mut sock,
-                    RejectReason::Malformed,
-                    &format!("cannot resume stream checkpoint: {e}"),
-                );
-                return;
-            }
-        }
-    } else {
-        let mut v = Verifier::new(vcfg);
-        if let Some(s) = spill_settings.as_ref() {
-            match crate::store::SpillTier::open(s) {
-                Ok(tier) => v.attach_spill(tier),
-                Err(e) => v.note_spill_unavailable(&e.to_string()),
-            }
-        }
-        for &(k, val) in &hello.preload {
-            v.preload(k, val);
-        }
-        (v, 0)
-    };
-
     let level_label = hello.level.to_string();
-    shared.update_stream(&hello.stream, &level_label, StreamState::Active, cursor);
-    obs::ctr(obs::Counter::StreamsAccepted, 1);
-    send(
-        &mut sock,
-        &Frame::Ack {
-            resume_from: cursor,
-        },
-    );
-
-    let panic_at = panic_injection_for(&hello.stream);
-    let mut verifier = Some(verifier);
-    let every = shared.opts.checkpoint_every.max(1);
-
     let quarantine = |shared: &Shared, sock: &mut WireConn, cursor: u64, why: &str| {
         obs::ctr(obs::Counter::StreamsQuarantined, 1);
         let verdict = StreamVerdict {
@@ -879,6 +804,31 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
         reject(sock, RejectReason::Quarantined, why);
     };
 
+    let panic_at = panic_injection_for(&hello.stream);
+    let (mut verifier, mut cursor, mut durable) =
+        match recover_stream(&FsIo, &shared.opts, &hello, panic_at) {
+            Ok(recovered) => recovered,
+            Err(RecoverError::Refused(why)) => {
+                reject(&mut sock, RejectReason::Malformed, &why);
+                return;
+            }
+            Err(RecoverError::Poisoned { cursor, why }) => {
+                quarantine(shared, &mut sock, cursor, &why);
+                return;
+            }
+        };
+
+    shared.update_stream(&hello.stream, &level_label, StreamState::Active, cursor);
+    obs::ctr(obs::Counter::StreamsAccepted, 1);
+    send(
+        &mut sock,
+        &Frame::Ack {
+            resume_from: cursor,
+        },
+    );
+
+    let every = shared.opts.checkpoint_every.max(1);
+
     // --- Ingest loop ---------------------------------------------------
     loop {
         match next_frame(&mut sock, &mut dec, shared) {
@@ -897,50 +847,26 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
                     );
                     return;
                 }
-                let v = verifier.as_mut().map(|v| ingest_one(v, &tf, panic_at));
-                match v {
-                    Some(Ok(())) => {
-                        // An unrecoverable spill-store fault latches the
-                        // verifier (the trace was refused, the cursor must
-                        // not advance): surface the typed error, never a
-                        // wrong verdict.
-                        if let Some(e) = verifier.as_ref().and_then(Verifier::store_fault) {
-                            let why = format!("spill store fault: {e}");
-                            quarantine(shared, &mut sock, cursor, &why);
-                            return;
-                        }
-                        cursor += 1;
-                        if cursor % every == 0 {
-                            if let Some(v) = verifier.as_mut() {
-                                if let Err(e) = write_stream_checkpoint_retry(
-                                    v,
-                                    cursor,
-                                    &ckpt_path,
-                                    &shared.opts.checkpoint_retry,
-                                ) {
-                                    quarantine(
-                                        shared,
-                                        &mut sock,
-                                        cursor,
-                                        &format!("checkpoint write failed: {e}"),
-                                    );
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                    Some(Err(panic_msg)) => {
-                        // The verifier panicked mid-trace; its invariants
-                        // are suspect, so it is dropped, not checkpointed.
+                if let Err(why) = ingest_one(&mut verifier, &tf, panic_at) {
+                    // The trace was refused or the verifier's invariants
+                    // are suspect: it is dropped, not checkpointed, and
+                    // the frame never reaches the journal.
+                    quarantine(shared, &mut sock, cursor, &why);
+                    return;
+                }
+                cursor += 1;
+                durable.ingested(tf);
+                if cursor % every == 0 {
+                    if let Err(e) = durable.boundary(&verifier, cursor) {
                         quarantine(
                             shared,
                             &mut sock,
                             cursor,
-                            &format!("verifier panicked: {panic_msg}"),
+                            &format!("checkpoint write failed: {e}"),
                         );
                         return;
                     }
-                    None => return,
+                    shared.update_stream(&hello.stream, &level_label, StreamState::Active, cursor);
                 }
             }
             NextFrame::Frame(Frame::Bye { traces_sent }) => {
@@ -953,8 +879,14 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
                     );
                     return;
                 }
-                let Some(v) = verifier.take() else { return };
-                match finalize_stream(shared, &hello.stream, &level_label, v, cursor, &ckpt_path) {
+                match finalize_stream(
+                    shared,
+                    &hello.stream,
+                    &level_label,
+                    verifier,
+                    cursor,
+                    durable,
+                ) {
                     Ok(verdict) => {
                         shared.update_stream(
                             &hello.stream,
@@ -987,14 +919,7 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
             NextFrame::Eof | NextFrame::Stop => {
                 // Disconnect (or daemon shutdown) without Bye: persist the
                 // cursor so a reconnect resumes exactly here.
-                if let Some(v) = verifier.as_mut() {
-                    let _ = write_stream_checkpoint_retry(
-                        v,
-                        cursor,
-                        &ckpt_path,
-                        &shared.opts.checkpoint_retry,
-                    );
-                }
+                let _ = durable.image(&verifier, cursor);
                 shared.update_stream(&hello.stream, &level_label, StreamState::Idle, cursor);
                 return;
             }
@@ -1002,84 +927,254 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
     }
 }
 
+/// Why a stream could not be brought back to its durable cursor.
+#[derive(Debug)]
+enum RecoverError {
+    /// The image, the journal or the spill tier cannot be used: the
+    /// handshake is refused and the files are left as they are.
+    Refused(String),
+    /// Replaying the journal broke the verifier at `cursor`; the stream
+    /// is quarantined exactly as if the socket had delivered that frame.
+    Poisoned { cursor: u64, why: String },
+}
+
+/// Brings a stream to its durable cursor — the one recovery path, for a
+/// first connection, a reconnect and a restart after kill -9 alike: load
+/// the newest good image if there is one (else start from the
+/// handshake's preload), then replay the journal through [`ingest_one`],
+/// which is what a client resending those frames would have caused.
+fn recover_stream<'a>(
+    io: &'a dyn StoreIo,
+    opts: &'a ServeOptions,
+    hello: &Hello,
+    panic_at: Option<u64>,
+) -> Result<(Verifier, u64, DurableCursor<'a>), RecoverError> {
+    let refused = |why: String| RecoverError::Refused(why);
+    let vcfg = stream_config(hello.level, hello.mem_budget);
+    let ckpt_path = stream_checkpoint_path(&opts.checkpoint_dir, &hello.stream);
+    let spill_settings = stream_spill_settings(opts, &hello.stream);
+    let image = read_image(io, &ckpt_path)
+        .map_err(|e| refused(format!("cannot resume stream checkpoint: {e}")))?;
+    let (mut verifier, mut cursor, image_bytes) = if let Some((ckpt, warning, bytes)) = image {
+        let mut v = Verifier::from_checkpoint(&ckpt)
+            .map_err(|e| refused(format!("cannot resume stream checkpoint: {e}")))?;
+        if ckpt.config != vcfg {
+            return Err(refused(
+                "handshake configuration differs from the stream's checkpoint".to_string(),
+            ));
+        }
+        if let Some(w) = warning {
+            // Generation fallback: degraded-but-safe — the older image
+            // plus the resume cursor reaches the identical verdict, so
+            // warn in coverage instead of aborting.
+            v.note_degraded_load(&w);
+        }
+        match spill_settings.as_ref() {
+            Some(s) => match crate::store::SpillTier::open(s) {
+                Ok(tier) => v.resume_spill(tier, &ckpt.spill),
+                Err(e) if ckpt.spill.is_empty() => {
+                    v.note_spill_unavailable(&e.to_string());
+                }
+                Err(e) => {
+                    return Err(refused(format!(
+                        "checkpoint references {} spilled records but the \
+                         spill tier cannot be opened: {e}",
+                        ckpt.spill.len()
+                    )));
+                }
+            },
+            None if !ckpt.spill.is_empty() => {
+                return Err(refused(format!(
+                    "checkpoint references {} spilled records but the daemon \
+                     has no spill directory configured",
+                    ckpt.spill.len()
+                )));
+            }
+            None => {}
+        }
+        (v, ckpt.traces_ingested, bytes)
+    } else {
+        let mut v = Verifier::new(vcfg);
+        if let Some(s) = spill_settings.as_ref() {
+            match crate::store::SpillTier::open(s) {
+                Ok(tier) => v.attach_spill(tier),
+                Err(e) => v.note_spill_unavailable(&e.to_string()),
+            }
+        }
+        for &(k, val) in &hello.preload {
+            v.preload(k, val);
+        }
+        (v, 0, 0)
+    };
+
+    let wal_path = stream_journal_path(&opts.checkpoint_dir, &hello.stream);
+    let (journal, replay) = Journal::open(io, &wal_path, cursor)
+        .map_err(|e| refused(format!("cannot open stream journal: {e}")))?;
+    for tf in &replay {
+        ingest_one(&mut verifier, tf, panic_at)
+            .map_err(|why| RecoverError::Poisoned { cursor, why })?;
+        cursor += 1;
+    }
+    obs::ctr(obs::Counter::JournalReplayedFrames, replay.len() as u64);
+
+    let durable = DurableCursor {
+        io,
+        retry: &opts.checkpoint_retry,
+        ckpt_path,
+        journal,
+        pending: Vec::new(),
+        image_bytes,
+    };
+    Ok((verifier, cursor, durable))
+}
+
 /// Feeds one trace, catching panics so a poisoned tenant stream cannot
-/// unwind into the daemon. Returns the panic payload text on panic.
+/// unwind into the daemon. `Err` says why the stream must be quarantined
+/// without advancing its cursor: the verifier panicked mid-trace (its
+/// invariants are suspect), or an unrecoverable spill-store fault latched
+/// it and the trace was refused — a typed error, never a wrong verdict.
 fn ingest_one(v: &mut Verifier, tf: &TraceFrame, panic_at: Option<u64>) -> Result<(), String> {
     let seq = tf.seq;
-    let trace = tf.trace.clone();
     let result = catch_unwind(AssertUnwindSafe(|| {
         if panic_at == Some(seq) {
             panic!("injected fault (LEOPARD_SERVE_PANIC_AT) at seq {seq}");
         }
-        v.process(&trace);
+        v.process(&tf.trace);
     }));
-    result.map_err(|payload| {
-        payload
+    if let Err(payload) = result {
+        let msg = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "opaque panic payload".to_string())
-    })
+            .unwrap_or_else(|| "opaque panic payload".to_string());
+        return Err(format!("verifier panicked: {msg}"));
+    }
+    match v.store_fault() {
+        Some(e) => Err(format!("spill store fault: {e}")),
+        None => Ok(()),
+    }
 }
 
-/// Writes the stream's checkpoint with its ingest cursor patched in.
-/// With a spill tier attached the tier is synced first (so the image
-/// never references unsynced pages) and the image is written through the
-/// generation chain, keeping the previous generation as a CRC-verified
-/// fallback.
-fn write_stream_checkpoint(v: &Verifier, cursor: u64, path: &Path) -> Result<(), CheckpointError> {
+/// What makes one stream's cursor durable: the newest full image of its
+/// verifier at `<stream>.ckpt`, plus the wire frames ingested since that
+/// image, journaled at `<stream>.wal` (DESIGN.md §12).
+struct DurableCursor<'a> {
+    io: &'a dyn StoreIo,
+    retry: &'a RetryPolicy,
+    ckpt_path: PathBuf,
+    journal: Journal,
+    /// Frames ingested since the last boundary, encoded, not yet durable.
+    pending: Vec<u8>,
+    /// Byte size of the newest image (0 before the first): how large the
+    /// journal may grow before an image replaces it. This keeps the bytes
+    /// written within about twice the input plus the images, and a
+    /// replay within one image's worth of frames.
+    image_bytes: u64,
+}
+
+impl DurableCursor<'_> {
+    /// The size rule: once the journal and the pending batch reach the
+    /// size of the last image, the next boundary writes an image.
+    fn image_due(&self) -> bool {
+        self.journal.len() + self.pending.len() as u64 >= self.image_bytes
+    }
+
+    /// Queues a frame the verifier accepted for the next boundary. Once
+    /// an image is due the frames it will cover are not queued, which
+    /// also bounds the batch by the image size whatever the cadence.
+    fn ingested(&mut self, tf: TraceFrame) {
+        if !self.image_due() {
+            self.pending.extend_from_slice(&Frame::Trace(tf).to_bytes());
+        }
+    }
+
+    /// A `checkpoint_every` boundary: makes `cursor` durable by appending
+    /// the pending frames to the journal, or by a full image when one is
+    /// due.
+    fn boundary(&mut self, v: &Verifier, cursor: u64) -> Result<(), CheckpointError> {
+        if self.image_due() {
+            return self.image(v, cursor);
+        }
+        let (journal, pending) = (&mut self.journal, &self.pending);
+        self.retry.run(|_| (), || journal.append(pending))?;
+        obs::ctr(obs::Counter::JournalAppends, 1);
+        obs::ctr(obs::Counter::JournalBytes, self.pending.len() as u64);
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Writes a full image at `cursor` and only then empties the journal:
+    /// a crash between the two leaves frames at or below the new image's
+    /// cursor, which replay drops as duplicates.
+    fn image(&mut self, v: &Verifier, cursor: u64) -> Result<(), CheckpointError> {
+        let (io, path) = (self.io, &self.ckpt_path);
+        self.image_bytes = self
+            .retry
+            .run(|_| (), || write_image(io, v, cursor, path))?;
+        self.pending.clear();
+        let journal = &mut self.journal;
+        self.retry.run(|_| (), || journal.reset())?;
+        Ok(())
+    }
+
+    /// The final image of a finished stream; nothing is left to replay,
+    /// so the journal goes.
+    fn finish(mut self, v: &Verifier, cursor: u64) -> Result<(), CheckpointError> {
+        self.image(v, cursor)?;
+        Ok(self.journal.remove(self.io)?)
+    }
+}
+
+/// Loads the newest good image at `path` — a plain file or the head of
+/// a generation chain, falling back past a corrupt head with a warning,
+/// as `Checkpoint::read_chained` does — together with its byte size.
+/// `None` when the stream has no image yet.
+fn read_image(
+    io: &dyn StoreIo,
+    path: &Path,
+) -> Result<Option<(Checkpoint, Option<String>, u64)>, CheckpointError> {
+    let Some(load) = GenChain::new(path).load_latest(io)? else {
+        return Ok(None);
+    };
+    let json = std::str::from_utf8(&load.payload)
+        .map_err(|e| CheckpointError::Malformed(format!("checkpoint is not utf-8: {e}")))?;
+    let ckpt = Checkpoint::from_json(json)?;
+    Ok(Some((ckpt, load.warning, load.payload.len() as u64)))
+}
+
+/// Writes the verifier's image with the ingest cursor patched in and
+/// returns its byte size: the plain atomic replace `Checkpoint::write`
+/// does, or — with a spill tier attached — the tier synced first (so the
+/// image never references unsynced pages) and the image appended to the
+/// generation chain `Checkpoint::write_chained` keeps, the previous
+/// generation staying behind as a CRC-verified fallback.
+fn write_image(io: &dyn StoreIo, v: &Verifier, cursor: u64, path: &Path) -> StoreResult<u64> {
     let mut ckpt = v.checkpoint();
     ckpt.traces_ingested = cursor;
+    let json = ckpt.to_json();
     if v.spill_attached() {
-        v.sync_spill().map_err(|e| match e {
-            crate::store::StoreError::Io(io) => CheckpointError::Io(io),
-            other => CheckpointError::Malformed(other.to_string()),
-        })?;
-        ckpt.write_chained(path)?;
+        v.sync_spill()?;
+        GenChain::new(path).append(io, json.as_bytes())?;
     } else {
-        ckpt.write(path)?;
+        io.write_atomic(path, json.as_bytes())
+            .map_err(StoreError::Io)?;
     }
     obs::ctr(obs::Counter::CheckpointsWritten, 1);
-    Ok(())
+    Ok(json.len() as u64)
 }
 
-/// Wraps [`write_stream_checkpoint`] in the daemon's jittered
-/// [`crate::store::RetryPolicy`]: transient I/O failures back off and
-/// retry; only repeated failure (or a non-retriable error) reaches the
-/// caller and degrades the stream.
-fn write_stream_checkpoint_retry(
-    v: &Verifier,
-    cursor: u64,
-    path: &Path,
-    retry: &crate::store::RetryPolicy,
-) -> Result<(), CheckpointError> {
-    retry
-        .run(
-            |_e| (),
-            || {
-                write_stream_checkpoint(v, cursor, path).map_err(|e| match e {
-                    CheckpointError::Io(io) => crate::store::StoreError::Io(io),
-                    other => crate::store::StoreError::Corrupt(other.to_string()),
-                })
-            },
-        )
-        .map_err(|e| match e {
-            crate::store::StoreError::Io(io) => CheckpointError::Io(io),
-            other => CheckpointError::Malformed(other.to_string()),
-        })
-}
-
-/// Finishes a stream: final checkpoint at the terminal cursor, verdict
-/// document written durably, verdict returned for the `Verdict` frame.
+/// Finishes a stream: final image at the terminal cursor, journal
+/// removed, verdict document written durably, verdict returned for the
+/// `Verdict` frame.
 fn finalize_stream(
     shared: &Shared,
     stream: &str,
     level_label: &str,
     v: Verifier,
     cursor: u64,
-    ckpt_path: &Path,
+    durable: DurableCursor<'_>,
 ) -> Result<StreamVerdict, CheckpointError> {
-    write_stream_checkpoint_retry(&v, cursor, ckpt_path, &shared.opts.checkpoint_retry)?;
+    durable.finish(&v, cursor)?;
     let outcome: VerifyOutcome = v.finish();
     if let Some(e) = outcome.store_fault.as_ref() {
         // Deferred checks flushed at finish may fault spilled records
@@ -1649,6 +1744,159 @@ mod tests {
         assert_eq!(ckpt, ref_ckpt, "final checkpoints must be byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
+    }
+
+    fn hello_for(stream: &str) -> Hello {
+        Hello {
+            version: WIRE_VERSION,
+            stream: stream.to_string(),
+            description: "serve unit test".to_string(),
+            level: IsolationLevel::Serializable,
+            mem_budget: 0,
+            preload: vec![(Key(1), Value(0))],
+        }
+    }
+
+    /// `txns` serial write-then-commit transactions: two traces each.
+    fn serial_traces(txns: u64) -> Vec<Trace> {
+        let mut b = TraceBuilder::new();
+        for i in 0..txns {
+            b.write(10 * i, 10 * i + 2, 0, i + 1, vec![(1, i + 1)]);
+            b.commit(10 * i + 3, 10 * i + 5, 0, i + 1);
+        }
+        b.build_sorted()
+    }
+
+    /// Recovers the stream and feeds it `traces` past its cursor the way
+    /// the ingest loop does, then drops everything without a final image
+    /// — a kill -9. Returns the last cursor a boundary made durable, the
+    /// reason a boundary gave up (the quarantine), and the image size.
+    fn feed_then_crash(
+        io: &dyn StoreIo,
+        opts: &ServeOptions,
+        traces: &[Trace],
+    ) -> (u64, Option<String>, u64) {
+        let hello = hello_for("t");
+        let (mut v, mut cursor, mut durable) =
+            recover_stream(io, opts, &hello, None).expect("recovers");
+        let mut made_durable = cursor;
+        for (i, trace) in traces.iter().enumerate().skip(cursor as usize) {
+            let tf = TraceFrame {
+                seq: i as u64 + 1,
+                trace: trace.clone(),
+            };
+            ingest_one(&mut v, &tf, None).expect("clean trace");
+            cursor += 1;
+            durable.ingested(tf);
+            if cursor % opts.checkpoint_every == 0 {
+                match durable.boundary(&v, cursor) {
+                    Ok(()) => made_durable = cursor,
+                    Err(e) => return (made_durable, Some(e.to_string()), durable.image_bytes),
+                }
+            }
+        }
+        (made_durable, None, durable.image_bytes)
+    }
+
+    #[test]
+    fn journal_faults_end_in_retry_or_quarantine_and_never_over_ack() {
+        use crate::store::{FaultIo, FaultSpec};
+        let traces = serial_traces(20);
+        let retry = RetryPolicy {
+            max_attempts: 6,
+            base: Duration::ZERO,
+            cap: Duration::ZERO,
+            seed: 1,
+        };
+        let options = |dir: &Path| {
+            let mut opts = ServeOptions::new(dir.join("ckpt"));
+            std::fs::create_dir_all(&opts.checkpoint_dir).unwrap();
+            opts.checkpoint_every = 2;
+            opts.checkpoint_retry = retry;
+            opts
+        };
+        // A fault-free run sizes the first image, so ENOSPC can be made to
+        // strike after it, in the middle of the journal's life.
+        let dir = temp_dir("wal-dry");
+        let (durable, why, image_bytes) = feed_then_crash(&FsIo, &options(&dir), &traces);
+        assert_eq!((durable, why), (40, None));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // (tag, faults, whether retries run out and the stream quarantines)
+        let cases = [
+            (
+                "enospc",
+                true,
+                FaultSpec {
+                    enospc_after_bytes: Some(image_bytes + 200),
+                    ..FaultSpec::default()
+                },
+            ),
+            (
+                "short",
+                false,
+                FaultSpec {
+                    seed: 11,
+                    short_write_prob: 0.5,
+                    ..FaultSpec::default()
+                },
+            ),
+            (
+                "delayed",
+                false,
+                FaultSpec {
+                    seed: 12,
+                    delayed_write_err_prob: 0.3,
+                    ..FaultSpec::default()
+                },
+            ),
+            (
+                "torn-and-sync",
+                true,
+                FaultSpec {
+                    seed: 13,
+                    torn_write_prob: 0.6,
+                    sync_fail_prob: 0.6,
+                    ..FaultSpec::default()
+                },
+            ),
+        ];
+        for (tag, quarantines, spec) in cases {
+            let dir = temp_dir(&format!("wal-{tag}"));
+            let opts = options(&dir);
+            let io = FaultIo::new(FsIo, spec);
+            let (durable, why, _) = feed_then_crash(&io, &opts, &traces);
+            assert!(io.injected().total() > 0, "{tag}: nothing was injected");
+            match &why {
+                // Retries exhausted: the typed reason the ingest loop
+                // quarantines with, at a boundary short of the end.
+                Some(why) => {
+                    assert!(quarantines, "{tag}: {why}");
+                    assert!(why.contains("i/o error"), "{tag}: {why}");
+                    assert!(durable < 40, "{tag}");
+                }
+                None => assert_eq!((durable, quarantines), (40, false), "{tag}"),
+            }
+            // The restart acks exactly what was made durable, and what it
+            // replayed is the state a clean run has at that cursor.
+            let (v, cursor, _) =
+                recover_stream(&FsIo, &opts, &hello_for("t"), None).expect("recovers");
+            assert_eq!(cursor, durable, "{tag}");
+            let mut clean = Verifier::new(stream_config(IsolationLevel::Serializable, 0));
+            clean.preload(Key(1), Value(0));
+            for t in &traces[..cursor as usize] {
+                clean.process(t);
+            }
+            assert_eq!(
+                v.checkpoint().to_json(),
+                clean.checkpoint().to_json(),
+                "{tag}"
+            );
+            // And the stream carries on from there to the end.
+            let (durable, why, _) = feed_then_crash(&FsIo, &opts, &traces);
+            assert_eq!((durable, why), (40, None), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

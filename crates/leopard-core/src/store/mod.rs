@@ -1,6 +1,6 @@
 //! `leopard_core::store` — the disk-spilling backing tier for cold
 //! verifier state, behind a pin/unpin buffer pool, plus the checkpoint
-//! generation chain.
+//! generation chain and the `leopard serve` stream journal ([`journal`]).
 //!
 //! The module exists so captures larger than RAM verify with **zero
 //! coverage loss**: when the [`crate::budget::MemBudget`] is exceeded,
@@ -21,6 +21,7 @@
 
 pub mod genchain;
 pub mod io;
+pub mod journal;
 pub mod page;
 pub mod pool;
 pub mod segment;
@@ -28,6 +29,7 @@ pub mod tier;
 
 pub use genchain::{GenChain, GenLoad};
 pub use io::{FaultIo, FaultSpec, FsIo, InjectedFaults, SplitMix64, StoreFile, StoreIo};
+pub use journal::Journal;
 pub use page::{PageError, PAGE_PAYLOAD, PAGE_SIZE};
 pub use pool::{BufferPool, PageRef, PoolStats};
 pub use segment::{RecordAddr, SegmentWriter};
@@ -94,6 +96,15 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<StoreError> for crate::checkpoint::CheckpointError {
+    fn from(e: StoreError) -> Self {
+        match e {
+            StoreError::Io(io) => crate::checkpoint::CheckpointError::Io(io),
+            other => crate::checkpoint::CheckpointError::Malformed(other.to_string()),
         }
     }
 }

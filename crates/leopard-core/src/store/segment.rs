@@ -329,7 +329,7 @@ fn read_fully(f: &mut dyn StoreFile, off: u64, n: usize) -> StoreResult<Vec<u8>>
 /// write is not an error at the `StoreFile` layer — `pwrite` semantics —
 /// so the loop is what turns "some bytes landed" into "all bytes
 /// landed or a real error surfaced").
-fn write_fully(f: &mut dyn StoreFile, off: u64, data: &[u8]) -> StoreResult<()> {
+pub(super) fn write_fully(f: &mut dyn StoreFile, off: u64, data: &[u8]) -> StoreResult<()> {
     let mut done = 0usize;
     while done < data.len() {
         let put = f

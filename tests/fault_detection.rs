@@ -100,19 +100,24 @@ fn lost_updates_are_detected_at_si() {
     );
 }
 
+/// A skipped certifier only shows in the history when two faulted
+/// transactions overlap in real time, which a loaded 2-core host does not
+/// grant every run. Up to five sub-seeded runs; the verifier must flag a
+/// certifier violation in one of them.
 #[test]
 fn skipped_certifier_is_detected_at_sr() {
     let seed = test_seed(0xFA_0705);
-    let out = run_faulty(
-        FaultKind::SkipCertifier,
-        0.5,
-        IsolationLevel::Serializable,
-        seed,
-    );
-    assert!(
-        out.report.count(Mechanism::SerializationCertifier) > 0,
-        "seed={seed}"
-    );
+    let sub_seeds: Vec<u64> = (0..5).map(|i| derive(seed, i)).collect();
+    let caught = sub_seeds.iter().any(|&sub| {
+        let out = run_faulty(
+            FaultKind::SkipCertifier,
+            0.5,
+            IsolationLevel::Serializable,
+            sub,
+        );
+        out.report.count(Mechanism::SerializationCertifier) > 0
+    });
+    assert!(caught, "seed={seed}, sub-seeds tried: {sub_seeds:#x?}");
 }
 
 #[test]
