@@ -50,8 +50,6 @@ verify options:
                                 under DIR when over --mem-budget (rung 1.5:
                                 runs before forced dispatch and eviction, so
                                 coverage is never degraded by spilling)
-  --spill-cache-pages <N>       spill page-cache capacity in 4 KiB pages
-                                (default 256; needs --spill-dir)
   --json                        emit the verdict, peak memory and shed /
                                 eviction counters as JSON (plus an `obs`
                                 metrics block when observability is on)
@@ -90,8 +88,6 @@ chaos options:
                                 evicts the laggiest client
   --spill-dir <DIR>             spill cold verifier state to segment files
                                 under DIR when over --mem-budget
-  --spill-cache-pages <N>       spill page-cache capacity in 4 KiB pages
-                                (default 256; needs --spill-dir)
   --disk-fault-prob <0..1>      inject seeded disk faults (short/torn writes,
                                 read errors, fsync failures) into the spill
                                 tier with this probability (default 0)
@@ -134,8 +130,6 @@ serve options:
                                 (default unlimited)
   --spill-dir <DIR>             spill cold stream state to per-stream segment
                                 files under DIR when over a stream's budget
-  --spill-cache-pages <N>       spill page-cache capacity in 4 KiB pages per
-                                stream (default 256; needs --spill-dir)
 
 ingest options:
   --to <unix:PATH|tcp:ADDR>     daemon ingest endpoint
@@ -208,8 +202,6 @@ pub struct ServeCliConfig {
     pub global_budget: u64,
     /// Spill directory for cold stream state (`None` = in-memory only).
     pub spill_dir: Option<String>,
-    /// Spill page-cache capacity in pages per stream (`None` = default).
-    pub spill_cache_pages: Option<usize>,
 }
 
 impl Default for ServeCliConfig {
@@ -221,7 +213,6 @@ impl Default for ServeCliConfig {
             checkpoint_every: 512,
             global_budget: 0,
             spill_dir: None,
-            spill_cache_pages: None,
         }
     }
 }
@@ -375,8 +366,6 @@ pub struct VerifyConfig {
     pub mem_budget: Option<u64>,
     /// Spill directory for cold verifier state (`None` = in-memory only).
     pub spill_dir: Option<String>,
-    /// Spill page-cache capacity in pages (`None` = default).
-    pub spill_cache_pages: Option<usize>,
     /// Emit the verdict and resource counters as JSON.
     pub json: bool,
     /// Enable observability and write Prometheus metrics to this path.
@@ -401,7 +390,6 @@ impl Default for VerifyConfig {
             checkpoint_every: None,
             mem_budget: None,
             spill_dir: None,
-            spill_cache_pages: None,
             json: false,
             metrics_out: None,
             trace_out: None,
@@ -457,8 +445,6 @@ pub struct ChaosConfig {
     pub mem_budget: Option<u64>,
     /// Spill directory for cold verifier state (`None` = in-memory only).
     pub spill_dir: Option<String>,
-    /// Spill page-cache capacity in pages (`None` = default).
-    pub spill_cache_pages: Option<usize>,
     /// Probability of each seeded disk fault in the spill tier.
     pub disk_fault_prob: f64,
     /// Spill tier ENOSPC threshold in bytes (`None` = unlimited disk).
@@ -498,7 +484,6 @@ impl Default for ChaosConfig {
             checkpoint_every: None,
             mem_budget: None,
             spill_dir: None,
-            spill_cache_pages: None,
             disk_fault_prob: 0.0,
             disk_enospc_after: None,
             json: false,
@@ -641,7 +626,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--checkpoint-every" => cfg.checkpoint_every = Some(want(arg, it.next())?),
                     "--mem-budget" => cfg.mem_budget = Some(want(arg, it.next())?),
                     "--spill-dir" => cfg.spill_dir = Some(want::<String>(arg, it.next())?),
-                    "--spill-cache-pages" => cfg.spill_cache_pages = Some(want(arg, it.next())?),
                     "--json" => cfg.json = true,
                     "--metrics-out" => cfg.metrics_out = Some(want::<String>(arg, it.next())?),
                     "--trace-out" => cfg.trace_out = Some(want::<String>(arg, it.next())?),
@@ -676,14 +660,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--metrics-interval needs --metrics-out <FILE>".into(),
                 ));
             }
-            if cfg.spill_cache_pages == Some(0) {
-                return Err(ParseError("--spill-cache-pages must be at least 1".into()));
-            }
-            if cfg.spill_cache_pages.is_some() && cfg.spill_dir.is_none() {
-                return Err(ParseError(
-                    "--spill-cache-pages needs --spill-dir <DIR>".into(),
-                ));
-            }
             Ok(Command::Verify(cfg))
         }
         "chaos" => {
@@ -713,7 +689,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--checkpoint-every" => cfg.checkpoint_every = Some(want(flag, it.next())?),
                     "--mem-budget" => cfg.mem_budget = Some(want(flag, it.next())?),
                     "--spill-dir" => cfg.spill_dir = Some(want::<String>(flag, it.next())?),
-                    "--spill-cache-pages" => cfg.spill_cache_pages = Some(want(flag, it.next())?),
                     "--disk-fault-prob" => cfg.disk_fault_prob = want(flag, it.next())?,
                     "--disk-enospc-after" => cfg.disk_enospc_after = Some(want(flag, it.next())?),
                     "--json" => cfg.json = true,
@@ -758,14 +733,6 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--metrics-interval needs --metrics-out <FILE>".into(),
                 ));
             }
-            if cfg.spill_cache_pages == Some(0) {
-                return Err(ParseError("--spill-cache-pages must be at least 1".into()));
-            }
-            if cfg.spill_cache_pages.is_some() && cfg.spill_dir.is_none() {
-                return Err(ParseError(
-                    "--spill-cache-pages needs --spill-dir <DIR>".into(),
-                ));
-            }
             if (cfg.disk_fault_prob > 0.0 || cfg.disk_enospc_after.is_some())
                 && cfg.spill_dir.is_none()
             {
@@ -807,20 +774,11 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--checkpoint-every" => cfg.checkpoint_every = want(flag, it.next())?,
                     "--global-budget" => cfg.global_budget = want(flag, it.next())?,
                     "--spill-dir" => cfg.spill_dir = Some(want::<String>(flag, it.next())?),
-                    "--spill-cache-pages" => cfg.spill_cache_pages = Some(want(flag, it.next())?),
                     other => return Err(ParseError(format!("unknown flag `{other}`"))),
                 }
             }
             if cfg.checkpoint_every == 0 {
                 return Err(ParseError("--checkpoint-every must be at least 1".into()));
-            }
-            if cfg.spill_cache_pages == Some(0) {
-                return Err(ParseError("--spill-cache-pages must be at least 1".into()));
-            }
-            if cfg.spill_cache_pages.is_some() && cfg.spill_dir.is_none() {
-                return Err(ParseError(
-                    "--spill-cache-pages needs --spill-dir <DIR>".into(),
-                ));
             }
             for ep in std::iter::once(&cfg.listen).chain(cfg.control.as_ref()) {
                 if let Err(e) = leopard_core::Endpoint::parse(ep) {
@@ -1002,10 +960,25 @@ mod tests {
     }
 
     #[test]
-    fn removed_shards_flag_is_a_usage_error() {
-        for line in ["verify cap.jsonl --shards 4", "chaos --shards 4"] {
+    fn removed_flags_are_usage_errors() {
+        for (line, flag) in [
+            ("verify cap.jsonl --shards 4", "--shards"),
+            ("chaos --shards 4", "--shards"),
+            (
+                "verify cap.jsonl --spill-dir d --spill-cache-pages 8",
+                "--spill-cache-pages",
+            ),
+            (
+                "chaos --spill-dir d --spill-cache-pages 8",
+                "--spill-cache-pages",
+            ),
+            (
+                "serve --listen unix:/tmp/s --spill-dir d --spill-cache-pages 8",
+                "--spill-cache-pages",
+            ),
+        ] {
             let err = parse_args(&args(line)).unwrap_err();
-            assert_eq!(err.0, "unknown flag `--shards`", "{line}");
+            assert_eq!(err.0, format!("unknown flag `{flag}`"), "{line}");
         }
     }
 

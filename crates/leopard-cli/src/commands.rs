@@ -285,20 +285,6 @@ fn write_checkpoint(verifier: &Verifier, path: &Path) -> Result<(), CheckpointEr
     }
 }
 
-/// Builds the spill-tier settings behind `--spill-dir` /
-/// `--spill-cache-pages`; `None` when spilling was not requested.
-fn spill_settings_from(
-    dir: Option<&String>,
-    cache_pages: Option<usize>,
-) -> Option<leopard_core::SpillSettings> {
-    let dir = dir?;
-    let mut settings = leopard_core::SpillSettings::new(dir);
-    if let Some(pages) = cache_pages {
-        settings.cache_pages = pages;
-    }
-    Some(settings)
-}
-
 /// `leopard verify`: audit a capture file.
 pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
     let mut sinks = ObsSinks::new(
@@ -356,7 +342,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
         let _ = writeln!(out, "capture: {}", reader.header().description);
     }
 
-    let spill = spill_settings_from(cfg.spill_dir.as_ref(), cfg.spill_cache_pages);
+    let spill = cfg.spill_dir.as_ref().map(leopard_core::SpillSettings::new);
 
     // A resumed verifier carries its configuration (and the already-applied
     // preload) inside the checkpoint; a fresh one is built from the flags.
@@ -644,10 +630,14 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
     };
     // The spill tier rides under the same seeded chaos umbrella: the
     // plan's disk knobs become the tier's fault-injection spec.
-    let spill = spill_settings_from(cfg.spill_dir.as_ref(), cfg.spill_cache_pages).map(|mut s| {
-        s.fault = plan.fault_spec();
-        s
-    });
+    let spill = cfg
+        .spill_dir
+        .as_ref()
+        .map(leopard_core::SpillSettings::new)
+        .map(|mut s| {
+            s.fault = plan.fault_spec();
+            s
+        });
     let retry = RetryPolicy::with_backoff(
         cfg.retry_attempts,
         Duration::from_millis(cfg.retry_backoff_ms),
@@ -951,7 +941,7 @@ pub fn serve(cfg: &ServeCliConfig, out: &mut dyn Write) -> i32 {
     let mut opts = ServeOptions::new(PathBuf::from(&cfg.dir));
     opts.checkpoint_every = cfg.checkpoint_every.max(1);
     opts.global_budget_bytes = cfg.global_budget;
-    opts.spill = spill_settings_from(cfg.spill_dir.as_ref(), cfg.spill_cache_pages);
+    opts.spill = cfg.spill_dir.as_ref().map(leopard_core::SpillSettings::new);
     let server = match Server::bind(&ingest, control.as_ref(), opts) {
         Ok(s) => s,
         Err(e) => {

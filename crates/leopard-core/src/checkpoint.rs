@@ -14,6 +14,7 @@
 //! (the offline-capable serde stub has no `HashMap` support, and sorting
 //! makes checkpoints byte-stable for identical verifier states).
 
+use crate::budget::MemBudget;
 use crate::interval::Interval;
 use crate::report::BugReport;
 use crate::stats::DeductionStats;
@@ -43,7 +44,12 @@ use std::path::Path;
 ///
 /// Version 5: the key-sharded engine is gone — matched reads lost their
 /// cross-shard ordering key and the sharded envelope no longer exists.
-pub const CHECKPOINT_VERSION: u32 = 5;
+///
+/// Version 6: the spill tier packs records into a log, so a spill-index
+/// address is (segment, byte offset, length, sequence) instead of a page
+/// range, and the image carries the level the overload ladder is armed
+/// at ([`Checkpoint::armed`]).
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// A deferred consistent-read check, flattened for checkpointing
 /// (mirrors the verifier's private pending-read heap entries).
@@ -111,6 +117,20 @@ pub struct Checkpoint {
     /// attached. Resume must re-attach the same spill directory
     /// ([`crate::verify::Verifier::resume_spill`]) when non-empty.
     pub spill: Vec<SpillIndexEntry>,
+    /// The usage above which the overload ladder next forces a GC and a
+    /// spill pass: the configured budget, or higher after a relief that
+    /// could not get usage comfortably below it.
+    pub armed: MemBudget,
+}
+
+/// Just enough of an image to tell which version wrote it.
+#[derive(Deserialize)]
+struct ImageVersion {
+    version: u32,
+    /// Present in every image version; keeps documents that merely
+    /// carry a `version` field from passing for one.
+    #[allow(dead_code)]
+    traces_ingested: u64,
 }
 
 /// Why a checkpoint could not be written, read or restored.
@@ -220,15 +240,22 @@ impl Checkpoint {
 
     /// Parses a JSON document, validating the format version.
     pub fn from_json(json: &str) -> Result<Checkpoint, CheckpointError> {
-        let ckpt: Checkpoint =
-            serde_json::from_str(json).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version {
-                found: ckpt.version,
+        let version = |found: u32| {
+            (found != CHECKPOINT_VERSION).then_some(CheckpointError::Version {
+                found,
                 expected: CHECKPOINT_VERSION,
-            });
+            })
+        };
+        match serde_json::from_str::<Checkpoint>(json) {
+            Ok(ckpt) => version(ckpt.version).map_or(Ok(ckpt), Err),
+            // An image of another version need not parse as this one (a
+            // version-5 spill index does not): refuse it for its
+            // version, not as damage.
+            Err(e) => Err(serde_json::from_str::<ImageVersion>(json)
+                .ok()
+                .and_then(|image| version(image.version))
+                .unwrap_or_else(|| CheckpointError::Malformed(e.to_string()))),
         }
-        Ok(ckpt)
     }
 
     /// Writes the checkpoint to `path` atomically and durably
@@ -308,6 +335,43 @@ mod tests {
             serde_json::to_string(&ckpt.config).expect("config serializes"),
         );
         let err = Checkpoint::from_json(&envelope).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+    }
+
+    /// A version-5 image whose spill index is not empty does not parse as
+    /// this version's (its addresses are page ranges); it must be refused
+    /// for its version, not as damage — and never read as if the page
+    /// numbers were byte offsets.
+    #[test]
+    fn v5_image_with_a_spill_index_is_refused_for_its_version() {
+        let v = Verifier::new(VerifierConfig::for_level(IsolationLevel::Serializable));
+        let v6 = v.checkpoint().to_json();
+        let v5 = v6.replace(r#""version":6"#, r#""version":5"#).replace(
+            r#""spill":[]"#,
+            r#""spill":[{"key":7,"versions":2,"addr":{"segment":0,"page":3,"parts":1,"seq":9}}]"#,
+        );
+        assert_ne!(v5, v6, "the image has the fields this test rewrites");
+        let v5 = v5
+            .rsplit_once(r#","armed""#)
+            .expect("armed is last")
+            .0
+            .to_string()
+            + "}";
+        let err = Checkpoint::from_json(&v5).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheckpointError::Version {
+                    found: 5,
+                    expected: CHECKPOINT_VERSION
+                }
+            ),
+            "{err}"
+        );
+        // The same document without a version it could be refused for is
+        // damage, as before.
+        let err =
+            Checkpoint::from_json(&v5.replace(r#""version":5"#, r#""version":6"#)).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 

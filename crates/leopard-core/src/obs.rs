@@ -128,9 +128,11 @@ pub enum Counter {
     SpillFallbacks,
     /// Unrecoverable spill I/O or corruption errors (tier poisonings).
     SpillIoErrors,
+    /// Reliefs (forced GC plus spill pass) that ended above the budget.
+    BudgetFloorExceeded,
 }
 
-const COUNTER_COUNT: usize = 29;
+const COUNTER_COUNT: usize = 30;
 
 impl Counter {
     /// Every counter, in registry (and exposition) order.
@@ -164,6 +166,7 @@ impl Counter {
         Counter::SpillRetries,
         Counter::SpillFallbacks,
         Counter::SpillIoErrors,
+        Counter::BudgetFloorExceeded,
     ];
 
     fn idx(self) -> usize {
@@ -206,6 +209,7 @@ impl Counter {
             Counter::SpillRetries => "leopard_spill_retries_total",
             Counter::SpillFallbacks => "leopard_spill_fallbacks_total",
             Counter::SpillIoErrors => "leopard_spill_io_errors_total",
+            Counter::BudgetFloorExceeded => "leopard_budget_floor_exceeded_total",
         }
     }
 
@@ -254,6 +258,9 @@ impl Counter {
                 "Spill writes abandoned to the in-memory fallback after retries."
             }
             Counter::SpillIoErrors => "Unrecoverable spill I/O or corruption errors.",
+            Counter::BudgetFloorExceeded => {
+                "Forced GC plus spill pass that still ended above the memory budget."
+            }
         }
     }
 }
@@ -271,9 +278,15 @@ pub enum Gauge {
     PeakMemEntries,
     /// Bytes held in spill segment files on disk.
     SpillBytes,
+    /// Bytes appended to spill segments per byte of record spilled, in
+    /// thousandths.
+    SpillWriteAmp,
+    /// Share of the spill bytes on disk that is records not yet faulted
+    /// back in, in thousandths.
+    SpillLiveRatio,
 }
 
-const GAUGE_COUNT: usize = 5;
+const GAUGE_COUNT: usize = 7;
 
 impl Gauge {
     /// Every gauge, in registry (and exposition) order.
@@ -283,6 +296,8 @@ impl Gauge {
         Gauge::PeakMemBytes,
         Gauge::PeakMemEntries,
         Gauge::SpillBytes,
+        Gauge::SpillWriteAmp,
+        Gauge::SpillLiveRatio,
     ];
 
     fn idx(self) -> usize {
@@ -301,6 +316,8 @@ impl Gauge {
             Gauge::PeakMemBytes => "leopard_peak_mem_bytes",
             Gauge::PeakMemEntries => "leopard_peak_mem_entries",
             Gauge::SpillBytes => "leopard_spill_bytes",
+            Gauge::SpillWriteAmp => "leopard_spill_write_amp",
+            Gauge::SpillLiveRatio => "leopard_spill_live_ratio",
         }
     }
 
@@ -315,6 +332,12 @@ impl Gauge {
             Gauge::PeakMemBytes => "High-water mark of estimated retained bytes.",
             Gauge::PeakMemEntries => "High-water mark of retained entries.",
             Gauge::SpillBytes => "Bytes held in spill segment files on disk.",
+            Gauge::SpillWriteAmp => {
+                "Bytes appended to spill segments per byte of record spilled, in thousandths."
+            }
+            Gauge::SpillLiveRatio => {
+                "Live record bytes per byte of spill segment on disk, in thousandths."
+            }
         }
     }
 }

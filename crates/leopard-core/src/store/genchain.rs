@@ -21,8 +21,8 @@
 //! anything that does not parse as a manifest is returned as a single
 //! unverified legacy generation.
 
+use super::crc32::crc32;
 use super::io::StoreIo;
-use super::page::crc32;
 use super::{StoreError, StoreResult};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};

@@ -1,38 +1,35 @@
 //! `leopard_core::store` — the disk-spilling backing tier for cold
-//! verifier state, behind a pin/unpin buffer pool, plus the checkpoint
-//! generation chain and the `leopard serve` stream journal ([`journal`]).
+//! verifier state, plus the checkpoint generation chain and the
+//! `leopard serve` stream journal ([`journal`]).
 //!
 //! The module exists so captures larger than RAM verify with **zero
 //! coverage loss**: when the [`crate::budget::MemBudget`] is exceeded,
-//! the overload ladder's new *spill* rung pages cold
-//! [`crate::verify::VersionStore`] records out to append-organized
-//! segment files ([`segment`]) instead of escalating straight to forced
-//! dispatch and degraded-coverage evictions. Reads fault records back in
-//! through a small clock page cache ([`pool`]).
+//! the overload ladder's *spill* rung writes cold
+//! [`crate::verify::VersionStore`] records out to an append-organized
+//! record log ([`segment`]) instead of escalating straight to forced
+//! dispatch and degraded-coverage evictions, and reads them back one
+//! record at a time when a trace touches them ([`tier`]).
 //!
-//! Because the tier now holds verdict-critical state, the disk is
-//! treated as hostile: every byte moves through the injectable
-//! [`StoreIo`] trait ([`io`]), every page carries a CRC ([`page`]), and
-//! the checkpoint path grows a CRC'd generation chain with corrupt-head
-//! fallback ([`genchain`]). Every error path resolves to exactly one of
-//! three outcomes — transparent retry ([`RetryPolicy`]), counted
-//! fallback to the in-memory path, or a typed [`StoreError`] — never a
-//! silent wrong verdict.
+//! Because the tier holds verdict-critical state, the disk is treated as
+//! hostile: every byte moves through the injectable [`StoreIo`] trait
+//! ([`io`]), every record carries a CRC ([`crc32`]), and the checkpoint
+//! path has a CRC'd generation chain with corrupt-head fallback
+//! ([`genchain`]). Every error path resolves to exactly one of three
+//! outcomes — transparent retry ([`RetryPolicy`]), counted fallback to
+//! the in-memory path, or a typed [`StoreError`] — never a silent wrong
+//! verdict.
 
+pub mod crc32;
 pub mod genchain;
 pub mod io;
 pub mod journal;
-pub mod page;
-pub mod pool;
 pub mod segment;
 pub mod tier;
 
 pub use genchain::{GenChain, GenLoad};
 pub use io::{FaultIo, FaultSpec, FsIo, InjectedFaults, SplitMix64, StoreFile, StoreIo};
 pub use journal::Journal;
-pub use page::{PageError, PAGE_PAYLOAD, PAGE_SIZE};
-pub use pool::{BufferPool, PageRef, PoolStats};
-pub use segment::{RecordAddr, SegmentWriter};
+pub use segment::{RecordAddr, SegmentLog};
 pub use tier::{SpillStats, SpillTier};
 
 use std::fmt;
@@ -208,8 +205,6 @@ impl RetryPolicy {
 pub struct SpillSettings {
     /// Directory holding segment files (created if missing).
     pub dir: PathBuf,
-    /// Page-cache capacity in pages ([`PAGE_SIZE`] bytes each).
-    pub cache_pages: usize,
     /// Retry schedule for transient I/O.
     pub retry: RetryPolicy,
     /// Fault-injection plan applied to all tier I/O (chaos runs and the
@@ -219,12 +214,11 @@ pub struct SpillSettings {
 }
 
 impl SpillSettings {
-    /// Settings for `dir` with the default cache size and retries.
+    /// Settings for `dir` with the default retries.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> SpillSettings {
         SpillSettings {
             dir: dir.into(),
-            cache_pages: 256,
             retry: RetryPolicy::default(),
             fault: io::FaultSpec::default(),
         }

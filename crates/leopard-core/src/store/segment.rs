@@ -1,46 +1,125 @@
-//! Append-organized segment files holding spilled records.
+//! Append-organized segment files holding spilled records, packed back
+//! to back.
 //!
-//! A segment is a versioned header page followed by record pages
-//! ([`crate::store::page`]). Records append only; a record faulted back
-//! into memory leaves its pages behind as garbage (space is reclaimed
-//! only by dropping whole segments, which keeps the write path a pure
-//! append and crash recovery a suffix scan). When the active segment
-//! reaches [`SEGMENT_PAGES`] pages the writer rolls to a new file.
+//! A segment (`seg-NNNNNNNN.lps`) is a 16-byte versioned header followed
+//! by variable-length records:
 //!
-//! Crash recovery: on open, the writer scans the tail of the newest
-//! segment and truncates after the last page that decodes cleanly — a
-//! kill -9 mid-flush leaves at worst a torn tail, never a segment the
-//! reader misparses. Earlier pages are protected by their CRCs and
-//! validated on every read.
+//! ```text
+//! u32le len ‖ u64le seq ‖ u32le crc32(len ‖ seq ‖ payload) ‖ payload
+//! ```
+//!
+//! Records append only, a whole [`Batch`] per write; a record faulted
+//! back into memory leaves its bytes behind as garbage. Space comes back
+//! a segment at a time: a sealed segment with no live record is removed
+//! at the second [`SegmentLog::sync`] after it died (see there for why
+//! not sooner). When the active segment reaches [`SEGMENT_BYTES`] the log
+//! rolls to a new file.
+//!
+//! Crash recovery: on open, the newest segment is scanned from its
+//! header and cut after the last record that validates — a kill -9
+//! mid-append leaves at worst a torn tail, never a record the reader
+//! misparses. Earlier records are protected by their CRCs and validated
+//! on every read against the length and sequence number their address
+//! carries.
 
+use super::crc32::{crc32, crc32_update};
 use super::io::{StoreFile, StoreIo};
-use super::page::{chunk_payload, crc32, decode_page, encode_page, PageHeader, PAGE_SIZE};
 use super::{StoreError, StoreResult};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Pages per segment file (header page included): 16 MiB segments.
-pub const SEGMENT_PAGES: u32 = 4096;
+/// Size at which the active segment is sealed and a new one started.
+pub const SEGMENT_BYTES: u64 = 4 << 20;
 
-/// Magic bytes opening a segment header page (`LPsg`).
+/// Magic bytes opening a segment header (`LPsg`).
 pub const SEGMENT_MAGIC: u32 = 0x4c50_7367;
 
-/// Segment format version; bumped on incompatible change.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Segment format version; bumped on incompatible change. Version 1 was
+/// one record per chain of 4 KiB pages.
+pub const SEGMENT_VERSION: u32 = 2;
 
-/// Durable address of one spilled record: which segment, which page
-/// range, and the record sequence number stamped into each page header
-/// (belt-and-braces check that the address and the data agree).
+/// Bytes of the segment header: magic, version, id, CRC-32 of those.
+pub const SEGMENT_HEADER: usize = 16;
+
+/// Bytes of the header in front of every record's payload.
+pub const RECORD_HEADER: usize = 16;
+
+/// Durable address of one spilled record. The length and sequence number
+/// are repeated in the record's header, so an address that points at the
+/// wrong bytes (a stale checkpoint over a rewritten tail) fails
+/// validation instead of decoding some other record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecordAddr {
     /// Segment file id (`seg-<id>.lps`).
     pub segment: u32,
-    /// First page of the record (page 0 is the segment header).
-    pub page: u32,
-    /// Number of pages the record spans.
-    pub parts: u32,
-    /// Record sequence number stamped into each page.
+    /// Byte offset of the record's header within the segment.
+    pub offset: u32,
+    /// Payload bytes (the header is not counted).
+    pub len: u32,
+    /// Record sequence number.
     pub seq: u64,
+}
+
+impl RecordAddr {
+    /// Bytes the record occupies on disk, header included.
+    fn disk_bytes(&self) -> u64 {
+        RECORD_HEADER as u64 + u64::from(self.len)
+    }
+}
+
+/// Records framed for one append: header space followed by the payload,
+/// back to back. Sequence numbers and checksums are stamped by
+/// [`SegmentLog::append`], which knows where the batch lands.
+#[derive(Debug, Default)]
+pub struct Batch {
+    buf: Vec<u8>,
+    /// Offset of each record's header within `buf`.
+    starts: Vec<usize>,
+}
+
+impl Batch {
+    /// Adds one record whose payload `fill` appends to the buffer.
+    pub fn push(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
+        self.starts.push(self.buf.len());
+        self.buf.resize(self.buf.len() + RECORD_HEADER, 0);
+        fill(&mut self.buf);
+    }
+
+    /// Bytes the batch will occupy on disk.
+    #[must_use]
+    pub fn bytes(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Records in the batch.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// `true` when no record was pushed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Payload bytes, headers excluded.
+    #[must_use]
+    pub fn payload_bytes(&self) -> usize {
+        self.buf.len() - self.starts.len() * RECORD_HEADER
+    }
+
+    /// Empties the batch, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.starts.clear();
+    }
+
+    fn record(&self, i: usize) -> std::ops::Range<usize> {
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.buf.len());
+        self.starts[i]..end
+    }
 }
 
 fn segment_path(dir: &Path, id: u32) -> PathBuf {
@@ -54,42 +133,42 @@ fn segment_id(path: &Path) -> Option<u32> {
     id.parse().ok()
 }
 
-/// Encodes the segment header page.
-fn encode_segment_header(id: u32) -> Vec<u8> {
-    let mut page = vec![0u8; PAGE_SIZE];
-    page[0..4].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
-    page[4..8].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
-    page[8..12].copy_from_slice(&id.to_le_bytes());
-    let crc = crc32(&page[0..12]);
-    page[12..16].copy_from_slice(&crc.to_le_bytes());
-    page
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
-/// Validates a segment header page against the expected id.
-fn check_segment_header(page: &[u8], id: u32) -> StoreResult<()> {
-    if page.len() < PAGE_SIZE {
-        return Err(StoreError::corrupt(format!(
-            "segment {id}: truncated header ({} bytes)",
-            page.len()
-        )));
-    }
-    let word = |at: usize| u32::from_le_bytes([page[at], page[at + 1], page[at + 2], page[at + 3]]);
-    if word(0) != SEGMENT_MAGIC {
+/// The sequence number in a record header.
+fn record_seq(record: &[u8]) -> u64 {
+    u64::from(le_u32(record, 4)) | u64::from(le_u32(record, 8)) << 32
+}
+
+fn encode_segment_header(id: u32) -> [u8; SEGMENT_HEADER] {
+    let mut hdr = [0u8; SEGMENT_HEADER];
+    hdr[0..4].copy_from_slice(&SEGMENT_MAGIC.to_le_bytes());
+    hdr[4..8].copy_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    hdr[8..12].copy_from_slice(&id.to_le_bytes());
+    let crc = crc32(&hdr[0..12]);
+    hdr[12..16].copy_from_slice(&crc.to_le_bytes());
+    hdr
+}
+
+fn check_segment_header(hdr: &[u8], id: u32) -> StoreResult<()> {
+    if le_u32(hdr, 0) != SEGMENT_MAGIC {
         return Err(StoreError::corrupt(format!("segment {id}: bad magic")));
     }
-    if word(4) != SEGMENT_VERSION {
+    if le_u32(hdr, 4) != SEGMENT_VERSION {
         return Err(StoreError::corrupt(format!(
             "segment {id}: unsupported version {}",
-            word(4)
+            le_u32(hdr, 4)
         )));
     }
-    if word(8) != id {
+    if le_u32(hdr, 8) != id {
         return Err(StoreError::corrupt(format!(
             "segment {id}: header claims id {}",
-            word(8)
+            le_u32(hdr, 8)
         )));
     }
-    if word(12) != crc32(&page[0..12]) {
+    if le_u32(hdr, 12) != crc32(&hdr[0..12]) {
         return Err(StoreError::corrupt(format!(
             "segment {id}: header crc mismatch"
         )));
@@ -97,213 +176,314 @@ fn check_segment_header(page: &[u8], id: u32) -> StoreResult<()> {
     Ok(())
 }
 
+/// CRC of one framed record (`len ‖ seq ‖ crc ‖ payload`): everything
+/// but the CRC field itself.
+fn record_crc(record: &[u8]) -> u32 {
+    let state = crc32_update(0xffff_ffff, &record[..12]);
+    crc32_update(state, &record[RECORD_HEADER..]) ^ 0xffff_ffff
+}
+
+/// What the log knows about one segment file.
+#[derive(Debug, Clone, Copy, Default)]
+struct SegmentUse {
+    /// File length.
+    bytes: u64,
+    /// Bytes of records some index still points at.
+    live: u64,
+    /// Had no live record at the last [`SegmentLog::sync`].
+    doomed: bool,
+}
+
 /// The append cursor over a directory of segment files.
 ///
 /// Not internally synchronized: the owning [`super::tier::SpillTier`]
 /// serializes access behind its own lock.
 #[derive(Debug)]
-pub struct SegmentWriter {
+pub struct SegmentLog {
     dir: PathBuf,
     /// Active (newest) segment file.
     active: Box<dyn StoreFile>,
     active_id: u32,
-    /// Next page to append within the active segment.
-    next_page: u32,
+    /// The sealed segment read last, kept open: faults cluster by age.
+    sealed: Option<(u32, Box<dyn StoreFile>)>,
     /// Next record sequence number.
     next_seq: u64,
-    /// Total bytes across all segment files (garbage included).
-    bytes_on_disk: u64,
+    /// Every segment file on disk, the active one included.
+    segments: BTreeMap<u32, SegmentUse>,
 }
 
-impl SegmentWriter {
+impl SegmentLog {
     /// Opens the segment directory, recovering from a torn tail: the
-    /// newest segment is scanned and truncated after its last cleanly
-    /// decoding page. Returns the writer positioned for the next append.
-    pub fn open(io: &dyn StoreIo, dir: &Path) -> StoreResult<SegmentWriter> {
+    /// newest segment is scanned and cut after its last record that
+    /// validates. Returns the log positioned for the next append.
+    pub fn open(io: &dyn StoreIo, dir: &Path) -> StoreResult<SegmentLog> {
         io.create_dir_all(dir).map_err(StoreError::io)?;
-        let mut ids: Vec<u32> = io
-            .list(dir)
-            .map_err(StoreError::io)?
-            .iter()
-            .filter_map(|p| segment_id(p))
-            .collect();
-        ids.sort_unstable();
-        let mut bytes_on_disk: u64 = 0;
-        for &id in &ids {
-            let mut f = io.open(&segment_path(dir, id)).map_err(StoreError::io)?;
-            bytes_on_disk += f.len().map_err(StoreError::io)?;
-        }
-        let (active_id, next_page, next_seq) = match ids.last() {
-            None => (0, 0, 1),
-            Some(&id) => {
-                let mut f = io.open(&segment_path(dir, id)).map_err(StoreError::io)?;
-                let (pages, max_seq) = recover_tail(f.as_mut(), id)?;
-                let new_len = u64::from(pages) * PAGE_SIZE as u64;
-                let old_len = f.len().map_err(StoreError::io)?;
-                if old_len != new_len {
-                    f.set_len(new_len).map_err(StoreError::io)?;
-                    bytes_on_disk = bytes_on_disk - old_len + new_len;
-                }
-                (id, pages, max_seq + 1)
+        let mut segments = BTreeMap::new();
+        for path in io.list(dir).map_err(StoreError::io)? {
+            if let Some(id) = segment_id(&path) {
+                let bytes = io
+                    .open(&path)
+                    .and_then(|mut f| f.len())
+                    .map_err(StoreError::io)?;
+                segments.insert(
+                    id,
+                    SegmentUse {
+                        bytes,
+                        ..SegmentUse::default()
+                    },
+                );
             }
-        };
-        let active = io
+        }
+        let active_id = segments.keys().next_back().copied().unwrap_or(0);
+        let mut active = io
             .open(&segment_path(dir, active_id))
             .map_err(StoreError::io)?;
-        let mut writer = SegmentWriter {
+        let (good_len, max_seq) = recover_tail(active.as_mut(), active_id)?;
+        let on_disk = segments.entry(active_id).or_default();
+        if on_disk.bytes != good_len {
+            active.set_len(good_len).map_err(StoreError::io)?;
+            on_disk.bytes = good_len;
+        }
+        let mut log = SegmentLog {
             dir: dir.to_path_buf(),
             active,
             active_id,
-            next_page,
-            next_seq,
-            bytes_on_disk,
+            sealed: None,
+            next_seq: max_seq + 1,
+            segments,
         };
-        if writer.next_page == 0 {
-            writer.write_header(io)?;
+        if good_len == 0 {
+            log.write_header()?;
         }
-        Ok(writer)
+        Ok(log)
     }
 
-    /// Writes the active segment's header page (page 0).
-    fn write_header(&mut self, _io: &dyn StoreIo) -> StoreResult<()> {
+    fn active_use(&mut self) -> &mut SegmentUse {
+        self.segments.entry(self.active_id).or_default()
+    }
+
+    fn write_header(&mut self) -> StoreResult<()> {
         let hdr = encode_segment_header(self.active_id);
         write_fully(self.active.as_mut(), 0, &hdr)?;
-        self.next_page = 1;
-        self.bytes_on_disk += PAGE_SIZE as u64;
+        self.active_use().bytes = SEGMENT_HEADER as u64;
         Ok(())
     }
 
-    /// Appends one record payload, returning its durable address. The
-    /// payload is chunked into pages, each CRC-stamped. Short writes are
-    /// retried at the residual offset; any error leaves the tail torn,
-    /// which the next open (or a verified read-back) detects.
-    pub fn append(&mut self, io: &dyn StoreIo, payload: &[u8]) -> StoreResult<RecordAddr> {
-        let chunks = chunk_payload(payload);
-        let parts = u32::try_from(chunks.len())
-            .map_err(|_| StoreError::corrupt("record spans more than u32::MAX pages"))?;
-        if self.next_page + parts > SEGMENT_PAGES {
+    /// Appends every record of `batch` with one write, then reads the
+    /// bytes back and compares them — a torn or silently short write is
+    /// caught here, while the caller still holds the records in memory,
+    /// not at fault-in time. Returns one address per record, in order.
+    ///
+    /// On any error the segment is cut back to its length before the
+    /// call and nothing is consumed, so the same batch can be retried.
+    pub fn append(&mut self, io: &dyn StoreIo, batch: &mut Batch) -> StoreResult<Vec<RecordAddr>> {
+        let mut at = self.active_use().bytes;
+        if at > SEGMENT_HEADER as u64 && at + batch.bytes() as u64 > SEGMENT_BYTES {
             self.roll(io)?;
+            at = self.active_use().bytes;
         }
-        let seq = self.next_seq;
-        let addr = RecordAddr {
-            segment: self.active_id,
-            page: self.next_page,
-            parts,
-            seq,
-        };
-        for (i, chunk) in chunks.iter().enumerate() {
-            let hdr = PageHeader {
-                record_seq: seq,
-                part: i as u32,
-                parts,
-                len: chunk.len() as u32,
+        if at + batch.bytes() as u64 > u64::from(u32::MAX) {
+            return Err(StoreError::corrupt(format!(
+                "batch of {} bytes does not fit a segment",
+                batch.bytes()
+            )));
+        }
+        let mut addrs = Vec::with_capacity(batch.len());
+        for i in 0..batch.len() {
+            let range = batch.record(i);
+            let addr = RecordAddr {
+                segment: self.active_id,
+                offset: (at as usize + range.start) as u32,
+                len: (range.len() - RECORD_HEADER) as u32,
+                seq: self.next_seq + i as u64,
             };
-            let page = encode_page(&hdr, chunk);
-            let off = u64::from(self.next_page + i as u32) * PAGE_SIZE as u64;
-            write_fully(self.active.as_mut(), off, &page)?;
+            let record = &mut batch.buf[range];
+            record[0..4].copy_from_slice(&addr.len.to_le_bytes());
+            record[4..12].copy_from_slice(&addr.seq.to_le_bytes());
+            let crc = record_crc(record);
+            record[12..16].copy_from_slice(&crc.to_le_bytes());
+            addrs.push(addr);
         }
-        self.next_page += parts;
-        self.next_seq += 1;
-        self.bytes_on_disk += u64::from(parts) * PAGE_SIZE as u64;
-        Ok(addr)
+        let wrote = write_fully(self.active.as_mut(), at, &batch.buf).and_then(|()| {
+            if read_fully(self.active.as_mut(), at, batch.buf.len())? == batch.buf {
+                Ok(())
+            } else {
+                Err(StoreError::corrupt(format!(
+                    "read-back mismatch for {} records at segment {} offset {at}",
+                    batch.len(),
+                    self.active_id
+                )))
+            }
+        });
+        if let Err(e) = wrote {
+            // Best effort: the next append starts at `at` and covers the
+            // torn bytes even if this truncation fails too.
+            let _ = self.active.set_len(at);
+            return Err(e);
+        }
+        self.next_seq += batch.len() as u64;
+        let active = self.active_use();
+        active.bytes += batch.bytes() as u64;
+        active.live += batch.bytes() as u64;
+        Ok(addrs)
     }
 
-    /// Reads the record at `addr`, validating every page CRC, the part
-    /// chain and the stamped sequence number.
-    pub fn read_record(&mut self, io: &dyn StoreIo, addr: &RecordAddr) -> StoreResult<Vec<u8>> {
-        let mut file;
+    /// Reads the payload of the record at `addr`, validating its
+    /// checksum and that its header names the length and sequence number
+    /// the address does.
+    pub fn read(&mut self, io: &dyn StoreIo, addr: &RecordAddr) -> StoreResult<Vec<u8>> {
+        let on_disk = self.segments.get(&addr.segment).map_or(0, |s| s.bytes);
+        if u64::from(addr.offset) + addr.disk_bytes() > on_disk {
+            return Err(StoreError::corrupt(format!(
+                "segment {} offset {}: a {}-byte record ends past the segment's {on_disk} bytes",
+                addr.segment, addr.offset, addr.len
+            )));
+        }
         let f: &mut dyn StoreFile = if addr.segment == self.active_id {
             self.active.as_mut()
         } else {
-            file = io
-                .open(&segment_path(&self.dir, addr.segment))
-                .map_err(StoreError::io)?;
+            if self.sealed.as_ref().map(|(id, _)| *id) != Some(addr.segment) {
+                let file = io
+                    .open(&segment_path(&self.dir, addr.segment))
+                    .map_err(StoreError::io)?;
+                self.sealed = Some((addr.segment, file));
+            }
+            let (_, file) = self.sealed.as_mut().expect("opened just above");
             file.as_mut()
         };
-        read_record_from(f, addr)
+        let mut record = read_fully(f, u64::from(addr.offset), addr.disk_bytes() as usize)?;
+        let seq = record_seq(&record);
+        if le_u32(&record, 0) != addr.len || seq != addr.seq {
+            return Err(StoreError::corrupt(format!(
+                "segment {} offset {}: header names record {seq} of {} bytes, \
+                 address names record {} of {} bytes",
+                addr.segment,
+                addr.offset,
+                le_u32(&record, 0),
+                addr.seq,
+                addr.len
+            )));
+        }
+        let (stored, computed) = (le_u32(&record, 12), record_crc(&record));
+        if stored != computed {
+            return Err(StoreError::corrupt(format!(
+                "segment {} offset {}: record crc mismatch: stored {stored:#010x}, \
+                 computed {computed:#010x}",
+                addr.segment, addr.offset
+            )));
+        }
+        record.drain(..RECORD_HEADER);
+        Ok(record)
     }
 
-    /// Durably flushes the active segment.
-    pub fn sync(&mut self) -> StoreResult<()> {
-        self.active.sync().map_err(StoreError::io)
+    /// Notes that no index points at the record at `addr` any more.
+    pub fn mark_dead(&mut self, addr: &RecordAddr) {
+        if let Some(seg) = self.segments.get_mut(&addr.segment) {
+            seg.live = seg.live.saturating_sub(addr.disk_bytes());
+        }
     }
 
-    /// Total bytes across all segment files (live and garbage pages).
+    /// Resume path: `live` are the records a checkpoint's index points
+    /// at and nothing else on disk is. Sealed segments it names no record
+    /// in are removed — what a killed process appended after that
+    /// checkpoint, and what was dead before it.
+    pub fn retain_only(&mut self, io: &dyn StoreIo, live: impl Iterator<Item = RecordAddr>) {
+        for seg in self.segments.values_mut() {
+            seg.live = 0;
+        }
+        for addr in live {
+            if let Some(seg) = self.segments.get_mut(&addr.segment) {
+                seg.live += addr.disk_bytes();
+            }
+        }
+        self.remove_sealed(io, |seg| seg.live == 0);
+    }
+
+    /// Durably flushes the active segment; called before a checkpoint
+    /// image is written, so the image never names unsynced records.
+    ///
+    /// Also where dead segments go: a sealed segment that had no live
+    /// record at the *previous* sync is removed now, and one that has
+    /// none now is marked for the next. Not sooner, because the newest
+    /// durable image was written after the previous sync and may still
+    /// name records that died since; it cannot name a segment that was
+    /// already dead then. A run that never checkpoints never syncs and
+    /// keeps its dead segments: they are bounded by what it spilled.
+    pub fn sync(&mut self, io: &dyn StoreIo) -> StoreResult<()> {
+        self.active.sync().map_err(StoreError::io)?;
+        self.remove_sealed(io, |seg| seg.doomed);
+        let active_id = self.active_id;
+        for (&id, seg) in &mut self.segments {
+            seg.doomed = id != active_id && seg.live == 0;
+        }
+        Ok(())
+    }
+
+    /// Removes every sealed segment `dead` selects. A file that cannot
+    /// be removed stays accounted for and is tried again.
+    fn remove_sealed(&mut self, io: &dyn StoreIo, dead: impl Fn(&SegmentUse) -> bool) {
+        let (dir, active_id) = (&self.dir, self.active_id);
+        self.segments.retain(|&id, seg| {
+            id == active_id || !dead(seg) || io.remove(&segment_path(dir, id)).is_err()
+        });
+        if let Some((id, _)) = &self.sealed {
+            if !self.segments.contains_key(id) {
+                self.sealed = None;
+            }
+        }
+    }
+
+    /// Total bytes across all segment files (live and garbage).
     #[must_use]
     pub fn bytes_on_disk(&self) -> u64 {
-        self.bytes_on_disk
+        self.segments.values().map(|s| s.bytes).sum()
     }
 
-    /// Rolls to a fresh segment file.
+    /// Bytes of records some index still points at, headers included.
+    #[must_use]
+    pub fn live_bytes(&self) -> u64 {
+        self.segments.values().map(|s| s.live).sum()
+    }
+
+    /// Seals the active segment and starts the next one.
     fn roll(&mut self, io: &dyn StoreIo) -> StoreResult<()> {
         self.active.sync().map_err(StoreError::io)?;
         self.active_id += 1;
         self.active = io
             .open(&segment_path(&self.dir, self.active_id))
             .map_err(StoreError::io)?;
-        self.next_page = 0;
-        self.write_header(io)
+        self.write_header()
     }
 }
 
-/// Reads one record from an open segment file, validating everything.
-fn read_record_from(f: &mut dyn StoreFile, addr: &RecordAddr) -> StoreResult<Vec<u8>> {
-    let mut out = Vec::new();
-    for i in 0..addr.parts {
-        let off = u64::from(addr.page + i) * PAGE_SIZE as u64;
-        let page = read_fully(f, off, PAGE_SIZE)?;
-        let (hdr, payload) = decode_page(&page).map_err(|e| {
-            StoreError::corrupt(format!(
-                "segment {} page {}: {e}",
-                addr.segment,
-                addr.page + i
-            ))
-        })?;
-        if hdr.record_seq != addr.seq || hdr.part != i || hdr.parts != addr.parts {
-            return Err(StoreError::corrupt(format!(
-                "segment {} page {}: header names record {} part {}/{}, address names record {} part {}/{}",
-                addr.segment,
-                addr.page + i,
-                hdr.record_seq,
-                hdr.part,
-                hdr.parts,
-                addr.seq,
-                i,
-                addr.parts
-            )));
-        }
-        out.extend_from_slice(payload);
-    }
-    Ok(out)
-}
-
-/// Scans a segment from the front and returns `(pages, max_seq)` where
-/// `pages` counts the header page plus every record page up to (not
-/// including) the first one that fails to decode — the torn-tail
-/// truncation point — and `max_seq` is the highest record sequence seen.
-fn recover_tail(f: &mut dyn StoreFile, id: u32) -> StoreResult<(u32, u64)> {
+/// Scans a segment from the front and returns `(good_len, max_seq)`:
+/// the length of the header plus every record up to (not including) the
+/// first one that is cut short or fails its checksum — the torn-tail
+/// truncation point — and the highest record sequence seen. A file too
+/// short to hold a header is treated as empty (`good_len` 0: the header
+/// is rewritten).
+fn recover_tail(f: &mut dyn StoreFile, id: u32) -> StoreResult<(u64, u64)> {
     let len = f.len().map_err(StoreError::io)?;
-    if len < PAGE_SIZE as u64 {
-        // Not even a whole header page: treat as empty (header rewritten).
+    if len < SEGMENT_HEADER as u64 {
         return Ok((0, 0));
     }
-    let hdr_page = read_fully(f, 0, PAGE_SIZE)?;
-    check_segment_header(&hdr_page, id)?;
-    let full_pages = (len / PAGE_SIZE as u64) as u32;
-    let mut pages = 1u32;
+    check_segment_header(&read_fully(f, 0, SEGMENT_HEADER)?, id)?;
+    let mut good = SEGMENT_HEADER as u64;
     let mut max_seq = 0u64;
-    while pages < full_pages {
-        let off = u64::from(pages) * PAGE_SIZE as u64;
-        let page = read_fully(f, off, PAGE_SIZE)?;
-        match decode_page(&page) {
-            Ok((hdr, _)) => {
-                max_seq = max_seq.max(hdr.record_seq);
-                pages += 1;
-            }
-            Err(_) => break, // torn tail starts here
+    while good + RECORD_HEADER as u64 <= len {
+        let hdr = read_fully(f, good, RECORD_HEADER)?;
+        let total = RECORD_HEADER as u64 + u64::from(le_u32(&hdr, 0));
+        if good + total > len {
+            break;
         }
+        let record = read_fully(f, good, total as usize)?;
+        if le_u32(&record, 12) != record_crc(&record) {
+            break;
+        }
+        max_seq = max_seq.max(record_seq(&record));
+        good += total;
     }
-    Ok((pages, max_seq))
+    Ok((good, max_seq))
 }
 
 /// Reads exactly `n` bytes at `off`, looping over short reads. A read
@@ -358,103 +538,142 @@ mod tests {
         dir
     }
 
+    fn append(log: &mut SegmentLog, payloads: &[&[u8]]) -> Vec<RecordAddr> {
+        let mut batch = Batch::default();
+        for p in payloads {
+            batch.push(|buf| buf.extend_from_slice(p));
+        }
+        log.append(&FsIo, &mut batch).expect("append")
+    }
+
     #[test]
-    fn append_and_read_round_trip() {
+    fn a_batch_lands_packed_and_reads_back() {
         let dir = tmp_dir("rt");
-        let io = FsIo;
-        let mut w = SegmentWriter::open(&io, &dir).expect("open");
-        let small = b"just a little record".to_vec();
-        let big = vec![0xabu8; PAGE_SIZE * 3 + 100]; // spans 4 pages
-        let a1 = w.append(&io, &small).expect("append small");
-        let a2 = w.append(&io, &big).expect("append big");
-        assert_eq!(w.read_record(&io, &a1).expect("read"), small);
-        assert_eq!(w.read_record(&io, &a2).expect("read"), big);
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("open");
+        let big = vec![0xabu8; 10_000];
+        let addrs = append(&mut log, &[b"just a little record", &big, b""]);
+        assert_eq!(addrs[0].offset as usize, SEGMENT_HEADER);
+        assert_eq!(
+            addrs[1].offset as usize,
+            SEGMENT_HEADER + RECORD_HEADER + 20,
+            "records are packed back to back"
+        );
+        assert_eq!(
+            log.read(&FsIo, &addrs[0]).expect("read"),
+            b"just a little record"
+        );
+        assert_eq!(log.read(&FsIo, &addrs[1]).expect("read"), big);
+        assert_eq!(log.read(&FsIo, &addrs[2]).expect("read"), b"");
+        assert_eq!(
+            log.bytes_on_disk(),
+            (SEGMENT_HEADER + 3 * RECORD_HEADER + 20 + 10_000) as u64
+        );
+        assert_eq!(
+            log.live_bytes(),
+            log.bytes_on_disk() - SEGMENT_HEADER as u64
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reopen_positions_after_existing_records() {
         let dir = tmp_dir("reopen");
-        let io = FsIo;
-        let a1;
-        {
-            let mut w = SegmentWriter::open(&io, &dir).expect("open");
-            a1 = w.append(&io, b"first").expect("append");
-            w.sync().expect("sync");
-        }
-        let mut w = SegmentWriter::open(&io, &dir).expect("reopen");
-        let a2 = w.append(&io, b"second").expect("append");
-        assert!(a2.seq > a1.seq, "sequence resumes past recovered records");
-        assert_eq!(w.read_record(&io, &a1).expect("read"), b"first");
-        assert_eq!(w.read_record(&io, &a2).expect("read"), b"second");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let dir = tmp_dir("torn");
-        let io = FsIo;
-        let a1;
-        {
-            let mut w = SegmentWriter::open(&io, &dir).expect("open");
-            a1 = w.append(&io, b"good record").expect("append");
-            w.append(&io, b"doomed record").expect("append");
-            w.sync().expect("sync");
-        }
-        // Tear the last page: overwrite its second half with garbage.
-        let seg = segment_path(&dir, 0);
-        let mut bytes = fs::read(&seg).expect("read segment");
-        let torn_from = bytes.len() - PAGE_SIZE / 2;
-        for b in &mut bytes[torn_from..] {
-            *b = 0xff;
-        }
-        fs::write(&seg, &bytes).expect("write torn segment");
-
-        let mut w = SegmentWriter::open(&io, &dir).expect("recovering open");
-        assert_eq!(
-            w.read_record(&io, &a1).expect("survivor intact"),
-            b"good record"
-        );
-        let a3 = w.append(&io, b"after recovery").expect("append");
-        assert_eq!(a3.page, a1.page + 1, "writer reuses the truncated tail");
-        assert_eq!(w.read_record(&io, &a3).expect("read"), b"after recovery");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn segment_rolls_when_full() {
-        let dir = tmp_dir("roll");
-        let io = FsIo;
-        let mut w = SegmentWriter::open(&io, &dir).expect("open");
-        // Each record takes one page; fill past one segment.
-        let mut last = None;
-        for i in 0..u64::from(SEGMENT_PAGES) {
-            last = Some(w.append(&io, format!("r{i}").as_bytes()).expect("append"));
-        }
-        let last = last.expect("appended");
-        assert!(last.segment >= 1, "rolled to a second segment");
-        assert_eq!(
-            w.read_record(&io, &last).expect("read"),
-            format!("r{}", u64::from(SEGMENT_PAGES) - 1).as_bytes()
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn address_data_mismatch_is_corrupt() {
-        let dir = tmp_dir("mismatch");
-        let io = FsIo;
-        let mut w = SegmentWriter::open(&io, &dir).expect("open");
-        let a1 = w.append(&io, b"one").expect("append");
-        let _a2 = w.append(&io, b"two").expect("append");
-        let wrong = RecordAddr {
-            seq: a1.seq + 1,
-            ..a1
+        let a1 = {
+            let mut log = SegmentLog::open(&FsIo, &dir).expect("open");
+            let a = append(&mut log, &[b"first"]);
+            log.sync(&FsIo).expect("sync");
+            a[0]
         };
-        assert!(matches!(
-            w.read_record(&io, &wrong),
-            Err(StoreError::Corrupt(_))
-        ));
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("reopen");
+        let a2 = append(&mut log, &[b"second"])[0];
+        assert!(a2.seq > a1.seq, "sequence resumes past recovered records");
+        assert_eq!(a2.offset, a1.offset + RECORD_HEADER as u32 + 5);
+        assert_eq!(log.read(&FsIo, &a1).expect("read"), b"first");
+        assert_eq!(log.read(&FsIo, &a2).expect("read"), b"second");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segment_rolls_when_full_and_dead_segments_go_at_the_second_sync() {
+        let dir = tmp_dir("roll");
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("open");
+        let chunk = vec![7u8; 1 << 20];
+        let mut addrs = Vec::new();
+        for _ in 0..5 {
+            addrs.extend(append(&mut log, &[&chunk]));
+        }
+        let last = addrs[4];
+        assert_eq!(addrs[0].segment, 0);
+        assert!(last.segment >= 1, "rolled to a second segment");
+        assert_eq!(log.read(&FsIo, &last).expect("read"), chunk);
+        assert_eq!(
+            log.read(&FsIo, &addrs[0]).expect("read sealed"),
+            chunk,
+            "sealed segments stay readable"
+        );
+        let seg0 = segment_path(&dir, 0);
+        for a in addrs.iter().filter(|a| a.segment == 0) {
+            log.mark_dead(a);
+        }
+        log.sync(&FsIo).expect("sync");
+        assert!(
+            seg0.exists(),
+            "the image before this sync may still name it"
+        );
+        log.sync(&FsIo).expect("sync");
+        assert!(!seg0.exists(), "dead at two syncs running: removed");
+        assert_eq!(log.read(&FsIo, &last).expect("read"), chunk);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn adopting_an_index_drops_the_segments_it_does_not_name() {
+        let dir = tmp_dir("adopt");
+        let chunk = vec![1u8; 3 << 20];
+        let kept = {
+            let mut log = SegmentLog::open(&FsIo, &dir).expect("open");
+            append(&mut log, &[&chunk]);
+            let kept = append(&mut log, &[&chunk])[0];
+            append(&mut log, &[&chunk]);
+            kept
+        };
+        assert_eq!(kept.segment, 1);
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("reopen");
+        log.retain_only(&FsIo, std::iter::once(kept));
+        assert!(!segment_path(&dir, 0).exists());
+        assert!(segment_path(&dir, 1).exists());
+        assert!(segment_path(&dir, 2).exists(), "the active segment stays");
+        assert_eq!(log.read(&FsIo, &kept).expect("read"), chunk);
+        assert_eq!(log.live_bytes(), kept.disk_bytes());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_address_that_disagrees_with_the_record_is_corrupt() {
+        let dir = tmp_dir("mismatch");
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("open");
+        let a = append(&mut log, &[b"one", b"two"]);
+        for wrong in [
+            RecordAddr {
+                seq: a[0].seq + 1,
+                ..a[0]
+            },
+            RecordAddr { len: 2, ..a[0] },
+            RecordAddr {
+                offset: a[0].offset + 1,
+                ..a[0]
+            },
+            RecordAddr {
+                len: u32::MAX,
+                ..a[1]
+            },
+            RecordAddr { segment: 9, ..a[0] },
+        ] {
+            assert!(
+                matches!(log.read(&FsIo, &wrong), Err(StoreError::Corrupt(_))),
+                "{wrong:?}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,17 +1,17 @@
-//! The spill tier: cold record chains paged out behind the buffer pool.
+//! The spill tier: cold record chains appended to the segment log.
 //!
-//! [`SpillTier`] maps a [`Key`] to the durable [`RecordAddr`] of its
-//! serialized version chain. Writes go through [`SegmentWriter`] with a
-//! **verified write**: after appending, the record is read back through
-//! the CRC-validating path, so a torn or silently-short write is caught
-//! while the in-memory copy still exists and can be kept (counted
-//! fallback) instead of surfacing later as a wrong verdict. Reads fault
-//! whole records back in through the pin/unpin [`super::pool::BufferPool`].
+//! [`SpillTier`] turns version chains into log records
+//! ([`crate::wire::put_key_versions`]) and back. Which record lives at
+//! which [`RecordAddr`] is the caller's knowledge (the version store
+//! keeps one map for residency and addresses alike); the tier owns the
+//! bytes, the retry policy and the failure latch.
 //!
 //! Error discipline (the tentpole contract):
-//! * **write path** — transient errors retry under the tier's
-//!   [`RetryPolicy`]; persistent failure returns the error and the
-//!   caller keeps the record in memory (clean fallback, counted);
+//! * **write path** — a whole pass's records go out in one append that is
+//!   read back and compared ([`SegmentLog::append`]); transient errors
+//!   retry under the tier's [`RetryPolicy`]; persistent failure returns
+//!   the error and the caller keeps every record of the batch in memory
+//!   (clean fallback, counted);
 //! * **read path** — transient errors retry; CRC/corruption failures
 //!   poison the tier ([`StoreError::Poisoned`] thereafter), because a
 //!   record that cannot be faulted back in means full-coverage
@@ -19,21 +19,18 @@
 //!   typed fatal error, never guess.
 //!
 //! The tier is internally synchronized (one `TrackedMutex`), so the
-//! `VersionStore` can read spilled records through `&self` accessors.
+//! verifier can sync it through `&self`.
 
 use super::io::StoreIo;
-use super::page::PAGE_SIZE;
-use super::pool::BufferPool;
-use super::segment::{RecordAddr, SegmentWriter};
+use super::segment::{Batch, RecordAddr, SegmentLog};
 use super::{RetryPolicy, SpillSettings, StoreError, StoreResult};
-use crate::budget::MemUsage;
-use crate::fxhash::FxHashMap;
 use crate::lockwitness::TrackedMutex;
 use crate::obs;
 use crate::types::Key;
 use crate::verify::KeyVersions;
+use crate::wire::{decode_key_versions, put_key_versions};
 
-/// Spill-tier activity counters, for gauges, `--json` and tests.
+/// Spill-tier activity counters, for gauges and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Records written out to segments.
@@ -42,27 +39,52 @@ pub struct SpillStats {
     pub records_in: u64,
     /// Transient I/O retries performed.
     pub retries: u64,
-    /// Writes abandoned to the in-memory fallback after retries.
+    /// Batches abandoned to the in-memory fallback after retries.
     pub fallbacks: u64,
+    /// Encoded bytes of the records written out, headers excluded.
+    pub record_bytes_out: u64,
+    /// Bytes appended to segments: those records and their headers.
+    pub bytes_appended: u64,
     /// Bytes across all segment files.
     pub bytes_on_disk: u64,
-    /// Page-cache hits.
-    pub cache_hits: u64,
-    /// Page-cache misses.
-    pub cache_misses: u64,
+    /// Bytes on disk that belong to records not yet faulted back in.
+    pub live_bytes: u64,
+}
+
+impl SpillStats {
+    /// Bytes appended per byte of record spilled, in thousandths.
+    #[must_use]
+    pub fn write_amp_milli(&self) -> u64 {
+        self.bytes_appended * 1000 / self.record_bytes_out.max(1)
+    }
+
+    /// Share of the bytes on disk that is live records, in thousandths.
+    #[must_use]
+    pub fn live_ratio_milli(&self) -> u64 {
+        self.live_bytes * 1000 / self.bytes_on_disk.max(1)
+    }
 }
 
 #[derive(Debug)]
 struct TierInner {
     io: Box<dyn StoreIo>,
-    writer: SegmentWriter,
-    pool: BufferPool,
-    index: FxHashMap<Key, RecordAddr>,
+    log: SegmentLog,
+    /// The append buffer, reused from pass to pass.
+    batch: Batch,
     retry: RetryPolicy,
     stats: SpillStats,
     /// Set on the first unrecoverable read-path failure; every later
     /// operation fails fast with [`StoreError::Poisoned`].
     poison: Option<String>,
+}
+
+impl TierInner {
+    fn check_poison(&self) -> StoreResult<()> {
+        match &self.poison {
+            Some(p) => Err(StoreError::Poisoned(p.clone())),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A disk-backed store of spilled version chains. See the module docs.
@@ -89,14 +111,13 @@ impl SpillTier {
 
     /// Opens the tier over an injected [`StoreIo`] implementation.
     pub fn open_with(settings: &SpillSettings, io: Box<dyn StoreIo>) -> StoreResult<SpillTier> {
-        let writer = SegmentWriter::open(io.as_ref(), &settings.dir)?;
+        let log = SegmentLog::open(io.as_ref(), &settings.dir)?;
         Ok(SpillTier {
             inner: TrackedMutex::new(
                 "SpillTier.inner",
                 TierInner {
-                    writer,
-                    pool: BufferPool::new(settings.cache_pages),
-                    index: FxHashMap::default(),
+                    log,
+                    batch: Batch::default(),
                     retry: settings.retry,
                     stats: SpillStats::default(),
                     poison: None,
@@ -106,209 +127,140 @@ impl SpillTier {
         })
     }
 
-    /// Spills one record chain. On success the tier owns the only
-    /// durable copy and the caller may drop the in-memory one. On error
-    /// the caller **must** keep the record in memory (the error is the
-    /// fallback signal; it is already counted in
+    /// Spills `records` with one verified append and returns where each
+    /// landed, in order. On success the tier owns the only durable copy
+    /// and the caller may drop the in-memory ones. On error nothing was
+    /// kept and the caller **must** keep every record in memory (the
+    /// error is the fallback signal; it is already counted in
     /// [`SpillStats::fallbacks`]).
-    pub fn put(&self, record: &KeyVersions) -> StoreResult<RecordAddr> {
+    pub fn put_batch(&self, records: &[KeyVersions]) -> StoreResult<Vec<RecordAddr>> {
+        let n = records.len() as u64;
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        if let Some(p) = &inner.poison {
-            return Err(StoreError::Poisoned(p.clone()));
+        inner.check_poison()?;
+        inner.batch.clear();
+        for record in records {
+            inner.batch.push(|buf| put_key_versions(buf, record));
         }
-        let payload = serde_json::to_string(record)
-            .map_err(|e| StoreError::corrupt(format!("record serialization failed: {e}")))?
-            .into_bytes();
-        let retry = inner.retry;
-        let io = inner.io.as_ref();
-        let writer = &mut inner.writer;
-        let stats = &mut inner.stats;
+        let TierInner {
+            io,
+            log,
+            batch,
+            retry,
+            stats,
+            ..
+        } = inner;
         let result = retry.run(
             |_| {
                 stats.retries += 1;
                 obs::ctr(obs::Counter::SpillRetries, 1);
             },
-            || {
-                // lint: allow(L101): name-union call resolution conflates
-                // this with unrelated `append`/`run` functions elsewhere;
-                // SegmentWriter and RetryPolicy hold no lock of their own.
-                let addr = writer.append(io, &payload)?;
-                // Verified write: read back through the CRC path so a torn
-                // or silently-short append is caught here, while the
-                // in-memory copy still exists, not at fault-in time.
-                let back = writer.read_record(io, &addr)?;
-                if back != payload {
-                    return Err(StoreError::corrupt(format!(
-                        "read-back mismatch for record at segment {} page {}",
-                        addr.segment, addr.page
-                    )));
-                }
-                Ok(addr)
-            },
+            // lint: allow(L101): name-union call resolution conflates
+            // this with unrelated `append`/`run` functions elsewhere;
+            // SegmentLog and RetryPolicy hold no lock of their own (a
+            // `FaultIo` under them does, always taken after this one).
+            || log.append(io.as_ref(), batch),
         );
-        match result {
-            Ok(addr) => {
-                inner.index.insert(record.key, addr);
-                inner.stats.records_out += 1;
-                inner.stats.bytes_on_disk = inner.writer.bytes_on_disk();
-                obs::ctr(obs::Counter::SpillRecordsOut, 1);
-                obs::gauge_set(obs::Gauge::SpillBytes, inner.stats.bytes_on_disk);
-                Ok(addr)
+        match &result {
+            Ok(_) => {
+                stats.records_out += n;
+                stats.record_bytes_out += batch.payload_bytes() as u64;
+                stats.bytes_appended += batch.bytes() as u64;
+                obs::ctr(obs::Counter::SpillRecordsOut, n);
+            }
+            Err(_) => {
+                // Write-path failure is never fatal: the caller keeps the
+                // records in memory. A mismatching read-back of a fresh
+                // write is treated the same way — the disk copy is
+                // abandoned, the memory copy is authoritative.
+                stats.fallbacks += 1;
+                obs::ctr(obs::Counter::SpillFallbacks, 1);
+            }
+        }
+        result
+    }
+
+    /// Faults the record for `key` back in from `addr` and gives its
+    /// bytes up (the in-memory copy becomes authoritative again; the
+    /// disk bytes become garbage).
+    pub fn take(&self, key: Key, addr: &RecordAddr) -> StoreResult<KeyVersions> {
+        let mut inner = self.inner.lock();
+        let inner = &mut *inner;
+        inner.check_poison()?;
+        let TierInner {
+            io,
+            log,
+            retry,
+            stats,
+            ..
+        } = inner;
+        let read = retry.run(
+            |_| {
+                stats.retries += 1;
+                obs::ctr(obs::Counter::SpillRetries, 1);
+            },
+            || log.read(io.as_ref(), addr),
+        );
+        let record = read.and_then(|payload| {
+            let record = decode_key_versions(&payload)
+                .map_err(|e| StoreError::corrupt(format!("record failed to decode: {e}")))?;
+            if record.key == key {
+                Ok(record)
+            } else {
+                Err(StoreError::corrupt(format!(
+                    "the index points at a record for {:?}",
+                    record.key
+                )))
+            }
+        });
+        match record {
+            Ok(record) => {
+                inner.log.mark_dead(addr);
+                inner.stats.records_in += 1;
+                obs::ctr(obs::Counter::SpillRecordsIn, 1);
+                Ok(record)
             }
             Err(e) => {
-                // Write-path failure is never fatal: the caller keeps the
-                // record in memory. A corrupt *read-back* of a fresh write
-                // is treated the same way — the disk copy is abandoned,
-                // the memory copy is authoritative.
-                inner.stats.fallbacks += 1;
-                obs::ctr(obs::Counter::SpillFallbacks, 1);
+                // Unrecoverable read failure: full coverage is gone — a
+                // spilled record cannot be reconstructed. Poison so every
+                // caller sees a typed error instead of a partial store.
+                inner.poison = Some(format!("record for {key:?} unreadable: {e}"));
+                obs::ctr(obs::Counter::SpillIoErrors, 1);
                 Err(e)
             }
         }
     }
 
-    /// Faults the record for `key` back in, removing it from the tier's
-    /// index (the in-memory copy becomes authoritative again; the disk
-    /// pages become garbage). Returns `Ok(None)` when `key` is not
-    /// spilled.
-    pub fn take(&self, key: Key) -> StoreResult<Option<KeyVersions>> {
-        let record = self.read_inner(key, true)?;
-        if record.is_some() {
-            obs::ctr(obs::Counter::SpillRecordsIn, 1);
-        }
-        Ok(record)
-    }
-
-    /// Reads the record for `key` without removing it (checkpoint and
-    /// snapshot paths).
-    pub fn get(&self, key: Key) -> StoreResult<Option<KeyVersions>> {
-        self.read_inner(key, false)
-    }
-
-    fn read_inner(&self, key: Key, remove: bool) -> StoreResult<Option<KeyVersions>> {
+    /// Resume path: `live` are the records a checkpoint's spill index
+    /// names; whole segments it names nothing in are removed.
+    pub fn adopt_live(&self, live: impl Iterator<Item = RecordAddr>) {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        if let Some(p) = &inner.poison {
-            return Err(StoreError::Poisoned(p.clone()));
-        }
-        let Some(addr) = inner.index.get(&key).copied() else {
-            return Ok(None);
-        };
-        let retry = inner.retry;
-        let io = inner.io.as_ref();
-        let writer = &mut inner.writer;
-        let pool = &mut inner.pool;
-        let stats = &mut inner.stats;
-        let result = retry.run(
-            |_| {
-                stats.retries += 1;
-                obs::ctr(obs::Counter::SpillRetries, 1);
-            },
-            || read_via_pool(io, writer, pool, &addr),
-        );
-        let payload = match result {
-            Ok(p) => p,
-            Err(e) => {
-                // Unrecoverable read failure: full coverage is gone — a
-                // spilled record cannot be reconstructed. Poison so every
-                // caller sees a typed error instead of a partial store.
-                let msg = format!("record for {key:?} unreadable: {e}");
-                inner.poison = Some(msg.clone());
-                obs::ctr(obs::Counter::SpillIoErrors, 1);
-                return Err(e);
-            }
-        };
-        let text = std::str::from_utf8(&payload).map_err(|e| {
-            let msg = format!("record for {key:?} is not utf-8: {e}");
-            inner.poison = Some(msg.clone());
-            obs::ctr(obs::Counter::SpillIoErrors, 1);
-            StoreError::corrupt(msg)
-        })?;
-        let record: KeyVersions = match serde_json::from_str(text) {
-            Ok(r) => r,
-            Err(e) => {
-                let msg = format!("record for {key:?} failed to parse: {e}");
-                inner.poison = Some(msg.clone());
-                obs::ctr(obs::Counter::SpillIoErrors, 1);
-                return Err(StoreError::corrupt(msg));
-            }
-        };
-        if record.key != key {
-            let msg = format!("index points {key:?} at a record for {:?}", record.key);
-            inner.poison = Some(msg.clone());
-            obs::ctr(obs::Counter::SpillIoErrors, 1);
-            return Err(StoreError::corrupt(msg));
-        }
-        // lint: allow(L101): name-union conflates PagePool::stats with
-        // SpillTier::stats; the pool is plain data owned by this guard.
-        let hits_misses = inner.pool.stats();
-        inner.stats.cache_hits = hits_misses.hits;
-        inner.stats.cache_misses = hits_misses.misses;
-        if remove {
-            inner.index.remove(&key);
-            inner.stats.records_in += 1;
-            for i in 0..addr.parts {
-                inner.pool.invalidate((addr.segment, addr.page + i));
-            }
-        }
-        Ok(Some(record))
-    }
-
-    /// `true` when `key` is currently spilled.
-    #[must_use]
-    pub fn contains(&self, key: Key) -> bool {
-        self.inner.lock().index.contains_key(&key)
-    }
-
-    /// Number of spilled records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().index.len()
-    }
-
-    /// `true` when nothing is spilled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().index.is_empty()
-    }
-
-    /// The index as sorted plain data, for the incremental checkpoint.
-    #[must_use]
-    pub fn index_snapshot(&self) -> Vec<(Key, RecordAddr)> {
-        let inner = self.inner.lock();
-        let mut out: Vec<(Key, RecordAddr)> = inner.index.iter().map(|(&k, &a)| (k, a)).collect();
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Adopts a checkpointed index (resume path). Existing entries are
-    /// replaced wholesale.
-    pub fn adopt_index(&self, entries: &[(Key, RecordAddr)]) {
-        let mut inner = self.inner.lock();
-        inner.index = entries.iter().copied().collect();
+        inner.log.retain_only(inner.io.as_ref(), live);
     }
 
     /// Durably flushes the active segment, with retries. Called before
     /// a checkpoint is written so the image never references unsynced
-    /// pages.
+    /// records.
     pub fn sync(&self) -> StoreResult<()> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        if let Some(p) = &inner.poison {
-            return Err(StoreError::Poisoned(p.clone()));
-        }
-        let retry = inner.retry;
-        let writer = &mut inner.writer;
-        let stats = &mut inner.stats;
+        inner.check_poison()?;
+        let TierInner {
+            io,
+            log,
+            retry,
+            stats,
+            ..
+        } = inner;
         retry.run(
             |_| {
                 stats.retries += 1;
                 obs::ctr(obs::Counter::SpillRetries, 1);
             },
-            // lint: allow(L101): name-union conflates SegmentWriter::sync
-            // with SpillTier::sync itself; the writer holds no lock.
-            || writer.sync(),
+            // lint: allow(L101): name-union conflates SegmentLog::sync
+            // with SpillTier::sync itself; the log holds no lock.
+            || log.sync(io.as_ref()),
         )
     }
 
@@ -322,73 +274,18 @@ impl SpillTier {
     #[must_use]
     pub fn stats(&self) -> SpillStats {
         let inner = self.inner.lock();
-        let mut stats = inner.stats;
-        // lint: allow(L101): name-union conflates PagePool::stats with
-        // this very function; the pool is plain data owned by the guard.
-        let pool = inner.pool.stats();
-        stats.cache_hits = pool.hits;
-        stats.cache_misses = pool.misses;
-        stats.bytes_on_disk = inner.writer.bytes_on_disk();
-        stats
-    }
-
-    /// The tier's own memory footprint: cached pages plus index slots.
-    /// (The spilled record *contents* are exactly what the tier removed
-    /// from memory, so they are not counted.)
-    #[must_use]
-    pub fn mem_usage(&self) -> MemUsage {
-        let inner = self.inner.lock();
-        let pool_bytes = inner.pool.len() * PAGE_SIZE;
-        let index_bytes = inner.index.len() * (std::mem::size_of::<(Key, RecordAddr)>() + 16);
-        MemUsage {
-            bytes: (pool_bytes + index_bytes) as u64,
-            entries: 0,
+        SpillStats {
+            bytes_on_disk: inner.log.bytes_on_disk(),
+            live_bytes: inner.log.live_bytes(),
+            ..inner.stats
         }
     }
-}
-
-/// Reads a record part-by-part through the buffer pool.
-fn read_via_pool(
-    io: &dyn StoreIo,
-    writer: &mut SegmentWriter,
-    pool: &mut BufferPool,
-    addr: &RecordAddr,
-) -> StoreResult<Vec<u8>> {
-    // Fast path: whole-record read bypassing per-page caching when the
-    // record is a single page and cached.
-    let mut out = Vec::new();
-    for i in 0..addr.parts {
-        let key = (addr.segment, addr.page + i);
-        if let Some(page) = pool.pin(key) {
-            out.extend_from_slice(page.payload());
-            continue;
-        }
-        // Miss: read *this* page's record slice through the writer (which
-        // validates CRC + addressing), then cache the page payload.
-        let one = RecordAddr {
-            segment: addr.segment,
-            page: addr.page + i,
-            parts: 1,
-            seq: addr.seq,
-        };
-        // read_record validates part/parts stamped in the page header
-        // against the address; for a mid-record page those differ, so we
-        // read the raw page via a single-part address only when the
-        // record is single-part. Multi-part records read in one shot.
-        if addr.parts == 1 {
-            let payload = writer.read_record(io, &one)?;
-            let pinned = pool.insert_pinned(key, payload);
-            out.extend_from_slice(pinned.payload());
-        } else {
-            return writer.read_record(io, addr);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::io::{FaultIo, FaultSpec, FsIo};
+    use super::super::segment::{RECORD_HEADER, SEGMENT_HEADER};
     use super::*;
     use crate::interval::Interval;
     use crate::types::{Timestamp, TxnId, Value};
@@ -414,7 +311,7 @@ mod tests {
                     Timestamp(i as u64 * 10 + 3),
                 )),
                 writer_snapshot: Interval::new(Timestamp(0), Timestamp(1)),
-                readers: Vec::new(),
+                readers: vec![(TxnId(90 + i as u64), Interval::GENESIS)],
             })
             .collect();
         KeyVersions {
@@ -423,41 +320,60 @@ mod tests {
         }
     }
 
+    /// Bytes one `record(_, 1)` occupies in a segment.
+    fn one_record_bytes() -> u64 {
+        let mut payload = Vec::new();
+        put_key_versions(&mut payload, &record(1, 1));
+        (RECORD_HEADER + payload.len()) as u64
+    }
+
     fn settings(dir: &PathBuf) -> SpillSettings {
         SpillSettings {
             dir: dir.clone(),
-            cache_pages: 8,
             retry: RetryPolicy::none(),
             fault: super::super::io::FaultSpec::default(),
         }
+    }
+
+    fn put(tier: &SpillTier, rec: &KeyVersions) -> StoreResult<RecordAddr> {
+        tier.put_batch(std::slice::from_ref(rec)).map(|a| a[0])
     }
 
     #[test]
     fn put_take_round_trip() {
         let dir = tmp_dir("rt");
         let tier = SpillTier::open(&settings(&dir)).expect("open");
-        let rec = record(7, 5);
-        tier.put(&rec).expect("put");
-        assert!(tier.contains(Key(7)));
-        assert_eq!(tier.len(), 1);
-        let back = tier.take(Key(7)).expect("take").expect("present");
-        assert_eq!(back, rec);
-        assert!(!tier.contains(Key(7)), "take removes from index");
-        assert_eq!(tier.take(Key(7)).expect("ok"), None);
+        let recs = [record(7, 5), record(8, 0), record(9, 1)];
+        let addrs = tier.put_batch(&recs).expect("put");
+        assert_eq!(addrs.len(), 3);
+        assert!(tier.stats().live_bytes > 0);
+        for (rec, addr) in recs.iter().zip(&addrs).rev() {
+            assert_eq!(&tier.take(rec.key, addr).expect("take"), rec);
+        }
         let stats = tier.stats();
-        assert_eq!(stats.records_out, 1);
-        assert_eq!(stats.records_in, 1);
+        assert_eq!(stats.records_out, 3);
+        assert_eq!(stats.records_in, 3);
+        assert_eq!(stats.live_bytes, 0, "taken records are garbage");
+        assert_eq!(
+            stats.bytes_appended,
+            stats.record_bytes_out + 3 * RECORD_HEADER as u64
+        );
+        assert_eq!(
+            stats.bytes_on_disk,
+            stats.bytes_appended + SEGMENT_HEADER as u64
+        );
+        assert!((1000..2000).contains(&stats.write_amp_milli()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn get_does_not_remove() {
-        let dir = tmp_dir("get");
+    fn take_under_the_wrong_key_is_corrupt() {
+        let dir = tmp_dir("wrongkey");
         let tier = SpillTier::open(&settings(&dir)).expect("open");
-        let rec = record(3, 2);
-        tier.put(&rec).expect("put");
-        assert_eq!(tier.get(Key(3)).expect("get").expect("present"), rec);
-        assert!(tier.contains(Key(3)));
+        let addr = put(&tier, &record(3, 2)).expect("put");
+        let err = tier.take(Key(4), &addr).expect_err("index/data disagree");
+        assert!(matches!(err, StoreError::Corrupt(_)), "typed: {err}");
+        assert!(tier.poisoned().is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -467,21 +383,19 @@ mod tests {
         let io = FaultIo::new(
             FsIo,
             FaultSpec {
-                enospc_after_bytes: Some(PAGE_SIZE as u64 * 2), // header + 1 page
+                // segment header + one record
+                enospc_after_bytes: Some(SEGMENT_HEADER as u64 + one_record_bytes()),
                 ..FaultSpec::default()
             },
         );
         let tier = SpillTier::open_with(&settings(&dir), Box::new(io)).expect("open");
-        tier.put(&record(1, 1)).expect("first put fits");
-        let err = tier.put(&record(2, 1)).expect_err("second put hits ENOSPC");
+        let addr = put(&tier, &record(1, 1)).expect("first put fits");
+        let err = put(&tier, &record(2, 1)).expect_err("second put hits ENOSPC");
         assert!(matches!(err, StoreError::Io(_)), "typed i/o error: {err}");
         // The tier is NOT poisoned by a write failure: reads still work
         // and the caller keeps record 2 in memory.
         assert!(tier.poisoned().is_none());
-        assert_eq!(
-            tier.take(Key(1)).expect("take").expect("present"),
-            record(1, 1)
-        );
+        assert_eq!(tier.take(Key(1), &addr).expect("take"), record(1, 1));
         assert_eq!(tier.stats().fallbacks, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -491,10 +405,11 @@ mod tests {
         let dir = tmp_dir("torn");
         // Lay the segment down cleanly first so reopening under the
         // always-torn spec does not fail at the header write.
-        SpillTier::open(&settings(&dir))
-            .expect("clean open")
-            .put(&record(0, 1))
-            .expect("clean put");
+        put(
+            &SpillTier::open(&settings(&dir)).expect("clean open"),
+            &record(0, 1),
+        )
+        .expect("clean put");
         let io = FaultIo::new(
             FsIo,
             FaultSpec {
@@ -504,9 +419,7 @@ mod tests {
             },
         );
         let tier = SpillTier::open_with(&settings(&dir), Box::new(io)).expect("open");
-        let err = tier
-            .put(&record(1, 1))
-            .expect_err("torn write must not succeed");
+        let err = put(&tier, &record(1, 1)).expect_err("torn write must not succeed");
         assert!(
             matches!(err, StoreError::Io(_) | StoreError::Corrupt(_)),
             "typed error: {err}"
@@ -537,14 +450,13 @@ mod tests {
             seed: 1,
         };
         let tier = SpillTier::open_with(&s, Box::new(io)).expect("open");
-        for k in 0..20u64 {
-            tier.put(&record(k, 3))
-                .expect("retries absorb short writes");
-        }
-        for k in 0..20u64 {
+        let addrs: Vec<RecordAddr> = (0..20u64)
+            .map(|k| put(&tier, &record(k, 3)).expect("retries absorb short writes"))
+            .collect();
+        for (k, addr) in addrs.iter().enumerate() {
             assert_eq!(
-                tier.take(Key(k)).expect("take").expect("present"),
-                record(k, 3)
+                tier.take(Key(k as u64), addr).expect("take"),
+                record(k as u64, 3)
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -554,15 +466,17 @@ mod tests {
     fn corrupt_page_poisons_reads() {
         let dir = tmp_dir("poison");
         let tier = SpillTier::open(&settings(&dir)).expect("open");
-        tier.put(&record(5, 1)).expect("put");
+        let addr = put(&tier, &record(5, 1)).expect("put");
         tier.sync().expect("sync");
-        // Corrupt the record's page on disk behind the tier's back.
+        // Corrupt the record on disk behind the tier's back.
         let seg = dir.join("seg-00000000.lps");
         let mut bytes = std::fs::read(&seg).expect("read");
-        let off = PAGE_SIZE + 100; // inside the first record page
+        let off = SEGMENT_HEADER + RECORD_HEADER + 3; // inside the first record
         bytes[off] ^= 0xff;
         std::fs::write(&seg, &bytes).expect("write");
-        let err = tier.take(Key(5)).expect_err("corruption must surface");
+        let err = tier
+            .take(Key(5), &addr)
+            .expect_err("corruption must surface");
         assert!(matches!(err, StoreError::Corrupt(_)), "typed: {err}");
         assert!(
             tier.poisoned().is_some(),
@@ -570,33 +484,27 @@ mod tests {
         );
         // Every later operation fails fast with the poison.
         assert!(matches!(
-            tier.put(&record(6, 1)),
+            put(&tier, &record(6, 1)),
             Err(StoreError::Poisoned(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn index_snapshot_round_trips_through_adopt() {
+    fn addresses_survive_a_reopen() {
         let dir = tmp_dir("index");
         let tier = SpillTier::open(&settings(&dir)).expect("open");
-        for k in [9u64, 2, 5] {
-            tier.put(&record(k, 2)).expect("put");
-        }
+        let recs = [record(9, 2), record(2, 2), record(5, 2)];
+        let addrs = tier.put_batch(&recs).expect("put");
         tier.sync().expect("sync");
-        let snap = tier.index_snapshot();
-        assert_eq!(snap.len(), 3);
-        assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "sorted by key");
         drop(tier);
-        // Re-open (as resume would) and adopt the index.
+        // Re-open (as resume would) and adopt the checkpointed addresses.
         let tier = SpillTier::open(&settings(&dir)).expect("re-open");
-        assert_eq!(tier.len(), 0);
-        tier.adopt_index(&snap);
-        for k in [2u64, 5, 9] {
-            assert_eq!(
-                tier.take(Key(k)).expect("take").expect("present"),
-                record(k, 2)
-            );
+        assert_eq!(tier.stats().live_bytes, 0);
+        tier.adopt_live(addrs.iter().copied());
+        assert!(tier.stats().live_bytes > 0);
+        for (rec, addr) in recs.iter().zip(&addrs) {
+            assert_eq!(&tier.take(rec.key, addr).expect("take"), rec);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

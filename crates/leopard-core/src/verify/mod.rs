@@ -30,6 +30,7 @@ pub use version_store::{
 use crate::budget::{BudgetCounters, MemBudget, MemUsage};
 use crate::catalog::{IsolationLevel, MechanismSet, SnapshotLevel};
 use crate::checkpoint::{Checkpoint, CheckpointError, PendingReadSnap, CHECKPOINT_VERSION};
+use crate::fxhash::FxHashSet;
 use crate::interval::{resolve_exclusive_pair, Interval, PairOrder};
 use crate::obs;
 use crate::preflight::QuarantineGate;
@@ -316,6 +317,15 @@ pub struct Verifier {
     /// reads (already-spilled records must remain reachable) but no
     /// further spill passes run — the counted in-memory fallback.
     spill_writes_enabled: bool,
+    /// The usage above which the ladder's relief rungs (forced GC, spill
+    /// pass) run: the budget itself until a relief ends close to or above
+    /// it, then that level plus an eighth of the budget, so a floor the
+    /// rungs cannot lower is not fought again on every trace; back at the
+    /// budget once a periodic GC leaves usage under it. Part of the
+    /// checkpoint image, like everything else the ladder decides by.
+    armed: MemBudget,
+    /// The floor-above-budget warning went to stderr already.
+    floor_warned: bool,
 }
 
 impl Verifier {
@@ -323,7 +333,6 @@ impl Verifier {
     #[must_use]
     pub fn new(cfg: VerifierConfig) -> Verifier {
         Verifier {
-            cfg,
             txns: TxnTable::default(),
             versions: VersionStore::default(),
             locks: LockTable::default(),
@@ -338,6 +347,9 @@ impl Verifier {
             scratch_lock_checks: Vec::new(),
             store_fault: None,
             spill_writes_enabled: true,
+            armed: cfg.mem_budget,
+            floor_warned: false,
+            cfg,
         }
     }
 
@@ -448,24 +460,57 @@ impl Verifier {
         obs::ctr(obs::Counter::OpsIngested, 1);
         if self.cfg.gc && self.counters.traces.is_multiple_of(self.cfg.gc_every) {
             self.collect_garbage();
+            if !self.cfg.mem_budget.exceeded_by(self.mem_usage()) {
+                // Back under the budget: whatever floor the last relief
+                // ran into is gone, and the next one is due at the budget.
+                self.armed = self.cfg.mem_budget;
+            }
         }
-        // Budget governance, rung 1: all the count accessors behind
-        // `mem_usage` are O(1), so re-checking after every trace is cheap.
-        // The high-water mark is observed *after* enforcement: it measures
+        // Budget governance: all the count accessors behind `mem_usage`
+        // are O(1), so re-checking after every trace is cheap. The
+        // high-water mark is observed *after* enforcement: it measures
         // the governed steady-state footprint, not the transient spike a
         // forced GC exists to remove.
         let mut usage = self.mem_usage();
-        if self.cfg.mem_budget.exceeded_by(usage) {
-            self.force_gc();
-            usage = self.mem_usage();
+        if self.armed.exceeded_by(usage) {
+            usage = self.relieve();
         }
-        // Rung 1.5: page cold chains to disk before any rung that costs
-        // coverage gets a chance to run.
-        if self.cfg.mem_budget.exceeded_by(usage) && self.can_spill() {
+        self.counters.budget.observe(usage);
+    }
+
+    /// Rungs 1 and 1.5 of the overload ladder: a forced GC and, if the
+    /// budget is still exceeded and a tier takes writes, a spill pass —
+    /// cold chains go to disk before any rung that costs coverage gets a
+    /// chance to run. Re-arms an eighth of the budget above where it
+    /// ends, or at the budget if that is higher. Returns the usage left.
+    fn relieve(&mut self) -> MemUsage {
+        self.force_gc();
+        let mut usage = self.mem_usage();
+        let cap = self.cfg.mem_budget;
+        if cap.exceeded_by(usage) && self.can_spill() {
             self.spill_pass();
             usage = self.mem_usage();
         }
-        self.counters.budget.observe(usage);
+        if cap.exceeded_by(usage) {
+            // What is left cannot be collected or spilled. Not a coverage
+            // event: the verdict is exactly the unconstrained one.
+            obs::ctr(obs::Counter::BudgetFloorExceeded, 1);
+            if !self.floor_warned {
+                self.floor_warned = true;
+                eprintln!(
+                    "leopard: warning: memory floor above budget: {} bytes / {} entries of \
+                     verifier state can be neither collected nor spilled (budget {} bytes / \
+                     {} entries, 0 = unlimited)",
+                    usage.bytes, usage.entries, cap.max_bytes, cap.max_entries
+                );
+            }
+        }
+        let rearm = |cap: u64, left: u64| if cap == 0 { 0 } else { cap.max(left + cap / 8) };
+        self.armed = MemBudget {
+            max_bytes: rearm(cap.max_bytes, usage.bytes),
+            max_entries: rearm(cap.max_entries, usage.entries),
+        };
+        usage
     }
 
     /// Forces a garbage-collection pass immediately, off the periodic
@@ -496,19 +541,38 @@ impl Verifier {
 
     /// Runs one spill pass — rung 1.5 of the overload ladder, between
     /// forced GC and forced dispatch: cold fully-committed version
-    /// chains page out to the spill tier until estimated usage drops to
-    /// 3/4 of the byte budget. Write failures are *never* fatal: the
-    /// records stay resident, the pass is abandoned, further passes are
-    /// disabled, and the fallback is counted — the ladder then proceeds
-    /// exactly as it would without a spill tier.
+    /// chains no open transaction will come back to page out to the
+    /// spill tier, coldest first, until estimated usage drops to half
+    /// the byte budget — well below it, so the pass pays for a long run
+    /// of traces, not for the next one. Write failures are *never*
+    /// fatal: the records stay resident, the pass is abandoned, further
+    /// passes are disabled, and the fallback is counted — the ladder
+    /// then proceeds exactly as it would without a spill tier.
     pub fn spill_pass(&mut self) {
-        let target = self.spill_target_bytes();
         let t0 = obs::span_start();
-        match self.versions.spill_cold(target) {
-            Ok(n) => {
-                self.counters.budget.spill_passes += 1;
-                self.counters.budget.spilled_records += n as u64;
+        // A record an open transaction wrote or matched a read against,
+        // or a deferred check names, is faulted back in when that
+        // transaction ends or the check comes due: spilling it buys
+        // nothing.
+        let pinned: FxHashSet<Key> = self
+            .txns
+            .open_keys()
+            .chain(self.pending_reads.iter().map(|Reverse(p)| p.key))
+            .collect();
+        // With no byte cap configured the pass is a no-op (entry caps
+        // alone cannot be relieved by spilling, and the ladder's other
+        // rungs handle them as before).
+        let target = match self.cfg.mem_budget.max_bytes {
+            0 => u64::MAX,
+            cap => {
+                let elsewhere = self.mem_usage().bytes - self.versions.mem_usage().bytes;
+                (cap / 2).saturating_sub(elsewhere)
             }
+        };
+        let (spilled, wrote) = self.versions.spill_cold(target, &pinned);
+        self.counters.budget.spilled_records += spilled as u64;
+        match wrote {
+            Ok(()) => self.counters.budget.spill_passes += 1,
             Err(e) => {
                 self.counters.budget.spill_fallbacks += 1;
                 self.spill_writes_enabled = false;
@@ -522,21 +586,10 @@ impl Verifier {
             obs::hist(obs::HistId::SpillPassUs, dur);
         }
         if let Some(tier) = self.versions.spill_tier() {
-            obs::gauge_set(obs::Gauge::SpillBytes, tier.stats().bytes_on_disk);
-        }
-    }
-
-    /// The byte level a spill pass drains to: 3/4 of the byte budget,
-    /// leaving headroom so the very next trace does not re-trigger the
-    /// ladder. With no byte cap configured the pass is a no-op (entry
-    /// caps alone cannot be relieved by spilling page-cache-sized
-    /// amounts, and the ladder's other rungs handle them as before).
-    fn spill_target_bytes(&self) -> u64 {
-        let cap = self.cfg.mem_budget.max_bytes;
-        if cap == 0 {
-            u64::MAX
-        } else {
-            cap / 4 * 3
+            let stats = tier.stats();
+            obs::gauge_set(obs::Gauge::SpillBytes, stats.bytes_on_disk);
+            obs::gauge_set(obs::Gauge::SpillWriteAmp, stats.write_amp_milli());
+            obs::gauge_set(obs::Gauge::SpillLiveRatio, stats.live_ratio_milli());
         }
     }
 
@@ -779,6 +832,7 @@ impl Verifier {
             report: self.report.clone(),
             coverage: self.coverage.clone(),
             spill: self.versions.spill_index(),
+            armed: self.armed,
         }
     }
 
@@ -836,6 +890,8 @@ impl Verifier {
                 ))
             }),
             spill_writes_enabled: true,
+            armed: ckpt.armed,
+            floor_warned: false,
         })
     }
 

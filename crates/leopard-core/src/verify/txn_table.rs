@@ -190,6 +190,22 @@ impl TxnTable {
         before - self.txns.len()
     }
 
+    /// The keys a transaction with no terminal trace yet is certain to
+    /// touch again when it ends: its writes (committed or discarded
+    /// there) and its matched reads (their dependencies are emitted
+    /// there).
+    pub fn open_keys(&self) -> impl Iterator<Item = Key> + '_ {
+        self.txns
+            .values()
+            .filter(|info| info.outcome.is_none())
+            .flat_map(|info| {
+                info.write_keys
+                    .iter()
+                    .copied()
+                    .chain(info.matched_reads.iter().map(|m| m.key))
+            })
+    }
+
     /// Transactions with no terminal trace yet, sorted by id — the
     /// indeterminate set reported under degraded coverage.
     #[must_use]

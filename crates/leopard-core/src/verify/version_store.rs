@@ -82,6 +82,24 @@ impl RecordVersions {
         &self.entries
     }
 
+    /// The latest trace time the chain records: an install, a commit or
+    /// a matched read of any version. The spill pass takes its victims in
+    /// this order, oldest first; it is a function of the chain alone —
+    /// trace time, never wall clock, no side table of access stamps — so
+    /// the order is reproducible from a checkpoint image.
+    fn last_touch(&self) -> Timestamp {
+        self.entries
+            .iter()
+            .map(|e| {
+                let written = e
+                    .visibility
+                    .map_or(e.install.hi, |v| v.hi.max(e.install.hi));
+                e.readers.last().map_or(written, |(_, r)| written.max(r.hi))
+            })
+            .max()
+            .unwrap_or(Timestamp::ZERO)
+    }
+
     fn insert_sorted(&mut self, entry: VersionEntry) {
         // The stream is dispatched in ts_bef order, so installs almost
         // always append; fall back to insertion sort for stragglers.
@@ -245,13 +263,35 @@ pub struct VersionStore {
     dirty: FxHashSet<Key>,
     /// Disk-backed tier for cold records; `None` = everything resident.
     spill: Option<SpillTier>,
-    /// Version counts of spilled records, so `total` (which includes
-    /// spilled versions — the verification footprint is unchanged by
-    /// *where* a version lives) stays exact without disk reads.
-    spilled_counts: FxHashMap<Key, usize>,
-    /// Sum of `spilled_counts` values, maintained incrementally.
+    /// Records paged out: where each chain lives, and how many versions
+    /// it holds so that `total` (which includes spilled versions — the
+    /// verification footprint is unchanged by *where* a version lives)
+    /// stays exact without disk reads.
+    spilled: FxHashMap<Key, Spilled>,
+    /// Sum of the spilled version counts, maintained incrementally.
     spilled_total: usize,
 }
+
+/// One paged-out chain.
+#[derive(Debug, Clone, Copy)]
+struct Spilled {
+    addr: RecordAddr,
+    versions: usize,
+}
+
+/// Estimated memory of one resident version and one resident record
+/// (inline size plus a flat allowance for the reader list and the map
+/// slot), and of one spilled record's slot in the residency map.
+const VERSION_BYTES: usize = std::mem::size_of::<VersionEntry>() + 32;
+const RECORD_BYTES: usize = std::mem::size_of::<RecordVersions>() + 48;
+const SPILLED_BYTES: usize = std::mem::size_of::<(Key, Spilled)>() + 16;
+
+/// Resident bytes a spill pass hands the tier per append: bounds the
+/// tier's write buffer (the encoding is smaller than the chain it
+/// encodes unless reader lists are long) and what a pass holds outside
+/// the map while an append is verified. A typical pass is one append;
+/// at four times this the process's peak RSS was measurably higher.
+const SPILL_BATCH_BYTES: usize = 16 * 1024;
 
 impl VersionStore {
     /// Installs the initial (pre-workload) version of `key`.
@@ -575,20 +615,15 @@ impl VersionStore {
     /// every record at its map-slot overhead.
     #[must_use]
     pub fn mem_usage(&self) -> crate::budget::MemUsage {
-        let per_version = std::mem::size_of::<VersionEntry>() + 32;
-        let per_record = std::mem::size_of::<RecordVersions>() + 48;
         // Spilled versions cost disk, not memory: count residents only,
-        // plus the tier's own footprint (page cache + index).
+        // plus what remembering where the others went costs.
         let resident = self.total - self.spilled_total;
-        let mut usage = crate::budget::MemUsage::per_entry(resident, per_version)
+        crate::budget::MemUsage::per_entry(resident, VERSION_BYTES)
             + crate::budget::MemUsage {
-                bytes: (self.records.len() * per_record) as u64,
+                bytes: (self.records.len() * RECORD_BYTES + self.spilled.len() * SPILLED_BYTES)
+                    as u64,
                 entries: 0,
-            };
-        if let Some(tier) = &self.spill {
-            usage = usage + tier.mem_usage();
-        }
-        usage
+            }
     }
 
     /// Total number of mirrored versions (footprint metric), O(1).
@@ -602,7 +637,7 @@ impl VersionStore {
     /// lives).
     #[must_use]
     pub fn record_count(&self) -> usize {
-        self.records.len() + self.spilled_counts.len()
+        self.records.len() + self.spilled.len()
     }
 
     fn fresh_uid(&mut self) -> VersionUid {
@@ -666,7 +701,7 @@ impl VersionStore {
             total,
             dirty,
             spill: None,
-            spilled_counts: FxHashMap::default(),
+            spilled: FxHashMap::default(),
             spilled_total: 0,
         }
     }
@@ -689,16 +724,10 @@ impl VersionStore {
         self.spill.as_ref()
     }
 
-    /// Number of records currently paged out.
-    #[must_use]
-    pub fn spilled_records(&self) -> usize {
-        self.spilled_counts.len()
-    }
-
     /// `true` when `key`'s chain is currently paged out.
     #[must_use]
     pub fn is_spilled(&self, key: Key) -> bool {
-        self.spilled_counts.contains_key(&key)
+        self.spilled.contains_key(&key)
     }
 
     /// Debug-build safety net: key-access methods must only see resident
@@ -719,19 +748,13 @@ impl VersionStore {
     /// trajectory (and therefore the verdict) is byte-identical to an
     /// unconstrained in-memory run.
     pub fn ensure_resident(&mut self, key: Key) -> StoreResult<bool> {
-        if !self.spilled_counts.contains_key(&key) {
+        let Some(spilled) = self.spilled.get(&key) else {
             return Ok(false);
-        }
-        let tier = self.spill.as_ref().expect("spilled keys imply a tier"); // lint: allow(L001): spilled_counts is non-empty only while a tier is attached
-        let Some(snap) = tier.take(key)? else {
-            // Index said spilled but the tier lost it: accounting bug or
-            // external tampering; surface as corruption, never guess.
-            return Err(crate::store::StoreError::corrupt(format!(
-                "record {key:?} in spill accounting but absent from tier"
-            )));
         };
-        let n = self.spilled_counts.remove(&key).unwrap_or(0);
-        self.spilled_total -= n;
+        let tier = self.spill.as_ref().expect("spilled keys imply a tier"); // lint: allow(L001): `spilled` is non-empty only while a tier is attached
+        let snap = tier.take(key, &spilled.addr)?;
+        self.spilled_total -= spilled.versions;
+        self.spilled.remove(&key);
         self.records.insert(
             key,
             RecordVersions {
@@ -741,66 +764,98 @@ impl VersionStore {
         Ok(true)
     }
 
-    /// Pages cold records out until estimated resident usage drops to
-    /// `target_bytes` (or no candidates remain). Cold = not touched since
-    /// the last prune (not dirty) and fully committed (no pending
-    /// version). Candidates are spilled in sorted key order so the pass
-    /// is deterministic. Returns the number of records spilled.
+    /// Pages cold records out, coldest first (by the latest trace time
+    /// the chain records, ties by key), until the store's
+    /// own estimated usage drops to `target_bytes` or no candidate
+    /// remains. A candidate is fully committed (no pending version), not
+    /// touched since the last prune (not dirty) and not in `pinned` — the
+    /// keys some open transaction is certain to come back to. Returns
+    /// the number of records spilled.
     ///
-    /// On a tier write error the pass stops and the error is returned;
-    /// the record that failed stays resident (the in-memory copy is
-    /// always authoritative until a verified write succeeds), so the
-    /// caller can count the fallback and keep verifying.
-    pub fn spill_cold(&mut self, target_bytes: u64) -> StoreResult<usize> {
+    /// The victims go to the tier a batch at a time. On a tier write
+    /// error the pass stops and the error is returned next to the count;
+    /// the batch that failed stays resident (the in-memory copy is always
+    /// authoritative until a verified write succeeds), so the caller can
+    /// count the fallback and keep verifying.
+    pub fn spill_cold(
+        &mut self,
+        target_bytes: u64,
+        pinned: &FxHashSet<Key>,
+    ) -> (usize, StoreResult<()>) {
         if self.spill.is_none() {
-            return Ok(0);
+            return (0, Ok(()));
         }
-        let mut candidates: Vec<Key> = self
+        let mut usage = self.mem_usage().bytes;
+        let mut victims: Vec<(Timestamp, Key)> = self
             .records
             .iter()
             .filter(|(k, rec)| {
                 !self.dirty.contains(*k)
+                    && !pinned.contains(*k)
                     && !rec.entries.is_empty()
                     && rec.entries.iter().all(|e| e.visibility.is_some())
             })
-            .map(|(&k, _)| k)
+            .map(|(&k, rec)| (rec.last_touch(), k))
             .collect();
-        candidates.sort_unstable();
+        victims.sort_unstable();
         let mut spilled = 0usize;
-        for key in candidates {
-            if self.mem_usage().bytes <= target_bytes {
+        let mut batch: Vec<KeyVersions> = Vec::new();
+        let mut batch_bytes = 0usize;
+        for (_, key) in victims {
+            if usage <= target_bytes {
                 break;
             }
-            let rec = self.records.get(&key).expect("candidate is resident"); // lint: allow(L001): candidates are drawn from `records` under the same borrow
-            let snap = KeyVersions {
-                key,
-                entries: rec.entries.clone(),
+            let Some(rec) = self.records.remove(&key) else {
+                continue;
             };
-            let tier = self.spill.as_ref().expect("checked above"); // lint: allow(L001): guarded by the can_spill() gate on entry
-            tier.put(&snap)?;
-            let n = snap.entries.len();
-            self.records.remove(&key);
-            self.spilled_counts.insert(key, n);
-            self.spilled_total += n;
-            spilled += 1;
+            let resident = rec.entries.len() * VERSION_BYTES + RECORD_BYTES;
+            usage = usage.saturating_sub(resident.saturating_sub(SPILLED_BYTES) as u64);
+            batch_bytes += resident;
+            batch.push(KeyVersions {
+                key,
+                entries: rec.entries,
+            });
+            if batch_bytes >= SPILL_BATCH_BYTES {
+                if let Err(e) = self.spill_batch(&mut batch) {
+                    return (spilled, Err(e));
+                }
+                spilled += batch.len();
+                batch.clear();
+                batch_bytes = 0;
+            }
         }
-        Ok(spilled)
+        let last = self.spill_batch(&mut batch);
+        (spilled + batch.len(), last)
     }
 
-    /// Detaches and drops the spill tier after faulting **every** spilled
-    /// record back in (finish-time path: verdict assembly walks the whole
-    /// store). Errors propagate before any state is lost.
-    pub fn unspill_all(&mut self) -> StoreResult<usize> {
-        let keys: Vec<Key> = {
-            let mut k: Vec<Key> = self.spilled_counts.keys().copied().collect();
-            k.sort_unstable();
-            k
+    /// Hands `batch` (records already taken out of `records`) to the
+    /// tier and files their addresses; on failure puts them back and
+    /// leaves the batch empty.
+    fn spill_batch(&mut self, batch: &mut Vec<KeyVersions>) -> StoreResult<()> {
+        let Some(tier) = self.spill.as_ref().filter(|_| !batch.is_empty()) else {
+            return Ok(());
         };
-        let n = keys.len();
-        for key in keys {
-            self.ensure_resident(key)?;
+        match tier.put_batch(batch) {
+            Ok(addrs) => {
+                for (snap, addr) in batch.iter().zip(addrs) {
+                    let versions = snap.entries.len();
+                    self.spilled.insert(snap.key, Spilled { addr, versions });
+                    self.spilled_total += versions;
+                }
+                Ok(())
+            }
+            Err(e) => {
+                for snap in batch.drain(..) {
+                    self.records.insert(
+                        snap.key,
+                        RecordVersions {
+                            entries: snap.entries,
+                        },
+                    );
+                }
+                Err(e)
+            }
         }
-        Ok(n)
     }
 
     /// The spill index as plain data for the incremental checkpoint:
@@ -808,31 +863,38 @@ impl VersionStore {
     /// Sorted by key (byte-stable).
     #[must_use]
     pub fn spill_index(&self) -> Vec<SpillIndexEntry> {
-        let Some(tier) = &self.spill else {
-            return Vec::new();
-        };
-        tier.index_snapshot()
-            .into_iter()
-            .map(|(key, addr)| SpillIndexEntry {
+        let mut index: Vec<SpillIndexEntry> = self
+            .spilled
+            .iter()
+            .map(|(&key, s)| SpillIndexEntry {
                 key,
-                versions: self.spilled_counts.get(&key).copied().unwrap_or(0) as u64,
-                addr,
+                versions: s.versions as u64,
+                addr: s.addr,
             })
-            .collect()
+            .collect();
+        index.sort_unstable_by_key(|e| e.key);
+        index
     }
 
     /// Resume path: attaches `tier` and adopts a checkpointed spill
     /// index. The spilled versions are added back into the footprint
     /// totals without reading the records.
     pub fn adopt_spill(&mut self, tier: SpillTier, index: &[SpillIndexEntry]) {
-        tier.adopt_index(
-            &index
-                .iter()
-                .map(|e| (e.key, e.addr))
-                .collect::<Vec<(Key, RecordAddr)>>(),
-        );
-        self.spilled_counts = index.iter().map(|e| (e.key, e.versions as usize)).collect();
-        self.spilled_total = index.iter().map(|e| e.versions as usize).sum();
+        tier.adopt_live(index.iter().map(|e| e.addr));
+        self.spilled = index
+            .iter()
+            .map(|e| {
+                let versions = e.versions as usize;
+                (
+                    e.key,
+                    Spilled {
+                        addr: e.addr,
+                        versions,
+                    },
+                )
+            })
+            .collect();
+        self.spilled_total = self.spilled.values().map(|s| s.versions).sum();
         self.total += self.spilled_total;
         self.spill = Some(tier);
     }

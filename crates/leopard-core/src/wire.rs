@@ -29,6 +29,7 @@ use crate::catalog::IsolationLevel;
 use crate::interval::Interval;
 use crate::trace::{OpKind, Trace};
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value};
+use crate::verify::{KeyVersions, VersionEntry, VersionUid};
 use std::fmt;
 use std::hash::Hasher as _;
 use std::io::{Read, Write};
@@ -84,6 +85,8 @@ pub enum WireError {
     UnknownLevel(u8),
     /// A reject frame carried an unassigned reason byte.
     UnknownReason(u8),
+    /// A version-chain record carried a visibility flag other than 0/1.
+    UnknownFlag(u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
     /// The payload had bytes left over after the frame was fully parsed
@@ -111,6 +114,7 @@ impl fmt::Display for WireError {
             WireError::UnknownOp(t) => write!(f, "unknown trace operation tag {t}"),
             WireError::UnknownLevel(l) => write!(f, "unknown isolation-level byte {l}"),
             WireError::UnknownReason(r) => write!(f, "unknown reject-reason byte {r}"),
+            WireError::UnknownFlag(b) => write!(f, "unknown visibility flag {b}"),
             WireError::BadUtf8 => f.write_str("string field is not valid utf-8"),
             WireError::Trailing { extra } => {
                 write!(f, "{extra} trailing bytes after frame payload")
@@ -274,6 +278,12 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// Appends `iv` as `varint(lo) ‖ varint(zigzag(hi - lo))`.
+fn put_interval(out: &mut Vec<u8>, iv: &Interval) {
+    put_varint(out, iv.lo.0);
+    put_varint(out, zigzag(iv.hi.0.wrapping_sub(iv.lo.0) as i64));
+}
+
 /// A bounds-checked cursor over one frame payload.
 struct Cur<'a> {
     buf: &'a [u8],
@@ -306,6 +316,18 @@ impl<'a> Cur<'a> {
             }
         }
         Err(WireError::VarintOverflow)
+    }
+
+    fn interval(&mut self) -> Result<Interval, WireError> {
+        let lo = self.varint()?;
+        let hi = lo.wrapping_add(unzigzag(self.varint()?) as u64);
+        // Not Interval::new: that would silently swap inverted bounds,
+        // and the verifier must see the ill-formedness exactly as the
+        // client sent it.
+        Ok(Interval {
+            lo: Timestamp(lo),
+            hi: Timestamp(hi),
+        })
     }
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -406,10 +428,7 @@ impl Frame {
                 put_varint(&mut out, tf.seq);
                 put_varint(&mut out, u64::from(tf.trace.client.0));
                 put_varint(&mut out, tf.trace.txn.0);
-                let lo = tf.trace.interval.lo.0;
-                let hi = tf.trace.interval.hi.0;
-                put_varint(&mut out, lo);
-                put_varint(&mut out, zigzag(hi.wrapping_sub(lo) as i64));
+                put_interval(&mut out, &tf.trace.interval);
                 match &tf.trace.op {
                     OpKind::Read(set) => {
                         out.push(0);
@@ -489,8 +508,7 @@ impl Frame {
                 let seq = cur.varint()?;
                 let client = cur.varint()?;
                 let txn = cur.varint()?;
-                let lo = cur.varint()?;
-                let hi = lo.wrapping_add(unzigzag(cur.varint()?) as u64);
+                let interval = cur.interval()?;
                 let op = match cur.u8()? {
                     0 => OpKind::Read(cur.kv_set()?),
                     1 => OpKind::LockedRead(cur.kv_set()?),
@@ -502,13 +520,7 @@ impl Frame {
                 Frame::Trace(TraceFrame {
                     seq,
                     trace: Trace::new(
-                        // Not Interval::new: that would silently swap
-                        // inverted bounds, and the verifier must see the
-                        // ill-formedness exactly as the client sent it.
-                        Interval {
-                            lo: Timestamp(lo),
-                            hi: Timestamp(hi),
-                        },
+                        interval,
                         ClientId((client & 0xffff_ffff) as u32),
                         TxnId(txn),
                         op,
@@ -533,6 +545,75 @@ impl Frame {
         cur.done()?;
         Ok(frame)
     }
+}
+
+// ---------------------------------------------------------------------
+// version-chain records (the spill tier's payload)
+// ---------------------------------------------------------------------
+
+/// Appends one record's version chain to `out` in the frame encoding
+/// (varints, zigzag interval deltas). The spill tier wraps the bytes in
+/// its own length/sequence/CRC header, so nothing here is framed.
+pub fn put_key_versions(out: &mut Vec<u8>, rec: &KeyVersions) {
+    put_varint(out, rec.key.0);
+    put_varint(out, rec.entries.len() as u64);
+    for e in &rec.entries {
+        put_varint(out, e.uid.0);
+        put_varint(out, e.value.0);
+        put_varint(out, e.txn.0);
+        put_interval(out, &e.install);
+        match &e.visibility {
+            None => out.push(0),
+            Some(vis) => {
+                out.push(1);
+                put_interval(out, vis);
+            }
+        }
+        put_interval(out, &e.writer_snapshot);
+        put_varint(out, e.readers.len() as u64);
+        for (reader, read_op) in &e.readers {
+            put_varint(out, reader.0);
+            put_interval(out, read_op);
+        }
+    }
+}
+
+/// Parses bytes produced by [`put_key_versions`]; trailing bytes, a
+/// truncated chain or an unknown flag are typed errors.
+pub fn decode_key_versions(bytes: &[u8]) -> Result<KeyVersions, WireError> {
+    let mut cur = Cur::new(bytes);
+    let key = Key(cur.varint()?);
+    let n = cur.varint()? as usize;
+    // As in `kv_set`: a lying count must not size an allocation.
+    let mut entries = Vec::with_capacity(n.min(bytes.len() / 8 + 1));
+    for _ in 0..n {
+        let uid = VersionUid(cur.varint()?);
+        let value = Value(cur.varint()?);
+        let txn = TxnId(cur.varint()?);
+        let install = cur.interval()?;
+        let visibility = match cur.u8()? {
+            0 => None,
+            1 => Some(cur.interval()?),
+            other => return Err(WireError::UnknownFlag(other)),
+        };
+        let writer_snapshot = cur.interval()?;
+        let n_readers = cur.varint()? as usize;
+        let mut readers = Vec::with_capacity(n_readers.min(bytes.len() / 3 + 1));
+        for _ in 0..n_readers {
+            readers.push((TxnId(cur.varint()?), cur.interval()?));
+        }
+        entries.push(VersionEntry {
+            uid,
+            value,
+            txn,
+            install,
+            visibility,
+            writer_snapshot,
+            readers,
+        });
+    }
+    cur.done()?;
+    Ok(KeyVersions { key, entries })
 }
 
 /// Writes one framed message to `w` (no flush — callers batch).

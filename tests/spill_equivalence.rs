@@ -156,6 +156,90 @@ fn golden_corpus_verdicts_survive_spilling() {
     );
 }
 
+/// The benchmark's shape — SmallBank over 2 000 preloaded rows at a
+/// quarter of the memory the run needs, which is below what the ladder
+/// can collect or spill its way down to. The verdict must not move, and
+/// the tier must not thrash: passes are batched and re-armed by growth
+/// (not one per trace), a record is not spilled to be faulted straight
+/// back, and the log stays within a small multiple of what went into it.
+#[test]
+fn a_budget_below_the_resident_floor_does_not_thrash() {
+    let seed = test_seed(0x7445);
+    let spec = CleanRunSpec {
+        workload: "smallbank".to_string(),
+        rows: 2_000,
+        clients: 8,
+        txns_per_client: 150,
+        level: leopard_core::IsolationLevel::Serializable,
+        seed,
+        tick: 10,
+        schedule: Schedule::Interleaved,
+    };
+    let cap = generate_clean_capture(&spec).expect("clean capture");
+    let cfg = VerifierConfig::for_level(leopard_core::IsolationLevel::Serializable);
+    let base = run_unconstrained(&cap.header.preload, &cap.traces, cfg);
+    let budget = base.counters.budget.peak_bytes / 4;
+
+    let dir = tmp_dir("thrash");
+    let mut tight = cfg;
+    tight.mem_budget = MemBudget::bytes(budget);
+    let mut v = Verifier::new(tight);
+    v.attach_spill(SpillTier::open(&SpillSettings::new(&dir)).expect("open spill tier"));
+    for &(k, val) in &cap.header.preload {
+        v.preload(k, val);
+    }
+    for t in &cap.traces {
+        v.process(t);
+    }
+    let tier = v.spill_stats();
+    let on_disk: u64 = std::fs::read_dir(&dir)
+        .expect("spill dir")
+        .map(|e| e.expect("entry").metadata().expect("metadata").len())
+        .sum();
+    let out = v.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(out.store_fault.is_none(), "{:?}", out.store_fault);
+    assert_eq!(
+        comparable(&base),
+        comparable(&out),
+        "spilling changed the verdict (seed {seed:#x})"
+    );
+    let b = out.counters.budget;
+    let traces = cap.traces.len() as u64;
+    assert!(
+        b.peak_bytes > budget,
+        "premise: the floor ({}) is above the budget ({budget})",
+        b.peak_bytes
+    );
+    assert!(b.spilled_records > 0, "premise: the tier was used");
+    assert!(
+        b.spill_passes <= traces / 8,
+        "{} spill passes for {traces} traces",
+        b.spill_passes
+    );
+    assert!(
+        b.forced_gcs <= traces / 8,
+        "{} forced GCs for {traces} traces",
+        b.forced_gcs
+    );
+    assert!(
+        b.spill_faults <= b.spilled_records,
+        "{} faults for {} records spilled",
+        b.spill_faults,
+        b.spilled_records
+    );
+    assert_eq!(
+        tier.bytes_on_disk, on_disk,
+        "the tier's own account of the directory"
+    );
+    assert!(
+        on_disk <= 4 * tier.record_bytes_out,
+        "{on_disk} bytes on disk for {} bytes of records",
+        tier.record_bytes_out
+    );
+}
+
 /// Mid-stream chained checkpoint + resume over a live spill tier: the
 /// resumed run must land on the same verdict as the straight-through
 /// run, with the spilled records faulting back in on demand.

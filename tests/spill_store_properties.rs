@@ -1,25 +1,29 @@
 //! Property tests of the spill tier's on-disk record format.
 //!
-//! The segment page format is the layer every spilled verdict-critical
-//! record crosses twice, so its guarantees are pinned as properties over
-//! randomized payloads rather than a handful of examples:
+//! The packed record log is the layer every spilled verdict-critical
+//! record crosses twice, so its guarantees are pinned exhaustively over a
+//! multi-record segment and as properties over randomized payloads:
 //!
-//! * **round-trip** — any payload chunked across any number of pages
-//!   decodes back byte-identical;
-//! * **CRC rejection** — flipping any single byte of an encoded page
-//!   makes `decode_page` fail (never silently returns damaged bytes);
-//! * **torn-tail truncation** — a crash that leaves a partial page at
-//!   the tail of the newest segment is healed on the next open: intact
-//!   records still read, the torn record is gone, appends continue;
-//! * **byte-dribbled reads** — an I/O layer that returns one byte per
+//! * **every truncation** — a segment cut at any byte reopens to exactly
+//!   the whole records before the cut, and the next append lands
+//!   directly after them;
+//! * **every bit flip** — one flipped bit anywhere inside a live record
+//!   makes reading it a typed [`StoreError`], never different bytes, and
+//!   leaves every other record readable;
+//! * **round-trip** — any batch of payloads, and any version chain
+//!   through the record codec, comes back byte-identical;
+//! * **byte-dribbled reads** — an I/O layer that returns a few bytes per
 //!   `read_at` call (legal, exactly like `pread`) never corrupts or
-//!   truncates a record read.
+//!   truncates a record read or a recovery scan;
+//! * **short-write storms** — an I/O layer that persists only a prefix
+//!   of most writes never costs a record.
 
-use leopard_core::store::io::{FsIo, StoreFile, StoreIo};
-use leopard_core::store::page::{
-    chunk_payload, decode_page, encode_page, PageHeader, PAGE_PAYLOAD, PAGE_SIZE,
-};
-use leopard_core::store::segment::SegmentWriter;
+use leopard_core::store::io::{FaultIo, FaultSpec, FsIo, StoreFile, StoreIo};
+use leopard_core::store::segment::{Batch, RecordAddr, SegmentLog, RECORD_HEADER, SEGMENT_HEADER};
+use leopard_core::store::StoreError;
+use leopard_core::verify::{KeyVersions, VersionEntry, VersionUid};
+use leopard_core::wire::{decode_key_versions, put_key_versions};
+use leopard_core::{Interval, Key, Timestamp, TxnId, Value};
 use proptest::prelude::*;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,115 +48,231 @@ fn payload(seed: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+fn append(log: &mut SegmentLog, io: &dyn StoreIo, payloads: &[Vec<u8>]) -> Vec<RecordAddr> {
+    let mut batch = Batch::default();
+    for p in payloads {
+        batch.push(|buf| buf.extend_from_slice(p));
+    }
+    log.append(io, &mut batch).expect("append")
+}
+
+/// A five-record segment (an empty and a one-byte record among them)
+/// written in two batches: its payloads, their addresses, the file's
+/// bytes and the offset each record ends at.
+struct Fixture {
+    payloads: Vec<Vec<u8>>,
+    addrs: Vec<RecordAddr>,
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+fn fixture(tag: &str) -> Fixture {
+    let dir = tmp_dir(tag);
+    let payloads: Vec<Vec<u8>> = [0usize, 5, 300, 1, 64]
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| payload(i as u64 + 1, len))
+        .collect();
+    let mut log = SegmentLog::open(&FsIo, &dir).expect("open");
+    let mut addrs = append(&mut log, &FsIo, &payloads[..3]);
+    addrs.extend(append(&mut log, &FsIo, &payloads[3..]));
+    log.sync(&FsIo).expect("sync");
+    let bytes = std::fs::read(dir.join("seg-00000000.lps")).expect("read segment");
+    let ends: Vec<usize> = addrs
+        .iter()
+        .map(|a| a.offset as usize + RECORD_HEADER + a.len as usize)
+        .collect();
+    assert_eq!(*ends.last().expect("five records"), bytes.len());
+    let _ = std::fs::remove_dir_all(&dir);
+    Fixture {
+        payloads,
+        addrs,
+        bytes,
+        ends,
+    }
+}
+
+#[test]
+fn every_truncation_reopens_to_exactly_the_whole_records() {
+    let fx = fixture("trunc-src");
+    let dir = tmp_dir("trunc");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let seg = dir.join("seg-00000000.lps");
+    let fresh = payload(99, 40);
+    for cut in 0..=fx.bytes.len() {
+        std::fs::write(&seg, &fx.bytes[..cut]).expect("write prefix");
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("open never fails on a torn tail");
+        let whole = fx.ends.iter().take_while(|&&e| e <= cut).count();
+        for (i, addr) in fx.addrs.iter().enumerate() {
+            match log.read(&FsIo, addr) {
+                Ok(got) => {
+                    assert!(i < whole, "cut at {cut}: record {i} is past the cut");
+                    assert_eq!(got, fx.payloads[i], "cut at {cut}: record {i}");
+                }
+                Err(e) => {
+                    assert!(i >= whole, "cut at {cut}: record {i} was whole: {e}");
+                    assert!(matches!(e, StoreError::Corrupt(_)), "cut at {cut}: {e}");
+                }
+            }
+        }
+        // The next append lands directly after the accepted prefix and
+        // carries a sequence number past every record kept.
+        let accepted = if whole == 0 {
+            SEGMENT_HEADER
+        } else {
+            fx.ends[whole - 1]
+        };
+        let addr = append(&mut log, &FsIo, std::slice::from_ref(&fresh))[0];
+        assert_eq!(addr.offset as usize, accepted, "cut at {cut}");
+        let last_kept = fx.addrs[..whole].last().map_or(0, |a| a.seq);
+        assert!(addr.seq > last_kept, "cut at {cut}");
+        assert_eq!(log.read(&FsIo, &addr).expect("read fresh"), fresh);
+        drop(log);
+        let after = std::fs::read(&seg).expect("read back");
+        assert_eq!(
+            after.len(),
+            accepted + RECORD_HEADER + fresh.len(),
+            "cut at {cut}"
+        );
+        if whole > 0 {
+            assert_eq!(after[..accepted], fx.bytes[..accepted], "cut at {cut}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_bit_flip_in_a_live_record_is_a_typed_error_never_other_bytes() {
+    let fx = fixture("flip-src");
+    let dir = tmp_dir("flip");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let seg = dir.join("seg-00000000.lps");
+    std::fs::write(&seg, &fx.bytes).expect("write");
+    // One log stays open across the flips: damage arriving after the
+    // recovery scan is what the read path alone has to catch.
+    let mut open_log = SegmentLog::open(&FsIo, &dir).expect("open");
+    for at in SEGMENT_HEADER..fx.bytes.len() {
+        let hit = fx.ends.iter().take_while(|&&e| e <= at).count();
+        for bit in 0..8 {
+            let mut damaged = fx.bytes.clone();
+            damaged[at] ^= 1 << bit;
+            std::fs::write(&seg, &damaged).expect("write damaged");
+            for (i, addr) in fx.addrs.iter().enumerate() {
+                let got = open_log.read(&FsIo, addr);
+                if i == hit {
+                    assert!(
+                        matches!(got, Err(StoreError::Corrupt(_))),
+                        "bit {bit} of byte {at}: record {i} read as {got:?}"
+                    );
+                } else {
+                    assert_eq!(
+                        got.expect("undamaged record"),
+                        fx.payloads[i],
+                        "bit {bit} of byte {at}: record {i}"
+                    );
+                }
+            }
+        }
+        // A reopen over the damage (one bit per byte is enough here) cuts
+        // the log at the damaged record: the records before it read
+        // exactly, it and the ones after are typed errors.
+        let mut damaged = fx.bytes.clone();
+        damaged[at] ^= 0x10;
+        let redir = dir.join("reopen");
+        std::fs::create_dir_all(&redir).expect("mkdir");
+        std::fs::write(redir.join("seg-00000000.lps"), &damaged).expect("write damaged");
+        let mut log = SegmentLog::open(&FsIo, &redir).expect("open");
+        for (i, addr) in fx.addrs.iter().enumerate() {
+            match log.read(&FsIo, addr) {
+                Ok(got) => {
+                    assert!(i < hit, "byte {at}: record {i} survived");
+                    assert_eq!(got, fx.payloads[i], "byte {at}: record {i}");
+                }
+                Err(e) => {
+                    assert!(i >= hit, "byte {at}: record {i} lost: {e}");
+                    assert!(matches!(e, StoreError::Corrupt(_)), "byte {at}: {e}");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version chain built from a seed: pending and committed versions,
+/// inverted and extreme intervals, reader lists.
+fn chain(seed: u64, versions: usize) -> KeyVersions {
+    let raw = payload(seed, versions * 16 + 8);
+    let word = |i: usize| {
+        u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().expect("eight bytes"))
+            >> (raw[i * 8] % 60)
+    };
+    // Not Interval::new: inverted bounds must survive as they are.
+    let iv = |a: u64, b: u64| Interval {
+        lo: Timestamp(a),
+        hi: Timestamp(b),
+    };
+    let entries = (0..versions)
+        .map(|i| VersionEntry {
+            uid: VersionUid(word(2 * i)),
+            value: Value(word(2 * i + 1)),
+            txn: TxnId(i as u64),
+            install: iv(word(2 * i), word(2 * i + 1)),
+            visibility: (i % 3 != 0).then(|| iv(word(2 * i + 1), u64::MAX)),
+            writer_snapshot: iv(0, word(2 * i)),
+            readers: (0..i % 4)
+                .map(|r| (TxnId(word(r)), iv(word(r + 1), word(r))))
+                .collect(),
+        })
+        .collect();
+    KeyVersions {
+        key: Key(word(0)),
+        entries,
+    }
+}
+
 proptest! {
     #[test]
-    fn page_round_trips_any_payload(seed in 0u64..1 << 32, len in 0usize..=PAGE_PAYLOAD) {
-        let data = payload(seed, len);
-        let hdr = PageHeader {
-            record_seq: seed,
-            part: 0,
-            parts: 1,
-            len: len as u32,
-        };
-        let page = encode_page(&hdr, &data);
-        prop_assert_eq!(page.len(), PAGE_SIZE);
-        let (got_hdr, got) = decode_page(&page).expect("clean page decodes");
-        prop_assert_eq!(got_hdr, hdr);
-        prop_assert_eq!(got, &data[..]);
-    }
-
-    #[test]
-    fn any_single_byte_flip_is_rejected(seed in 0u64..1 << 32, flip in 0usize..PAGE_SIZE) {
-        let data = payload(seed, PAGE_PAYLOAD.min(977));
-        let hdr = PageHeader {
-            record_seq: seed,
-            part: 0,
-            parts: 1,
-            len: data.len() as u32,
-        };
-        let mut page = encode_page(&hdr, &data);
-        page[flip] ^= 0x5a;
-        prop_assert!(
-            decode_page(&page).is_err(),
-            "damaged byte {flip} must not decode"
-        );
-    }
-
-    #[test]
-    fn truncated_page_is_rejected(cut in 0usize..PAGE_SIZE) {
-        let data = payload(7, 100);
-        let hdr = PageHeader { record_seq: 7, part: 0, parts: 1, len: 100 };
-        let page = encode_page(&hdr, &data);
-        prop_assert!(decode_page(&page[..cut]).is_err());
-    }
-
-    #[test]
-    fn chunking_loses_no_bytes(seed in 0u64..1 << 32, len in 0usize..3 * PAGE_PAYLOAD + 17) {
-        let data = payload(seed, len);
-        let chunks = chunk_payload(&data);
-        prop_assert!(!chunks.is_empty(), "even empty payloads occupy a page");
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        prop_assert_eq!(total, data.len());
-        let rejoined: Vec<u8> = chunks.concat();
-        prop_assert_eq!(rejoined, data);
-    }
-
-    #[test]
-    fn segment_round_trips_multi_page_records(
-        seed in 0u64..1 << 20,
-        lens in prop::collection::vec(0usize..2 * PAGE_PAYLOAD + 9, 1..6),
+    fn version_chains_round_trip_and_no_prefix_decodes(
+        seed in 0u64..1 << 32,
+        versions in 0usize..12,
     ) {
-        let dir = tmp_dir(&format!("rt-{seed}-{}", lens.len()));
-        let io = FsIo;
-        let mut w = SegmentWriter::open(&io, &dir).expect("open segment dir");
+        let rec = chain(seed, versions);
+        let mut bytes = Vec::new();
+        put_key_versions(&mut bytes, &rec);
+        prop_assert_eq!(&decode_key_versions(&bytes).expect("decodes"), &rec);
+        for cut in 0..bytes.len() {
+            prop_assert!(
+                decode_key_versions(&bytes[..cut]).is_err(),
+                "a {cut}-byte prefix of {} bytes decoded",
+                bytes.len()
+            );
+        }
+        bytes.push(0);
+        prop_assert!(decode_key_versions(&bytes).is_err(), "trailing byte accepted");
+    }
+
+    #[test]
+    fn segment_round_trips_any_batches(
+        seed in 0u64..1 << 20,
+        lens in prop::collection::vec(0usize..9000, 1..12),
+        split in 0usize..12,
+    ) {
+        let dir = tmp_dir(&format!("rt-{seed}-{}-{split}", lens.len()));
         let records: Vec<Vec<u8>> = lens
             .iter()
             .enumerate()
             .map(|(i, &len)| payload(seed.wrapping_add(i as u64), len))
             .collect();
-        let addrs: Vec<_> = records
-            .iter()
-            .map(|r| w.append(&io, r).expect("append"))
-            .collect();
-        w.sync().expect("sync");
+        let split = split.min(records.len());
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("open segment dir");
+        let mut addrs = append(&mut log, &FsIo, &records[..split]);
+        addrs.extend(append(&mut log, &FsIo, &records[split..]));
+        log.sync(&FsIo).expect("sync");
+        drop(log);
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("reopen");
         for (rec, addr) in records.iter().zip(&addrs) {
-            let got = w.read_record(&io, addr).expect("read back");
-            prop_assert_eq!(&got, rec);
+            prop_assert_eq!(&log.read(&FsIo, addr).expect("read back"), rec);
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_tail_is_healed_on_reopen(seed in 0u64..1 << 20, torn_bytes in 1usize..PAGE_SIZE) {
-        let dir = tmp_dir(&format!("torn-{seed}-{torn_bytes}"));
-        let io = FsIo;
-        let (intact, addr_intact) = {
-            let mut w = SegmentWriter::open(&io, &dir).expect("open");
-            let intact = payload(seed, 2000);
-            let addr = w.append(&io, &intact).expect("append intact");
-            w.append(&io, &payload(seed ^ 1, 500)).expect("append doomed");
-            w.sync().expect("sync");
-            (intact, addr)
-        };
-        // Crash simulation: rip `torn_bytes` off the tail, leaving a
-        // partial final page (the doomed record, or its padding).
-        let seg = std::fs::read_dir(&dir)
-            .expect("dir")
-            .map(|e| e.expect("entry").path())
-            .find(|p| p.extension().and_then(|x| x.to_str()) == Some("lps"))
-            .expect("segment file");
-        let len = std::fs::metadata(&seg).expect("meta").len();
-        let f = std::fs::OpenOptions::new().write(true).open(&seg).expect("open seg");
-        f.set_len(len - torn_bytes as u64).expect("tear tail");
-        drop(f);
-
-        let mut w = SegmentWriter::open(&io, &dir).expect("reopen heals torn tail");
-        let got = w.read_record(&io, &addr_intact).expect("intact record survives");
-        prop_assert_eq!(got, intact);
-        // The writer keeps accepting appends after recovery.
-        let fresh = payload(seed ^ 2, 900);
-        let addr = w.append(&io, &fresh).expect("append after heal");
-        prop_assert_eq!(w.read_record(&io, &addr).expect("read fresh"), fresh);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -163,11 +283,51 @@ proptest! {
     ) {
         let dir = tmp_dir(&format!("dribble-{seed}-{chunk}"));
         let io = DribbleIo { inner: FsIo, chunk };
-        let mut w = SegmentWriter::open(&io, &dir).expect("open");
-        let rec = payload(seed, PAGE_PAYLOAD + 321);
-        let addr = w.append(&io, &rec).expect("append");
-        let got = w.read_record(&io, &addr).expect("read through dribble");
-        prop_assert_eq!(got, rec);
+        let records = [payload(seed, 4417), Vec::new(), payload(seed ^ 1, 33)];
+        let mut log = SegmentLog::open(&io, &dir).expect("open");
+        // The read-back that verifies the append dribbles too.
+        let addrs = append(&mut log, &io, &records);
+        drop(log);
+        // So does the recovery scan of a reopen.
+        let mut log = SegmentLog::open(&io, &dir).expect("reopen through dribble");
+        for (rec, addr) in records.iter().zip(&addrs) {
+            prop_assert_eq!(&log.read(&io, addr).expect("read through dribble"), rec);
+        }
+        let next = append(&mut log, &io, &records[2..])[0];
+        prop_assert_eq!(
+            next.offset as usize,
+            addrs[2].offset as usize + RECORD_HEADER + 33,
+            "the scan accepted every record"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn short_write_storms_lose_no_record(seed in 0u64..1 << 20) {
+        let dir = tmp_dir(&format!("storm-{seed}"));
+        let io = FaultIo::new(
+            FsIo,
+            FaultSpec {
+                seed,
+                short_write_prob: 0.7,
+                ..FaultSpec::default()
+            },
+        );
+        let mut log = SegmentLog::open(&io, &dir).expect("open");
+        let mut all = Vec::new();
+        for round in 0..6u64 {
+            let records: Vec<Vec<u8>> = (0..4)
+                .map(|i| payload(seed ^ (round * 4 + i), 50 + 700 * i as usize))
+                .collect();
+            let addrs = append(&mut log, &io, &records);
+            all.extend(records.into_iter().zip(addrs));
+        }
+        prop_assert!(io.injected().short_writes > 0, "nothing was injected");
+        drop(log);
+        let mut log = SegmentLog::open(&FsIo, &dir).expect("reopen");
+        for (rec, addr) in &all {
+            prop_assert_eq!(&log.read(&FsIo, addr).expect("read back"), rec);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
