@@ -1,8 +1,9 @@
 //! Hand-rolled argument parsing for the `leopard` CLI.
 
-use leopard_core::IsolationLevel;
+use leopard_core::{EngineOpts, IsolationLevel, MemBudget, SpillSettings, VerifierConfig};
 use leopard_db::FaultKind;
 use std::fmt;
+use std::path::PathBuf;
 
 /// Usage text.
 pub const USAGE: &str = "\
@@ -40,8 +41,9 @@ verify options:
   --skip-preflight              verify even if history preflight finds errors
   --degraded                    tolerate incomplete histories: quarantine
                                 ill-formed traces, demote unexplainable reads
-  --resume <CKPT>               resume from a checkpoint file (uses the
-                                checkpoint's verifier configuration)
+  --resume <CKPT>               resume from a checkpoint image (refused unless
+                                the flags give the configuration it was
+                                written under)
   --checkpoint <FILE>           write a checkpoint of the final state here
   --checkpoint-every <N>        also checkpoint every N ingested traces
   --mem-budget <BYTES>          cap verifier state; over budget the verifier
@@ -196,12 +198,11 @@ pub struct ServeCliConfig {
     pub control: Option<String>,
     /// Checkpoint + verdict directory.
     pub dir: String,
-    /// Per-stream durability cadence (ingested traces between boundaries).
-    pub checkpoint_every: u64,
     /// Shared admission pool in bytes (0 = unlimited).
     pub global_budget: u64,
-    /// Spill directory for cold stream state (`None` = in-memory only).
-    pub spill_dir: Option<String>,
+    /// Engine flags ([`ENGINE_FLAGS`]): the per-stream durability cadence
+    /// and the spill directory for cold stream state.
+    pub engine: EngineArgs,
 }
 
 impl Default for ServeCliConfig {
@@ -210,9 +211,11 @@ impl Default for ServeCliConfig {
             listen: "unix:leopard.sock".to_string(),
             control: None,
             dir: "leopard-serve".to_string(),
-            checkpoint_every: 512,
             global_budget: 0,
-            spill_dir: None,
+            engine: EngineArgs {
+                checkpoint_every: Some(512),
+                ..EngineArgs::default()
+            },
         }
     }
 }
@@ -226,10 +229,9 @@ pub struct IngestConfig {
     pub to: String,
     /// Stream name (`None` = the capture file name).
     pub stream: Option<String>,
-    /// Isolation level to verify.
-    pub level: IsolationLevel,
-    /// Per-stream memory budget for the handshake (0 = unlimited).
-    pub mem_budget: u64,
+    /// Engine flags ([`ENGINE_FLAGS`]): the level and per-stream memory
+    /// budget the handshake carries.
+    pub engine: EngineArgs,
     /// Print the verdict JSON verbatim.
     pub json: bool,
 }
@@ -240,8 +242,7 @@ impl Default for IngestConfig {
             file: String::new(),
             to: "unix:leopard.sock".to_string(),
             stream: None,
-            level: IsolationLevel::Serializable,
-            mem_budget: 0,
+            engine: EngineArgs::default(),
             json: false,
         }
     }
@@ -340,34 +341,28 @@ impl Default for RecordConfig {
     }
 }
 
-/// Configuration of `leopard verify`.
+/// The engine flag group: every option of the verifier engine and of its
+/// observability sinks, declared ([`ENGINE_FLAGS`]), parsed and validated
+/// once for every subcommand.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VerifyConfig {
-    /// Capture file to audit.
-    pub file: String,
-    /// The isolation level the DBMS promised.
+pub struct EngineArgs {
+    /// The isolation level to verify.
     pub level: IsolationLevel,
     /// Clock-skew bound (ns).
     pub skew_bound: u64,
     /// Disable garbage collection (keeps everything; for debugging).
     pub no_gc: bool,
-    /// Run the verifier even when history preflight reports errors.
-    pub skip_preflight: bool,
-    /// Degraded mode: quarantine ill-formed traces and demote reads that a
-    /// missing delivery could explain instead of reporting them.
+    /// Quarantine ill-formed traces and demote reads that a missing
+    /// delivery could explain instead of reporting them.
     pub degraded: bool,
-    /// Resume verification from this checkpoint file.
-    pub resume: Option<String>,
-    /// Write a checkpoint of the final verifier state to this path.
+    /// Write the checkpoint image to this path.
     pub checkpoint: Option<String>,
-    /// Also write intermediate checkpoints every N ingested traces.
+    /// Also write it every N ingested traces.
     pub checkpoint_every: Option<u64>,
     /// Memory budget in bytes (`None` = unlimited).
     pub mem_budget: Option<u64>,
     /// Spill directory for cold verifier state (`None` = in-memory only).
     pub spill_dir: Option<String>,
-    /// Emit the verdict and resource counters as JSON.
-    pub json: bool,
     /// Enable observability and write Prometheus metrics to this path.
     pub metrics_out: Option<String>,
     /// Enable observability and write a Chrome trace-event file here.
@@ -376,21 +371,17 @@ pub struct VerifyConfig {
     pub metrics_interval: Option<u64>,
 }
 
-impl Default for VerifyConfig {
+impl Default for EngineArgs {
     fn default() -> Self {
-        VerifyConfig {
-            file: String::new(),
+        EngineArgs {
             level: IsolationLevel::Serializable,
             skew_bound: 0,
             no_gc: false,
-            skip_preflight: false,
             degraded: false,
-            resume: None,
             checkpoint: None,
             checkpoint_every: None,
             mem_budget: None,
             spill_dir: None,
-            json: false,
             metrics_out: None,
             trace_out: None,
             metrics_interval: None,
@@ -398,13 +389,127 @@ impl Default for VerifyConfig {
     }
 }
 
+/// Every engine flag, and the subcommands that accept it. `chaos` runs
+/// degraded, under the skew bound its plan needs; the rest of a `serve`
+/// stream's engine comes from its handshake, which is what `ingest`'s two
+/// flags fill in.
+const ENGINE_FLAGS: [(&str, &str); 11] = [
+    ("--level", "verify chaos ingest"),
+    ("--skew-bound", "verify"),
+    ("--no-gc", "verify"),
+    ("--degraded", "verify"),
+    ("--checkpoint", "verify chaos"),
+    ("--checkpoint-every", "verify chaos serve"),
+    ("--mem-budget", "verify chaos ingest"),
+    ("--spill-dir", "verify chaos serve"),
+    ("--metrics-out", "verify chaos"),
+    ("--trace-out", "verify chaos"),
+    ("--metrics-interval", "verify chaos"),
+];
+
+/// `true` when subcommand `sub` accepts engine flag `flag`.
+fn accepts(sub: &str, flag: &str) -> bool {
+    ENGINE_FLAGS
+        .iter()
+        .any(|(f, subs)| *f == flag && subs.split(' ').any(|s| s == sub))
+}
+
+impl EngineArgs {
+    /// Consumes `flag` and its value if subcommand `sub` accepts it as an
+    /// engine flag; `false` leaves it to the subcommand's own flags.
+    fn take<'a>(
+        &mut self,
+        sub: &str,
+        flag: &str,
+        it: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, ParseError> {
+        if !accepts(sub, flag) {
+            return Ok(false);
+        }
+        match flag {
+            "--level" => self.level = parse_level(&want::<String>(flag, it.next())?)?,
+            "--skew-bound" => self.skew_bound = want(flag, it.next())?,
+            "--no-gc" => self.no_gc = true,
+            "--degraded" => self.degraded = true,
+            "--checkpoint" => self.checkpoint = Some(want(flag, it.next())?),
+            "--checkpoint-every" => self.checkpoint_every = Some(want(flag, it.next())?),
+            "--mem-budget" => self.mem_budget = Some(want(flag, it.next())?),
+            "--spill-dir" => self.spill_dir = Some(want(flag, it.next())?),
+            "--metrics-out" => self.metrics_out = Some(want(flag, it.next())?),
+            "--trace-out" => self.trace_out = Some(want(flag, it.next())?),
+            "--metrics-interval" => self.metrics_interval = Some(want(flag, it.next())?),
+            other => unreachable!("`{other}` is in ENGINE_FLAGS but is not parsed"),
+        }
+        Ok(true)
+    }
+
+    /// The rules between the flags, for subcommand `sub`.
+    fn validate(&self, sub: &str) -> Result<(), ParseError> {
+        let fail = |message: &str| Err(ParseError(message.to_string()));
+        if self.checkpoint_every == Some(0) {
+            return fail("--checkpoint-every must be at least 1");
+        }
+        // Where the image's place is not a flag (serve: `--dir`), the
+        // cadence stands alone.
+        if self.checkpoint_every.is_some()
+            && self.checkpoint.is_none()
+            && accepts(sub, "--checkpoint")
+        {
+            return fail("--checkpoint-every needs --checkpoint <FILE>");
+        }
+        // A zero budget would shed everything; reject it loudly.
+        if self.mem_budget == Some(0) {
+            return fail("--mem-budget must be at least 1 byte");
+        }
+        if self.metrics_interval == Some(0) {
+            return fail("--metrics-interval must be at least 1");
+        }
+        if self.metrics_interval.is_some() && self.metrics_out.is_none() {
+            return fail("--metrics-interval needs --metrics-out <FILE>");
+        }
+        Ok(())
+    }
+
+    /// The engine these flags ask for.
+    #[must_use]
+    pub fn to_opts(&self) -> EngineOpts {
+        let mut verifier = VerifierConfig::for_level(self.level);
+        verifier.clock_skew_bound = self.skew_bound;
+        verifier.gc = !self.no_gc;
+        verifier.degraded = self.degraded;
+        if let Some(bytes) = self.mem_budget {
+            verifier.mem_budget = MemBudget::bytes(bytes);
+        }
+        EngineOpts {
+            verifier,
+            spill: self.spill_dir.as_ref().map(SpillSettings::new),
+            checkpoint: self.checkpoint.as_ref().map(PathBuf::from),
+            checkpoint_every: self.checkpoint_every,
+        }
+    }
+}
+
+/// Configuration of `leopard verify`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct VerifyConfig {
+    /// Capture file to audit.
+    pub file: String,
+    /// Run the verifier even when history preflight reports errors.
+    pub skip_preflight: bool,
+    /// Resume verification from this checkpoint image.
+    pub resume: Option<String>,
+    /// Emit the verdict and resource counters as JSON.
+    pub json: bool,
+    /// Engine flags ([`ENGINE_FLAGS`]); `level` is the isolation level
+    /// the DBMS promised.
+    pub engine: EngineArgs,
+}
+
 /// Configuration of `leopard chaos`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Workload name.
     pub workload: String,
-    /// Engine and verifier isolation level.
-    pub level: IsolationLevel,
     /// Client threads.
     pub threads: usize,
     /// Transactions per client.
@@ -437,33 +542,22 @@ pub struct ChaosConfig {
     pub retry_jitter: f64,
     /// Watermark-stall eviction timeout in milliseconds.
     pub evict_timeout_ms: u64,
-    /// Write online checkpoints to this path.
-    pub checkpoint: Option<String>,
-    /// Checkpoint every N dispatched traces.
-    pub checkpoint_every: Option<u64>,
-    /// Memory budget in bytes (`None` = unlimited).
-    pub mem_budget: Option<u64>,
-    /// Spill directory for cold verifier state (`None` = in-memory only).
-    pub spill_dir: Option<String>,
     /// Probability of each seeded disk fault in the spill tier.
     pub disk_fault_prob: f64,
     /// Spill tier ENOSPC threshold in bytes (`None` = unlimited disk).
     pub disk_enospc_after: Option<u64>,
     /// Emit the run summary as JSON.
     pub json: bool,
-    /// Enable observability and write Prometheus metrics to this path.
-    pub metrics_out: Option<String>,
-    /// Enable observability and write a Chrome trace-event file here.
-    pub trace_out: Option<String>,
-    /// Rewrite `metrics_out` every this many seconds during the run.
-    pub metrics_interval: Option<u64>,
+    /// Engine flags ([`ENGINE_FLAGS`]); `level` is the engine's and the
+    /// verifier's isolation level, `checkpoint_every` counts dispatched
+    /// traces.
+    pub engine: EngineArgs,
 }
 
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
             workload: "blindw-rw".to_string(),
-            level: IsolationLevel::Serializable,
             threads: 4,
             txns: 200,
             scale: 1,
@@ -480,16 +574,10 @@ impl Default for ChaosConfig {
             retry_backoff_ms: 1,
             retry_jitter: 0.0,
             evict_timeout_ms: 1000,
-            checkpoint: None,
-            checkpoint_every: None,
-            mem_budget: None,
-            spill_dir: None,
             disk_fault_prob: 0.0,
             disk_enospc_after: None,
             json: false,
-            metrics_out: None,
-            trace_out: None,
-            metrics_interval: None,
+            engine: EngineArgs::default(),
         }
     }
 }
@@ -615,21 +703,13 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             let mut cfg = VerifyConfig::default();
             let mut it = argv[1..].iter();
             while let Some(arg) = it.next() {
+                if cfg.engine.take("verify", arg, &mut it)? {
+                    continue;
+                }
                 match arg.as_str() {
-                    "--level" => cfg.level = parse_level(&want::<String>(arg, it.next())?)?,
-                    "--skew-bound" => cfg.skew_bound = want(arg, it.next())?,
-                    "--no-gc" => cfg.no_gc = true,
                     "--skip-preflight" => cfg.skip_preflight = true,
-                    "--degraded" => cfg.degraded = true,
                     "--resume" => cfg.resume = Some(want::<String>(arg, it.next())?),
-                    "--checkpoint" => cfg.checkpoint = Some(want::<String>(arg, it.next())?),
-                    "--checkpoint-every" => cfg.checkpoint_every = Some(want(arg, it.next())?),
-                    "--mem-budget" => cfg.mem_budget = Some(want(arg, it.next())?),
-                    "--spill-dir" => cfg.spill_dir = Some(want::<String>(arg, it.next())?),
                     "--json" => cfg.json = true,
-                    "--metrics-out" => cfg.metrics_out = Some(want::<String>(arg, it.next())?),
-                    "--trace-out" => cfg.trace_out = Some(want::<String>(arg, it.next())?),
-                    "--metrics-interval" => cfg.metrics_interval = Some(want(arg, it.next())?),
                     flag if flag.starts_with("--") => {
                         return Err(ParseError(format!("unknown flag `{flag}`")))
                     }
@@ -641,34 +721,18 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 }
             }
             cfg.file = file.ok_or_else(|| ParseError("verify needs a capture file".into()))?;
-            if cfg.checkpoint_every == Some(0) {
-                return Err(ParseError("--checkpoint-every must be at least 1".into()));
-            }
-            if cfg.checkpoint_every.is_some() && cfg.checkpoint.is_none() {
-                return Err(ParseError(
-                    "--checkpoint-every needs --checkpoint <FILE>".into(),
-                ));
-            }
-            if cfg.mem_budget == Some(0) {
-                return Err(ParseError("--mem-budget must be at least 1 byte".into()));
-            }
-            if cfg.metrics_interval == Some(0) {
-                return Err(ParseError("--metrics-interval must be at least 1".into()));
-            }
-            if cfg.metrics_interval.is_some() && cfg.metrics_out.is_none() {
-                return Err(ParseError(
-                    "--metrics-interval needs --metrics-out <FILE>".into(),
-                ));
-            }
+            cfg.engine.validate("verify")?;
             Ok(Command::Verify(cfg))
         }
         "chaos" => {
             let mut cfg = ChaosConfig::default();
             let mut it = argv[1..].iter();
             while let Some(flag) = it.next() {
+                if cfg.engine.take("chaos", flag, &mut it)? {
+                    continue;
+                }
                 match flag.as_str() {
                     "--workload" => cfg.workload = want::<String>(flag, it.next())?,
-                    "--level" => cfg.level = parse_level(&want::<String>(flag, it.next())?)?,
                     "--threads" => cfg.threads = want(flag, it.next())?,
                     "--txns" => cfg.txns = want(flag, it.next())?,
                     "--scale" => cfg.scale = want(flag, it.next())?,
@@ -685,25 +749,16 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     "--retry-backoff-ms" => cfg.retry_backoff_ms = want(flag, it.next())?,
                     "--retry-jitter" => cfg.retry_jitter = want(flag, it.next())?,
                     "--evict-timeout-ms" => cfg.evict_timeout_ms = want(flag, it.next())?,
-                    "--checkpoint" => cfg.checkpoint = Some(want::<String>(flag, it.next())?),
-                    "--checkpoint-every" => cfg.checkpoint_every = Some(want(flag, it.next())?),
-                    "--mem-budget" => cfg.mem_budget = Some(want(flag, it.next())?),
-                    "--spill-dir" => cfg.spill_dir = Some(want::<String>(flag, it.next())?),
                     "--disk-fault-prob" => cfg.disk_fault_prob = want(flag, it.next())?,
                     "--disk-enospc-after" => cfg.disk_enospc_after = Some(want(flag, it.next())?),
                     "--json" => cfg.json = true,
-                    "--metrics-out" => cfg.metrics_out = Some(want::<String>(flag, it.next())?),
-                    "--trace-out" => cfg.trace_out = Some(want::<String>(flag, it.next())?),
-                    "--metrics-interval" => cfg.metrics_interval = Some(want(flag, it.next())?),
                     other => return Err(ParseError(format!("unknown flag `{other}`"))),
                 }
             }
             if cfg.threads == 0 {
                 return Err(ParseError("--threads must be at least 1".to_string()));
             }
-            if cfg.mem_budget == Some(0) {
-                return Err(ParseError("--mem-budget must be at least 1 byte".into()));
-            }
+            cfg.engine.validate("chaos")?;
             for (name, p) in [
                 ("--kill-prob", cfg.kill_prob),
                 ("--stall-prob", cfg.stall_prob),
@@ -717,24 +772,8 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                     return Err(ParseError(format!("{name} must be within 0..1")));
                 }
             }
-            if cfg.checkpoint_every == Some(0) {
-                return Err(ParseError("--checkpoint-every must be at least 1".into()));
-            }
-            if cfg.checkpoint_every.is_some() && cfg.checkpoint.is_none() {
-                return Err(ParseError(
-                    "--checkpoint-every needs --checkpoint <FILE>".into(),
-                ));
-            }
-            if cfg.metrics_interval == Some(0) {
-                return Err(ParseError("--metrics-interval must be at least 1".into()));
-            }
-            if cfg.metrics_interval.is_some() && cfg.metrics_out.is_none() {
-                return Err(ParseError(
-                    "--metrics-interval needs --metrics-out <FILE>".into(),
-                ));
-            }
             if (cfg.disk_fault_prob > 0.0 || cfg.disk_enospc_after.is_some())
-                && cfg.spill_dir.is_none()
+                && cfg.engine.spill_dir.is_none()
             {
                 return Err(ParseError(
                     "--disk-fault-prob/--disk-enospc-after need --spill-dir <DIR>".into(),
@@ -767,19 +806,18 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             let mut cfg = ServeCliConfig::default();
             let mut it = argv[1..].iter();
             while let Some(flag) = it.next() {
+                if cfg.engine.take("serve", flag, &mut it)? {
+                    continue;
+                }
                 match flag.as_str() {
                     "--listen" => cfg.listen = want::<String>(flag, it.next())?,
                     "--control" => cfg.control = Some(want::<String>(flag, it.next())?),
                     "--dir" => cfg.dir = want::<String>(flag, it.next())?,
-                    "--checkpoint-every" => cfg.checkpoint_every = want(flag, it.next())?,
                     "--global-budget" => cfg.global_budget = want(flag, it.next())?,
-                    "--spill-dir" => cfg.spill_dir = Some(want::<String>(flag, it.next())?),
                     other => return Err(ParseError(format!("unknown flag `{other}`"))),
                 }
             }
-            if cfg.checkpoint_every == 0 {
-                return Err(ParseError("--checkpoint-every must be at least 1".into()));
-            }
+            cfg.engine.validate("serve")?;
             for ep in std::iter::once(&cfg.listen).chain(cfg.control.as_ref()) {
                 if let Err(e) = leopard_core::Endpoint::parse(ep) {
                     return Err(ParseError(e));
@@ -792,11 +830,12 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
             let mut cfg = IngestConfig::default();
             let mut it = argv[1..].iter();
             while let Some(arg) = it.next() {
+                if cfg.engine.take("ingest", arg, &mut it)? {
+                    continue;
+                }
                 match arg.as_str() {
                     "--to" => cfg.to = want::<String>(arg, it.next())?,
                     "--stream" => cfg.stream = Some(want::<String>(arg, it.next())?),
-                    "--level" => cfg.level = parse_level(&want::<String>(arg, it.next())?)?,
-                    "--mem-budget" => cfg.mem_budget = want(arg, it.next())?,
                     "--json" => cfg.json = true,
                     flag if flag.starts_with("--") => {
                         return Err(ParseError(format!("unknown flag `{flag}`")))
@@ -809,6 +848,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, ParseError> {
                 }
             }
             cfg.file = file.ok_or_else(|| ParseError("ingest needs a capture file".into()))?;
+            cfg.engine.validate("ingest")?;
             if let Err(e) = leopard_core::Endpoint::parse(&cfg.to) {
                 return Err(ParseError(e));
             }
@@ -914,49 +954,155 @@ mod tests {
         let cmd = parse_args(&args("verify cap.jsonl --level si --skew-bound 500")).unwrap();
         let Command::Verify(cfg) = cmd else { panic!() };
         assert_eq!(cfg.file, "cap.jsonl");
-        assert_eq!(cfg.level, IsolationLevel::SnapshotIsolation);
-        assert_eq!(cfg.skew_bound, 500);
+        assert_eq!(cfg.engine.level, IsolationLevel::SnapshotIsolation);
+        assert_eq!(cfg.engine.skew_bound, 500);
         assert!(!cfg.skip_preflight);
         let cmd = parse_args(&args("verify cap.jsonl --skip-preflight")).unwrap();
         let Command::Verify(cfg) = cmd else { panic!() };
         assert!(cfg.skip_preflight);
     }
 
+    /// One parser: what an engine flag sets is the same on every
+    /// subcommand that accepts it, so it is pinned once, on the subcommand
+    /// that accepts them all.
     #[test]
-    fn verify_chaos_flags_parse() {
+    fn engine_flags_set_the_engine_group() {
         let cmd = parse_args(&args(
-            "verify cap.jsonl --degraded --resume a.ckpt --checkpoint b.ckpt --checkpoint-every 64",
-        ))
-        .unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert!(cfg.degraded);
-        assert_eq!(cfg.resume.as_deref(), Some("a.ckpt"));
-        assert_eq!(cfg.checkpoint.as_deref(), Some("b.ckpt"));
-        assert_eq!(cfg.checkpoint_every, Some(64));
-        // --checkpoint-every without a checkpoint path is meaningless.
-        assert!(parse_args(&args("verify cap.jsonl --checkpoint-every 64")).is_err());
-        assert!(parse_args(&args(
-            "verify cap.jsonl --checkpoint b --checkpoint-every 0"
-        ))
-        .is_err());
+            "verify cap.jsonl --level rr --skew-bound 5 --no-gc --degraded --resume a.ckpt \
+             --checkpoint b.ckpt --checkpoint-every 64 --mem-budget 1048576 --spill-dir d \
+             --json --metrics-out m.prom --trace-out t.json --metrics-interval 5",
+        ));
+        let engine = EngineArgs {
+            level: IsolationLevel::RepeatableRead,
+            skew_bound: 5,
+            no_gc: true,
+            degraded: true,
+            checkpoint: Some("b.ckpt".to_string()),
+            checkpoint_every: Some(64),
+            mem_budget: Some(1_048_576),
+            spill_dir: Some("d".to_string()),
+            metrics_out: Some("m.prom".to_string()),
+            trace_out: Some("t.json".to_string()),
+            metrics_interval: Some(5),
+        };
+        let all = VerifyConfig {
+            file: "cap.jsonl".to_string(),
+            skip_preflight: false,
+            resume: Some("a.ckpt".to_string()),
+            json: true,
+            engine,
+        };
+        assert_eq!(cmd, Ok(Command::Verify(all)));
+        let none = VerifyConfig {
+            file: "cap.jsonl".to_string(),
+            ..VerifyConfig::default()
+        };
+        assert_eq!(
+            parse_args(&args("verify cap.jsonl")),
+            Ok(Command::Verify(none))
+        );
     }
 
+    /// Every engine flag on every subcommand: accepted exactly where the
+    /// CLI accepted it before the flags were declared once. The table is
+    /// that CLI's, written out again and not read from `ENGINE_FLAGS`;
+    /// `record` and `soak` have a `--level` of their own.
     #[test]
-    fn verify_and_chaos_mem_budget_parse() {
-        let cmd = parse_args(&args("verify cap.jsonl --mem-budget 1048576 --json")).unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.mem_budget, Some(1_048_576));
-        assert!(cfg.json);
-        let cmd = parse_args(&args("verify cap.jsonl")).unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.mem_budget, None);
-        assert!(!cfg.json);
-        let cmd = parse_args(&args("chaos --mem-budget 65536")).unwrap();
-        let Command::Chaos(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.mem_budget, Some(65_536));
-        // A zero budget would shed everything; reject it loudly.
-        assert!(parse_args(&args("verify cap.jsonl --mem-budget 0")).is_err());
-        assert!(parse_args(&args("chaos --mem-budget 0")).is_err());
+    fn engine_flags_are_accepted_exactly_where_they_were() {
+        let was = [
+            ("--level si", "verify chaos ingest record soak"),
+            ("--skew-bound 5", "verify"),
+            ("--no-gc", "verify"),
+            ("--degraded", "verify"),
+            ("--checkpoint c.ckpt", "verify chaos"),
+            ("--checkpoint-every 8", "verify chaos serve"),
+            ("--mem-budget 4096", "verify chaos ingest"),
+            ("--spill-dir d", "verify chaos serve"),
+            ("--metrics-out m.prom", "verify chaos"),
+            ("--trace-out t.json", "verify chaos"),
+            ("--metrics-interval 5", "verify chaos"),
+        ];
+        let accepted = |sub: &str, flag: &str| {
+            was.iter()
+                .any(|(f, subs)| f.starts_with(flag) && subs.split(' ').any(|s| s == sub))
+        };
+        for sub in "verify chaos serve ingest record soak lint-history oracle".split(' ') {
+            for (flag, _) in was {
+                // The flag another one needs rides along, so that only
+                // acceptance decides the outcome.
+                let needs = match flag {
+                    "--checkpoint-every 8" if accepted(sub, "--checkpoint ") => "--checkpoint c",
+                    "--metrics-interval 5" if accepted(sub, "--metrics-out") => "--metrics-out m",
+                    _ => "",
+                };
+                let file = if "verify ingest lint-history".contains(sub) {
+                    "cap.jsonl"
+                } else {
+                    ""
+                };
+                let line = format!("{sub} {file} {needs} {flag}");
+                let parsed = parse_args(&args(&line));
+                let name = flag.split(' ').next().unwrap_or(flag);
+                if accepted(sub, flag) {
+                    assert!(parsed.is_ok(), "`{line}`: {parsed:?}");
+                } else {
+                    let unknown = ParseError(format!("unknown flag `{name}`"));
+                    assert_eq!(parsed, Err(unknown), "`{line}`");
+                }
+            }
+        }
+    }
+
+    /// The rules between engine flags give one message, whichever
+    /// subcommand accepts the flag.
+    #[test]
+    fn engine_flag_edges_have_one_message_everywhere() {
+        let cases = [
+            (
+                "--checkpoint c --checkpoint-every 0",
+                "verify cap.jsonl|chaos",
+                "--checkpoint-every must be at least 1",
+            ),
+            // serve names the image's place with --dir: there the cadence
+            // stands alone, but not at zero.
+            (
+                "--checkpoint-every 0",
+                "serve",
+                "--checkpoint-every must be at least 1",
+            ),
+            (
+                "--checkpoint-every 64",
+                "verify cap.jsonl|chaos",
+                "--checkpoint-every needs --checkpoint <FILE>",
+            ),
+            // A zero budget would shed everything.
+            (
+                "--mem-budget 0",
+                "verify cap.jsonl|chaos|ingest cap.jsonl",
+                "--mem-budget must be at least 1 byte",
+            ),
+            (
+                "--metrics-interval 5",
+                "verify cap.jsonl|chaos",
+                "--metrics-interval needs --metrics-out <FILE>",
+            ),
+            (
+                "--metrics-out m.prom --metrics-interval 0",
+                "verify cap.jsonl|chaos",
+                "--metrics-interval must be at least 1",
+            ),
+        ];
+        for (flags, subcommands, message) in cases {
+            for sub in subcommands.split('|') {
+                let parsed = parse_args(&args(&format!("{sub} {flags}")));
+                assert_eq!(
+                    parsed,
+                    Err(ParseError(message.to_string())),
+                    "`{sub} {flags}`"
+                );
+            }
+        }
+        assert!(parse_args(&args("serve --checkpoint-every 64")).is_ok());
     }
 
     #[test]
@@ -983,35 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_and_chaos_observability_flags_parse() {
-        let cmd = parse_args(&args(
-            "verify cap.jsonl --metrics-out m.prom --trace-out t.json --metrics-interval 5",
-        ))
-        .unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(cfg.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(cfg.metrics_interval, Some(5));
-        let cmd = parse_args(&args("verify cap.jsonl")).unwrap();
-        let Command::Verify(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.metrics_out, None);
-        assert_eq!(cfg.trace_out, None);
-        assert_eq!(cfg.metrics_interval, None);
-        let cmd = parse_args(&args("chaos --metrics-out m.prom --trace-out t.json")).unwrap();
-        let Command::Chaos(cfg) = cmd else { panic!() };
-        assert_eq!(cfg.metrics_out.as_deref(), Some("m.prom"));
-        assert_eq!(cfg.trace_out.as_deref(), Some("t.json"));
-        // A periodic rewrite needs somewhere to write to, and a zero
-        // interval would spin.
-        assert!(parse_args(&args("verify cap.jsonl --metrics-interval 5")).is_err());
-        assert!(parse_args(&args("chaos --metrics-interval 5")).is_err());
-        assert!(parse_args(&args(
-            "verify cap.jsonl --metrics-out m.prom --metrics-interval 0"
-        ))
-        .is_err());
-    }
-
-    #[test]
     fn chaos_defaults_and_overrides() {
         let cmd = parse_args(&args("chaos")).unwrap();
         assert_eq!(cmd, Command::Chaos(ChaosConfig::default()));
@@ -1025,7 +1142,7 @@ mod tests {
         .unwrap();
         let Command::Chaos(cfg) = cmd else { panic!() };
         assert_eq!(cfg.workload, "smallbank");
-        assert_eq!(cfg.level, IsolationLevel::SnapshotIsolation);
+        assert_eq!(cfg.engine.level, IsolationLevel::SnapshotIsolation);
         assert_eq!(cfg.threads, 2);
         assert_eq!(cfg.txns, 50);
         assert_eq!(cfg.chaos_seed, 9);
@@ -1034,8 +1151,8 @@ mod tests {
         assert_eq!(cfg.skew_magnitude, 500);
         assert_eq!(cfg.retry_attempts, 5);
         assert_eq!(cfg.evict_timeout_ms, 250);
-        assert_eq!(cfg.checkpoint.as_deref(), Some("c.ckpt"));
-        assert_eq!(cfg.checkpoint_every, Some(128));
+        assert_eq!(cfg.engine.checkpoint.as_deref(), Some("c.ckpt"));
+        assert_eq!(cfg.engine.checkpoint_every, Some(128));
         assert!(cfg.json);
         assert!(parse_args(&args("chaos --kill-prob 1.5")).is_err());
         assert!(parse_args(&args("chaos --threads 0")).is_err());
@@ -1098,9 +1215,8 @@ mod tests {
         assert_eq!(cfg.listen, "tcp:127.0.0.1:7878");
         assert_eq!(cfg.control.as_deref(), Some("unix:/tmp/c.sock"));
         assert_eq!(cfg.dir, "state");
-        assert_eq!(cfg.checkpoint_every, 64);
+        assert_eq!(cfg.engine.checkpoint_every, Some(64));
         assert_eq!(cfg.global_budget, 1_048_576);
-        assert!(parse_args(&args("serve --checkpoint-every 0")).is_err());
         assert!(parse_args(&args("serve --listen bogus")).is_err());
         assert!(parse_args(&args("serve --control udp:x")).is_err());
         assert!(parse_args(&args("serve --bogus")).is_err());
@@ -1119,8 +1235,8 @@ mod tests {
         assert_eq!(cfg.file, "cap.jsonl");
         assert_eq!(cfg.to, "unix:/tmp/i.sock");
         assert_eq!(cfg.stream.as_deref(), Some("t1"));
-        assert_eq!(cfg.level, IsolationLevel::SnapshotIsolation);
-        assert_eq!(cfg.mem_budget, 4096);
+        assert_eq!(cfg.engine.level, IsolationLevel::SnapshotIsolation);
+        assert_eq!(cfg.engine.mem_budget, Some(4096));
         assert!(cfg.json);
     }
 

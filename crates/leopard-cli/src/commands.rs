@@ -1,15 +1,15 @@
 //! Implementations of the CLI subcommands.
 
 use crate::args::{
-    ChaosConfig, IngestConfig, LintHistoryConfig, OracleConfig, RecordConfig, ServeCliConfig,
-    SoakCliConfig, VerifyConfig,
+    ChaosConfig, EngineArgs, IngestConfig, LintHistoryConfig, OracleConfig, RecordConfig,
+    ServeCliConfig, SoakCliConfig, VerifyConfig,
 };
 use leopard_core::obs;
 use leopard_core::{
-    ingest_capture, Backpressure, CaptureHeader, CaptureReader, CaptureWriter, Checkpoint,
-    CheckpointError, Endpoint, IsolationLevel, MemBudget, OnlineLeopard, OnlineOptions,
-    PreflightAnalyzer, PreflightConfig, PreflightReport, ServeOptions, Server, Verifier,
-    VerifierConfig, CAPTURE_VERSION, TRACE_APPROX_BYTES,
+    engine, ingest_capture, Backpressure, BudgetCounters, CaptureHeader, CaptureReader,
+    CaptureWriter, Checkpoint, CheckpointError, Endpoint, FsIo, IsolationLevel, OnlineLeopard,
+    OnlineOptions, PreflightAnalyzer, PreflightConfig, PreflightReport, ServeOptions, Server,
+    CAPTURE_VERSION, TRACE_APPROX_BYTES,
 };
 use leopard_db::{Database, DbConfig, FaultPlan};
 use leopard_oracle::{corpus_files, run_matrix, CleanRunSpec, Schedule};
@@ -35,19 +35,15 @@ struct ObsSinks {
 }
 
 impl ObsSinks {
-    fn new(
-        metrics_out: Option<&String>,
-        trace_out: Option<&String>,
-        interval_secs: Option<u64>,
-    ) -> ObsSinks {
-        if metrics_out.is_some() || trace_out.is_some() {
+    fn new(args: &EngineArgs) -> ObsSinks {
+        if args.metrics_out.is_some() || args.trace_out.is_some() {
             obs::reset();
             obs::set_enabled(true);
         }
         ObsSinks {
-            metrics_out: metrics_out.map(PathBuf::from),
-            trace_out: trace_out.map(PathBuf::from),
-            interval: interval_secs.map(Duration::from_secs),
+            metrics_out: args.metrics_out.as_ref().map(PathBuf::from),
+            trace_out: args.trace_out.as_ref().map(PathBuf::from),
+            interval: args.metrics_interval.map(Duration::from_secs),
             last_write: Instant::now(),
         }
     }
@@ -269,29 +265,68 @@ pub fn lint_history(cfg: &LintHistoryConfig, out: &mut dyn Write) -> i32 {
     }
 }
 
-/// Writes `verifier`'s checkpoint image for `leopard verify`.
-fn write_checkpoint(verifier: &Verifier, path: &Path) -> Result<(), CheckpointError> {
-    if verifier.spill_attached() {
-        // Spilled records are referenced by address from the checkpoint,
-        // so the tier must be durable first; the chained write keeps a
-        // good prior generation in case this one lands torn.
-        verifier.sync_spill().map_err(|e| match e {
-            leopard_core::StoreError::Io(io) => CheckpointError::Io(io),
-            other => CheckpointError::Malformed(other.to_string()),
-        })?;
-        verifier.checkpoint().write_chained(path)
-    } else {
-        verifier.checkpoint().write(path)
+/// The budget / spill counter block of a run summary, one rendering for
+/// `verify` and `chaos`. As JSON it is the run of keys from `peak_bytes`
+/// to `spill_fallbacks` (CI strip-diffs them: keys, order and values are
+/// fixed); `channel` — chaos's `(shed_lossy, post_shutdown_drops)` —
+/// selects chaos's key set, which has those two and no `peak_entries`.
+/// As text it is the `resources:` line under a budget and the `spill:`
+/// line with a spill directory.
+fn render_budget(
+    b: &BudgetCounters,
+    args: &EngineArgs,
+    json: bool,
+    channel: Option<(u64, u64)>,
+) -> String {
+    if json {
+        let entries = match channel {
+            None => format!("\"peak_entries\":{},", b.peak_entries),
+            Some(_) => String::new(),
+        };
+        let channel = channel
+            .map(|(lossy, late)| format!("\"shed_lossy\":{lossy},\"post_shutdown_drops\":{late},"))
+            .unwrap_or_default();
+        return format!(
+            "\"peak_bytes\":{},{entries}\"forced_gcs\":{},\"forced_dispatches\":{},\
+             \"shed_traces\":{},{channel}\"budget_evictions\":{},\
+             \"spill_passes\":{},\"spilled_records\":{},\"spill_faults\":{},\
+             \"spill_fallbacks\":{},",
+            b.peak_bytes,
+            b.forced_gcs,
+            b.forced_dispatches,
+            b.shed_traces,
+            b.budget_evictions,
+            b.spill_passes,
+            b.spilled_records,
+            b.spill_faults,
+            b.spill_fallbacks,
+        );
     }
+    let mut text = String::new();
+    if args.mem_budget.is_some() {
+        text += &format!(
+            "resources: peak {} bytes / {} entries, {} forced gcs, {} forced dispatches, \
+             {} shed, {} budget evictions\n",
+            b.peak_bytes,
+            b.peak_entries,
+            b.forced_gcs,
+            b.forced_dispatches,
+            b.shed_traces,
+            b.budget_evictions
+        );
+    }
+    if args.spill_dir.is_some() {
+        text += &format!(
+            "spill: {} pass(es), {} record(s) paged out, {} fault(s), {} fallback(s)\n",
+            b.spill_passes, b.spilled_records, b.spill_faults, b.spill_fallbacks
+        );
+    }
+    text
 }
 
 /// `leopard verify`: audit a capture file.
 pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
-    let mut sinks = ObsSinks::new(
-        cfg.metrics_out.as_ref(),
-        cfg.trace_out.as_ref(),
-        cfg.metrics_interval,
-    );
+    let mut sinks = ObsSinks::new(&cfg.engine);
     if cfg.skip_preflight {
         if !cfg.json {
             let _ = writeln!(out, "preflight: skipped (--skip-preflight)");
@@ -305,7 +340,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
             let _ = writeln!(out, "{report}");
         }
         if report.has_errors() {
-            if cfg.degraded {
+            if cfg.engine.degraded {
                 if !cfg.json {
                     let _ = writeln!(
                         out,
@@ -342,118 +377,64 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
         let _ = writeln!(out, "capture: {}", reader.header().description);
     }
 
-    let spill = cfg.spill_dir.as_ref().map(leopard_core::SpillSettings::new);
-
-    // A resumed verifier carries its configuration (and the already-applied
-    // preload) inside the checkpoint; a fresh one is built from the flags.
-    let mut skip = 0u64;
-    let mut verifier = if let Some(ckpt_path) = &cfg.resume {
-        // `read_chained` transparently accepts plain pre-chain files and
-        // falls back past corrupt head generations, surfacing the fallback
-        // as a warning.
-        let v = match Checkpoint::read_chained(Path::new(ckpt_path)).and_then(|(ckpt, warning)| {
-            Verifier::from_checkpoint(&ckpt).map(|v| (ckpt, warning, v))
-        }) {
-            Ok((ckpt, warning, mut v)) => {
-                skip = ckpt.traces_ingested;
-                if let Some(w) = &warning {
-                    let _ = writeln!(out, "warning: {w}");
-                    v.note_degraded_load(w);
-                }
-                match (&spill, ckpt.spill.len()) {
-                    (Some(settings), _) => match leopard_core::SpillTier::open(settings) {
-                        Ok(tier) => v.resume_spill(tier, &ckpt.spill),
-                        Err(e) if ckpt.spill.is_empty() => {
-                            v.note_spill_unavailable(&e.to_string());
-                        }
-                        Err(e) => {
-                            let _ = writeln!(
-                                out,
-                                "error: checkpoint references {} spilled record(s) \
-                                 but the spill tier cannot be opened: {e}",
-                                ckpt.spill.len()
-                            );
-                            return 1;
-                        }
-                    },
-                    (None, 0) => {}
-                    (None, n) => {
-                        let _ = writeln!(
-                            out,
-                            "error: checkpoint references {n} spilled record(s) \
-                             but no --spill-dir was given"
-                        );
-                        return 1;
-                    }
-                }
-                v
-            }
-            Err(e) => {
-                let _ = writeln!(out, "error: cannot resume from {ckpt_path}: {e}");
-                return 1;
-            }
-        };
-        if !cfg.json {
-            let _ = writeln!(
-                out,
-                "resumed from {ckpt_path}: {skip} traces already ingested"
-            );
+    // Fresh from the flags and the capture's preload, or resumed from an
+    // image written under the same flags (the preload is inside it).
+    let opts = cfg.engine.to_opts();
+    let image = cfg.resume.as_ref().map(|path| {
+        let absent = std::io::Error::new(std::io::ErrorKind::NotFound, "no checkpoint there");
+        Checkpoint::load(&FsIo, Path::new(path))?.ok_or(CheckpointError::Io(absent))
+    });
+    let opened = image
+        .transpose()
+        .and_then(|image| engine::open(&opts, image, &reader.header().preload));
+    let opened = match opened {
+        Ok(opened) => opened,
+        Err(e) => {
+            let from = cfg.resume.as_deref().unwrap_or_default();
+            let _ = writeln!(out, "error: cannot resume from {from}: {e}");
+            return 1;
         }
-        v
-    } else {
-        let mut vcfg = VerifierConfig::for_level(cfg.level);
-        vcfg.clock_skew_bound = cfg.skew_bound;
-        vcfg.gc = !cfg.no_gc;
-        vcfg.degraded = cfg.degraded;
-        if let Some(bytes) = cfg.mem_budget {
-            vcfg.mem_budget = MemBudget::bytes(bytes);
-        }
-        let mut v = Verifier::new(vcfg);
-        for &(k, val) in &reader.header().preload.clone() {
-            v.preload(k, val);
-        }
-        v
     };
-
-    // Attach the spill tier unless a resume already did. Failure to open
-    // it is a counted fallback — the run proceeds fully in memory with a
-    // coverage note, never a silent change of verdict.
-    if let Some(settings) = &spill {
-        if !verifier.spill_attached() {
-            match leopard_core::SpillTier::open(settings) {
-                Ok(tier) => verifier.attach_spill(tier),
-                Err(e) => {
-                    let _ = writeln!(
-                        out,
-                        "warning: spill tier unavailable ({e}); continuing in memory"
-                    );
-                    verifier.note_spill_unavailable(&e.to_string());
-                }
-            }
-        }
+    for warning in &opened.warnings {
+        let _ = writeln!(out, "warning: {warning}");
+    }
+    let (mut verifier, skip) = (opened.verifier, opened.cursor);
+    if let (Some(from), false) = (&cfg.resume, cfg.json) {
+        let _ = writeln!(out, "resumed from {from}: {skip} traces already ingested");
     }
 
-    let ckpt_out = cfg.checkpoint.as_ref().map(PathBuf::from);
+    let save = |verifier: &leopard_core::Verifier, cursor: u64, out: &mut dyn Write| {
+        let Some(path) = &opts.checkpoint else {
+            return true;
+        };
+        if let Err(e) = engine::save(verifier, cursor, &FsIo, path) {
+            let _ = writeln!(out, "error: cannot checkpoint: {e}");
+            return false;
+        }
+        true
+    };
     crate::signals::install_termination_handler();
     let mut seen = 0u64;
-    let mut processed = 0u64;
     loop {
         if crate::signals::termination_requested() {
             // Graceful shutdown: persist the exact resume point and the
             // metrics snapshot, then exit with the conventional 128+SIG
             // code so wrappers can tell "interrupted" from "violations".
-            if let Some(path) = &ckpt_out {
-                if let Err(e) = write_checkpoint(&verifier, path) {
-                    let _ = writeln!(out, "error: cannot checkpoint: {e}");
-                    return 1;
+            let processed = seen.saturating_sub(skip);
+            if !save(&verifier, seen.max(skip), out) {
+                return 1;
+            }
+            match &opts.checkpoint {
+                Some(path) => {
+                    let _ = writeln!(
+                        out,
+                        "interrupted after {processed} traces; checkpoint flushed to {}",
+                        path.display()
+                    );
                 }
-                let _ = writeln!(
-                    out,
-                    "interrupted after {processed} traces; checkpoint flushed to {}",
-                    path.display()
-                );
-            } else {
-                let _ = writeln!(out, "interrupted after {processed} traces");
+                None => {
+                    let _ = writeln!(out, "interrupted after {processed} traces");
+                }
             }
             sinks.finish(out, cfg.json);
             return 130;
@@ -464,28 +445,22 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
                 if seen <= skip {
                     continue;
                 }
-                verifier.process(&trace);
-                processed += 1;
                 // A latched store fault means spilled state could not be
                 // read back: the engine has stopped ingesting, and
                 // reporting a verdict would be unsound. Fail typed.
-                if let Some(fault) = verifier.store_fault() {
+                if let Err(fault) = engine::feed(&mut verifier, &trace) {
                     let _ = writeln!(
                         out,
-                        "error: {fault} after {processed} traces; no verdict is \
-                         reported (rerun from the last good checkpoint)"
+                        "error: {fault} after {} traces; no verdict is \
+                         reported (rerun from the last good checkpoint)",
+                        seen - skip
                     );
                     sinks.finish(out, cfg.json);
                     return 1;
                 }
                 sinks.tick();
-                if let (Some(path), Some(every)) = (&ckpt_out, cfg.checkpoint_every) {
-                    if processed.is_multiple_of(every) {
-                        if let Err(e) = write_checkpoint(&verifier, path) {
-                            let _ = writeln!(out, "error: cannot checkpoint: {e}");
-                            return 1;
-                        }
-                    }
+                if opts.checkpoint_due(seen - skip) && !save(&verifier, seen, out) {
+                    return 1;
                 }
             }
             Ok(None) => break,
@@ -495,28 +470,28 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
             }
         }
     }
-    if let Some(path) = &ckpt_out {
-        if let Err(e) = write_checkpoint(&verifier, path) {
-            let _ = writeln!(out, "error: cannot checkpoint: {e}");
-            return 1;
-        }
-        if !cfg.json {
-            let _ = writeln!(out, "checkpoint written to {}", path.display());
-        }
+    if !save(&verifier, seen.max(skip), out) {
+        return 1;
     }
-    let outcome = verifier.finish();
+    if let (Some(path), false) = (&opts.checkpoint, cfg.json) {
+        let _ = writeln!(out, "checkpoint written to {}", path.display());
+    }
+    let outcome = engine::finish(verifier);
     if !sinks.finish(out, cfg.json) {
         return 1;
     }
-    if let Some(fault) = &outcome.store_fault {
-        // Deferred checks may fault records in at finish; the same rule
-        // applies — a typed error, never a verdict over partial state.
-        let _ = writeln!(out, "error: {fault}; no verdict is reported");
-        return 1;
-    }
+    let outcome = match outcome {
+        Ok(outcome) => outcome,
+        Err(fault) => {
+            // Deferred checks may fault records in at finish; the same
+            // rule applies — a typed error, never a verdict over partial
+            // state.
+            let _ = writeln!(out, "error: {fault}; no verdict is reported");
+            return 1;
+        }
+    };
     if cfg.json {
         let cov = &outcome.coverage;
-        let budget = &outcome.counters.budget;
         let evicted: Vec<String> = cov
             .evicted_clients
             .iter()
@@ -524,26 +499,13 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
             .collect();
         let _ = writeln!(
             out,
-            "{{\"level\":\"{}\",\"traces\":{},\"committed\":{},\
-             \"peak_bytes\":{},\"peak_entries\":{},\"forced_gcs\":{},\
-             \"forced_dispatches\":{},\"shed_traces\":{},\"budget_evictions\":{},\
-             \"spill_passes\":{},\"spilled_records\":{},\"spill_faults\":{},\
-             \"spill_fallbacks\":{},\
+            "{{\"level\":\"{}\",\"traces\":{},\"committed\":{},{}\
              \"evicted_clients\":[{}],\"quarantined_traces\":{},\"demoted_reads\":{},\
              \"violations\":{},\"clean\":{},\"complete\":{}{}}}",
-            cfg.level,
+            cfg.engine.level,
             outcome.counters.traces,
             outcome.counters.committed,
-            budget.peak_bytes,
-            budget.peak_entries,
-            budget.forced_gcs,
-            budget.forced_dispatches,
-            budget.shed_traces,
-            budget.budget_evictions,
-            budget.spill_passes,
-            budget.spilled_records,
-            budget.spill_faults,
-            budget.spill_fallbacks,
+            render_budget(&outcome.counters.budget, &cfg.engine, true, None),
             evicted.join(","),
             cov.quarantined_traces,
             cov.demoted_reads,
@@ -557,28 +519,14 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
     let _ = writeln!(
         out,
         "verified {} traces / {} committed transactions at {}",
-        outcome.counters.traces, outcome.counters.committed, cfg.level
+        outcome.counters.traces, outcome.counters.committed, cfg.engine.level
     );
     let _ = writeln!(out, "{}", outcome.stats);
-    if cfg.mem_budget.is_some() {
-        let budget = &outcome.counters.budget;
-        let _ = writeln!(
-            out,
-            "resources: peak {} bytes / {} entries, {} forced gcs, {} shed",
-            budget.peak_bytes, budget.peak_entries, budget.forced_gcs, budget.shed_traces
-        );
-    }
-    if spill.is_some() {
-        let budget = &outcome.counters.budget;
-        let _ = writeln!(
-            out,
-            "spill: {} pass(es), {} record(s) paged out, {} fault(s), {} fallback(s)",
-            budget.spill_passes,
-            budget.spilled_records,
-            budget.spill_faults,
-            budget.spill_fallbacks
-        );
-    }
+    let _ = write!(
+        out,
+        "{}",
+        render_budget(&outcome.counters.budget, &cfg.engine, false, None)
+    );
     if !outcome.coverage.is_complete() {
         let _ = write!(out, "{}", outcome.coverage);
     }
@@ -596,11 +544,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
 /// bursts) through the *online* Tracer→Verifier chain in degraded mode,
 /// and report both the verdict and how much of the history it covers.
 pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
-    let sinks = ObsSinks::new(
-        cfg.metrics_out.as_ref(),
-        cfg.trace_out.as_ref(),
-        cfg.metrics_interval,
-    );
+    let sinks = ObsSinks::new(&cfg.engine);
     // Channel-layer losses are counted unconditionally in the global
     // registry (they must never be silent), so the per-run figure is a
     // before/after delta rather than an absolute read.
@@ -628,34 +572,29 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
         disk_fault_prob: cfg.disk_fault_prob,
         disk_enospc_after_bytes: cfg.disk_enospc_after,
     };
-    // The spill tier rides under the same seeded chaos umbrella: the
-    // plan's disk knobs become the tier's fault-injection spec.
-    let spill = cfg
-        .spill_dir
-        .as_ref()
-        .map(leopard_core::SpillSettings::new)
-        .map(|mut s| {
-            s.fault = plan.fault_spec();
-            s
-        });
+    // A chaos run mangles deliveries, so it verifies degraded and under
+    // the skew its plan injects; the spill tier rides under the same
+    // seeded chaos umbrella — the plan's disk knobs become the tier's
+    // fault-injection spec.
+    let mut engine = cfg.engine.to_opts();
+    engine.verifier.degraded = true;
+    engine.verifier.clock_skew_bound = plan.skew_bound();
+    if let Some(spill) = &mut engine.spill {
+        spill.fault = plan.fault_spec();
+    }
+    let vcfg = engine.verifier;
     let retry = RetryPolicy::with_backoff(
         cfg.retry_attempts,
         Duration::from_millis(cfg.retry_backoff_ms),
     )
     .with_jitter(cfg.retry_jitter);
 
-    let db = Database::new(DbConfig::at(cfg.level));
+    let db = Database::new(DbConfig::at(cfg.engine.level));
     let preload = preload_database(&db, proto.as_ref());
 
-    let mut vcfg = VerifierConfig::for_level(cfg.level);
-    vcfg.degraded = true;
-    vcfg.clock_skew_bound = plan.skew_bound();
-    if let Some(bytes) = cfg.mem_budget {
-        vcfg.mem_budget = MemBudget::bytes(bytes);
-    }
     // Under a memory budget the per-client channels are bounded too, so
     // ingest cannot outrun the collector by more than the budget allows.
-    let backpressure = match cfg.mem_budget {
+    let backpressure = match cfg.engine.mem_budget {
         Some(bytes) => {
             let per_client =
                 (bytes as usize / TRACE_APPROX_BYTES / cfg.threads.max(1)).clamp(16, 4096);
@@ -665,10 +604,8 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
     };
     let opts = OnlineOptions {
         eviction_timeout: Some(Duration::from_millis(cfg.evict_timeout_ms)),
-        checkpoint_path: cfg.checkpoint.as_ref().map(PathBuf::from),
-        checkpoint_every: cfg.checkpoint_every,
         backpressure,
-        spill: spill.clone(),
+        engine,
         ..OnlineOptions::default()
     };
     let ticker = sinks.spawn_ticker();
@@ -722,13 +659,16 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
     }
 
     stats.absorb_pipeline(&pstats);
-    if let Some(fault) = &outcome.store_fault {
-        // An unrecoverable spill-tier fault (after retries) is a typed
-        // terminal outcome: the verdict over partial state would be
-        // unsound, so none is reported.
-        let _ = writeln!(out, "error: {fault}; no verdict is reported");
-        return 1;
-    }
+    let outcome = match outcome.into_result() {
+        Ok(outcome) => outcome,
+        Err(fault) => {
+            // An unrecoverable spill-tier fault (after retries) is a typed
+            // terminal outcome: the verdict over partial state would be
+            // unsound, so none is reported.
+            let _ = writeln!(out, "error: {fault}; no verdict is reported");
+            return 1;
+        }
+    };
     let cov = &outcome.coverage;
     let budget = &outcome.counters.budget;
     if cfg.json {
@@ -743,15 +683,10 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
              \"committed\":{},\"aborted\":{},\"retries\":{},\"killed\":{},\"stalled\":{},\
              \"traces_dropped\":{},\"traces_duplicated\":{},\
              \"dispatched\":{},\"duplicates_deduped\":{},\"evicted_clients\":[{}],\
-             \"quarantined_traces\":{},\"demoted_reads\":{},\"indeterminate_txns\":{},\
-             \"peak_bytes\":{},\"forced_gcs\":{},\"forced_dispatches\":{},\
-             \"shed_traces\":{},\"shed_lossy\":{},\"post_shutdown_drops\":{},\
-             \"budget_evictions\":{},\
-             \"spill_passes\":{},\"spilled_records\":{},\"spill_faults\":{},\
-             \"spill_fallbacks\":{},\
+             \"quarantined_traces\":{},\"demoted_reads\":{},\"indeterminate_txns\":{},{}\
              \"violations\":{},\"clean\":{},\"complete\":{}{}}}",
             cfg.workload,
-            cfg.level,
+            cfg.engine.level,
             cfg.seed,
             cfg.chaos_seed,
             stats.committed,
@@ -767,17 +702,12 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
             cov.quarantined_traces,
             cov.demoted_reads,
             cov.indeterminate_txns.len(),
-            budget.peak_bytes,
-            budget.forced_gcs,
-            budget.forced_dispatches,
-            budget.shed_traces,
-            shed_lossy,
-            post_shutdown_drops,
-            budget.budget_evictions,
-            budget.spill_passes,
-            budget.spilled_records,
-            budget.spill_faults,
-            budget.spill_fallbacks,
+            render_budget(
+                budget,
+                &cfg.engine,
+                true,
+                Some((shed_lossy, post_shutdown_drops))
+            ),
             outcome.report.violations.len(),
             outcome.report.is_clean(),
             cov.is_complete(),
@@ -787,7 +717,7 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
         let _ = writeln!(
             out,
             "chaos: {} level={} threads={} txns/client={} seed={} chaos-seed={}",
-            cfg.workload, cfg.level, cfg.threads, cfg.txns, cfg.seed, cfg.chaos_seed
+            cfg.workload, cfg.engine.level, cfg.threads, cfg.txns, cfg.seed, cfg.chaos_seed
         );
         let _ = writeln!(
             out,
@@ -811,29 +741,7 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
                  {post_shutdown_drops} dropped after shutdown"
             );
         }
-        if cfg.mem_budget.is_some() {
-            let _ = writeln!(
-                out,
-                "resources: peak {} bytes, {} forced gcs, {} forced dispatches, \
-                 {} shed, {} budget evictions",
-                budget.peak_bytes,
-                budget.forced_gcs,
-                budget.forced_dispatches,
-                budget.shed_traces,
-                budget.budget_evictions
-            );
-        }
-        if spill.is_some() {
-            let _ = writeln!(
-                out,
-                "spill: {} pass(es), {} record(s) paged out, {} fault(s) retried or \
-                 recovered, {} fallback(s)",
-                budget.spill_passes,
-                budget.spilled_records,
-                budget.spill_faults,
-                budget.spill_fallbacks
-            );
-        }
+        let _ = write!(out, "{}", render_budget(budget, &cfg.engine, false, None));
         let _ = write!(out, "{cov}");
     }
     let code = if outcome.report.is_clean() {
@@ -939,9 +847,8 @@ pub fn serve(cfg: &ServeCliConfig, out: &mut dyn Write) -> i32 {
         }
     };
     let mut opts = ServeOptions::new(PathBuf::from(&cfg.dir));
-    opts.checkpoint_every = cfg.checkpoint_every.max(1);
+    opts.engine = cfg.engine.to_opts();
     opts.global_budget_bytes = cfg.global_budget;
-    opts.spill = cfg.spill_dir.as_ref().map(leopard_core::SpillSettings::new);
     let server = match Server::bind(&ingest, control.as_ref(), opts) {
         Ok(s) => s,
         Err(e) => {
@@ -1021,7 +928,13 @@ pub fn ingest(cfg: &IngestConfig, out: &mut dyn Write) -> i32 {
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "capture".to_string())
     });
-    let verdict = match ingest_capture(&endpoint, &stream, cfg.level, cfg.mem_budget, &mut reader) {
+    let verdict = match ingest_capture(
+        &endpoint,
+        &stream,
+        cfg.engine.level,
+        cfg.engine.mem_budget.unwrap_or(0),
+        &mut reader,
+    ) {
         Ok(v) => v,
         Err(e) => {
             let _ = writeln!(out, "error: {e}");
@@ -1229,7 +1142,10 @@ mod tests {
         let code = verify(
             &VerifyConfig {
                 file: path.clone(),
-                level: IsolationLevel::RepeatableRead,
+                engine: EngineArgs {
+                    level: IsolationLevel::RepeatableRead,
+                    ..EngineArgs::default()
+                },
                 ..VerifyConfig::default()
             },
             &mut out,
@@ -1446,8 +1362,11 @@ mod tests {
         let code = verify(
             &VerifyConfig {
                 file: path.clone(),
-                mem_budget: Some(8 * 1024),
                 json: true,
+                engine: EngineArgs {
+                    mem_budget: Some(8 * 1024),
+                    ..EngineArgs::default()
+                },
                 ..VerifyConfig::default()
             },
             &mut out,
@@ -1471,7 +1390,10 @@ mod tests {
             &crate::args::ChaosConfig {
                 threads: 2,
                 txns: 40,
-                mem_budget: Some(256 * 1024),
+                engine: EngineArgs {
+                    mem_budget: Some(256 * 1024),
+                    ..EngineArgs::default()
+                },
                 ..crate::args::ChaosConfig::default()
             },
             &mut out,
@@ -1505,8 +1427,11 @@ mod tests {
             &VerifyConfig {
                 file: path.clone(),
                 json: true,
-                metrics_out: Some(metrics.clone()),
-                trace_out: Some(trace.clone()),
+                engine: EngineArgs {
+                    metrics_out: Some(metrics.clone()),
+                    trace_out: Some(trace.clone()),
+                    ..EngineArgs::default()
+                },
                 ..VerifyConfig::default()
             },
             &mut out,
@@ -1553,8 +1478,11 @@ mod tests {
         let code = verify(
             &VerifyConfig {
                 file: path.clone(),
-                checkpoint: Some(ckpt.clone()),
-                checkpoint_every: Some(50),
+                engine: EngineArgs {
+                    checkpoint: Some(ckpt.clone()),
+                    checkpoint_every: Some(50),
+                    ..EngineArgs::default()
+                },
                 ..VerifyConfig::default()
             },
             &mut out,
@@ -1608,7 +1536,10 @@ mod tests {
         let code = verify(
             &VerifyConfig {
                 file: path.clone(),
-                degraded: true,
+                engine: EngineArgs {
+                    degraded: true,
+                    ..EngineArgs::default()
+                },
                 ..VerifyConfig::default()
             },
             &mut out,

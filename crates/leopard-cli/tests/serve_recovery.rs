@@ -165,7 +165,7 @@ fn kill_dash_nine_then_restart_matches_uninterrupted_run_byte_for_byte() {
     d.shutdown();
     assert_eq!(ref_verdict.status, "ok");
     assert!(ref_verdict.clean && ref_verdict.complete);
-    let ref_ckpt = fs::read_to_string(ref_dir.join("t.ckpt")).unwrap();
+    let ref_ckpt = fs::read(ref_dir.join("t.ckpt")).unwrap();
     let ref_verdict_json = fs::read_to_string(ref_dir.join("t.verdict.json")).unwrap();
 
     // Interrupted run: stream 20 traces (past two checkpoint boundaries),
@@ -227,7 +227,7 @@ fn kill_dash_nine_then_restart_matches_uninterrupted_run_byte_for_byte() {
     d.shutdown();
 
     assert_eq!(verdict, ref_verdict, "verdicts diverged after crash");
-    let ckpt = fs::read_to_string(kill_dir.join("t.ckpt")).unwrap();
+    let ckpt = fs::read(kill_dir.join("t.ckpt")).unwrap();
     let verdict_json = fs::read_to_string(kill_dir.join("t.verdict.json")).unwrap();
     assert_eq!(ckpt, ref_ckpt, "checkpoint not byte-identical");
     assert_eq!(verdict_json, ref_verdict_json, "verdict not byte-identical");
@@ -316,7 +316,7 @@ fn kill_dash_nine_after_a_journal_only_boundary_resumes_from_the_journal() {
     let d = Daemon::spawn(&base.join("ref-sock"), &ref_dir, 8, &[]);
     let ref_verdict = ingest_file(&d.ingest, &capture, "t").unwrap();
     d.shutdown();
-    let ref_ckpt = fs::read_to_string(ref_dir.join("t.ckpt")).unwrap();
+    let ref_ckpt = fs::read(ref_dir.join("t.ckpt")).unwrap();
     let ref_verdict_json = fs::read_to_string(ref_dir.join("t.verdict.json")).unwrap();
 
     let kill_dir = base.join("kill");
@@ -330,8 +330,14 @@ fn kill_dash_nine_after_a_journal_only_boundary_resumes_from_the_journal() {
     assert_eq!(metric(&d.control, "leopard_journal_appends_total"), 1);
     d.kill9();
     drop(sock);
-    let image = leopard_core::Checkpoint::read(&kill_dir.join("t.ckpt")).unwrap();
-    assert_eq!(image.traces_ingested, 8, "the only image is the first");
+    let image = leopard_core::Checkpoint::load(&leopard_core::FsIo, &kill_dir.join("t.ckpt"))
+        .unwrap()
+        .expect("an image");
+    assert_eq!(image.warning, None);
+    assert_eq!(
+        image.checkpoint.traces_ingested, 8,
+        "the only image is the first"
+    );
 
     let d = Daemon::spawn(&sock_dir, &kill_dir, 8, &[]);
     wait_for_stream(&d.control, "idle", 16);
@@ -351,7 +357,7 @@ fn kill_dash_nine_after_a_journal_only_boundary_resumes_from_the_journal() {
     d.shutdown();
 
     assert_eq!(verdict, ref_verdict, "verdicts diverged after crash");
-    let ckpt = fs::read_to_string(kill_dir.join("t.ckpt")).unwrap();
+    let ckpt = fs::read(kill_dir.join("t.ckpt")).unwrap();
     let verdict_json = fs::read_to_string(kill_dir.join("t.verdict.json")).unwrap();
     assert_eq!(ckpt, ref_ckpt, "checkpoint not byte-identical");
     assert_eq!(verdict_json, ref_verdict_json, "verdict not byte-identical");
@@ -468,8 +474,8 @@ fn kill_dash_nine_mid_spill_recovers_byte_identical_verdicts() {
         d.kill9();
     }
 
-    // Restart on the same directories: recovery re-opens the chained
-    // checkpoint AND the spill tier (the checkpoint references spilled
+    // Restart on the same directories: recovery re-opens the checkpoint
+    // image AND the spill tier (the checkpoint references spilled
     // record addresses), then the resume protocol skips what survived.
     let d = Daemon::spawn_opts(&sock_dir, &kill_dir, 8, &[], &["--spill-dir", &spill_flag]);
     let streams = control_command(&d.control, "streams").unwrap();

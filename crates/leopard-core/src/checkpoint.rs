@@ -13,11 +13,19 @@
 //! The format is versioned JSON. All maps are flattened to sorted vectors
 //! (the offline-capable serde stub has no `HashMap` support, and sorting
 //! makes checkpoints byte-stable for identical verifier states).
+//!
+//! On disk every image has one layout, whoever wrote it and whether or
+//! not a spill tier is attached ([`Checkpoint::store`] /
+//! [`Checkpoint::load`]): the JSON document under a length + CRC-32
+//! seal, with the image it replaced kept beside it as the single
+//! fallback (DESIGN.md §7.3).
 
 use crate::budget::MemBudget;
 use crate::interval::Interval;
 use crate::report::BugReport;
 use crate::stats::DeductionStats;
+use crate::store::crc32::crc32;
+use crate::store::{FsIo, StoreIo};
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value};
 use crate::verify::{
     Coverage, KeyLocks, KeyVersions, NodeSnap, SpillIndexEntry, TxnSnap, VerifierConfig,
@@ -25,9 +33,7 @@ use crate::verify::{
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::fs;
-use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Current checkpoint format version; bumped on incompatible change.
 ///
@@ -38,9 +44,7 @@ use std::path::Path;
 /// Version 4: checkpoints became incremental under the spill tier — the
 /// image carries a spill index (paged-out records stay in their segment
 /// files instead of being folded into the JSON) and the budget counters
-/// grew spill accounting. Written through
-/// [`crate::store::GenChain`] when spilling is enabled, with CRC'd
-/// generations and corrupt-head fallback.
+/// grew spill accounting.
 ///
 /// Version 5: the key-sharded engine is gone — matched reads lost their
 /// cross-shard ordering key and the sharded envelope no longer exists.
@@ -114,8 +118,8 @@ pub struct Checkpoint {
     pub coverage: Coverage,
     /// Spill index: records paged out to the spill tier at checkpoint
     /// time, with their durable addresses. Empty when no tier is
-    /// attached. Resume must re-attach the same spill directory
-    /// ([`crate::verify::Verifier::resume_spill`]) when non-empty.
+    /// attached. Resume ([`crate::verify::engine::open`]) must re-attach
+    /// the same spill directory when non-empty.
     pub spill: Vec<SpillIndexEntry>,
     /// The usage above which the overload ladder next forces a GC and a
     /// spill pass: the configured budget, or higher after a relief that
@@ -145,6 +149,17 @@ pub enum CheckpointError {
     },
     /// The file is not valid checkpoint JSON.
     Malformed(String),
+    /// No image at the path verifies: no seal (which is also what a
+    /// plain-JSON or manifest file of an older build lacks), a length that
+    /// disagrees with the file, or a CRC mismatch — in the head image
+    /// and, where one exists, in the previous image too.
+    Corrupt(String),
+    /// The image was written under a different verifier configuration;
+    /// resuming it under this one would change the verdict.
+    ConfigMismatch,
+    /// The image references spilled records but no spill tier holding
+    /// them could be attached.
+    SpillUnavailable(String),
     /// The file could not be read or written.
     Io(std::io::Error),
 }
@@ -157,6 +172,12 @@ impl fmt::Display for CheckpointError {
                 "unsupported checkpoint version {found} (this build supports {expected})"
             ),
             CheckpointError::Malformed(e) => write!(f, "malformed checkpoint: {e}"),
+            CheckpointError::Corrupt(e) => write!(f, "corrupt checkpoint: {e}"),
+            CheckpointError::ConfigMismatch => write!(
+                f,
+                "the configuration differs from the one the checkpoint was written under"
+            ),
+            CheckpointError::SpillUnavailable(e) => write!(f, "{e}"),
             CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
         }
     }
@@ -170,65 +191,73 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-/// Writes `json` to `path` atomically *and durably*: write to a
-/// temporary sibling, fsync the file, rename over `path`, then fsync the
-/// parent directory. The directory fsync is what makes the rename itself
-/// survive a power loss — without it the new directory entry can still be
-/// sitting in the page cache when the machine dies, and the checkpoint
-/// "written" before the crash simply never existed on disk.
-pub(crate) fn write_atomic_durable(path: &Path, json: &str) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension("ckpt.tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_all()?;
+/// Marks the seal at the end of every image file. Files of the two
+/// layouts older builds wrote (a bare JSON document, a generation
+/// manifest) end in `}` and are refused for it, not parsed.
+const IMAGE_MAGIC: [u8; 8] = *b"LEOPIMG1";
+
+/// Seal size: magic, `u64le` document length, `u32le` CRC-32 of the
+/// document, the magic and the length.
+const SEAL: usize = 8 + 8 + 4;
+
+/// Appends the seal to a JSON document, in place: the seal trails the
+/// document so that an image is never held in memory twice.
+fn seal(json: String) -> Vec<u8> {
+    let mut file = json.into_bytes();
+    let len = file.len() as u64;
+    file.extend_from_slice(&IMAGE_MAGIC);
+    file.extend_from_slice(&len.to_le_bytes());
+    let crc = crc32(&file);
+    file.extend_from_slice(&crc.to_le_bytes());
+    file
+}
+
+/// The JSON document inside an image file, if its seal verifies.
+fn unseal(file: &[u8]) -> Result<&str, String> {
+    if file.len() < SEAL {
+        return Err("is not a checkpoint image (too short)".to_string());
     }
-    fs::rename(&tmp, path)?;
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    // Opening a directory read-only for fsync is the portable unix idiom.
-    fs::File::open(parent)?.sync_all()?;
-    Ok(())
-}
-
-/// Converts a spill-store failure surfaced by the generation chain into
-/// the checkpoint error taxonomy.
-fn store_to_ckpt(e: crate::store::StoreError) -> CheckpointError {
-    match e {
-        crate::store::StoreError::Io(io) => CheckpointError::Io(io),
-        other => CheckpointError::Malformed(other.to_string()),
+    let (sealed, crc) = file.split_at(file.len() - 4);
+    let (body, tail) = sealed.split_at(sealed.len() - 16);
+    if tail[..8] != IMAGE_MAGIC {
+        return Err(
+            "is not a checkpoint image (no seal; the plain-JSON and manifest files \
+                    older builds wrote are not read)"
+                .to_string(),
+        );
     }
+    if tail[8..] != (body.len() as u64).to_le_bytes() {
+        return Err(format!(
+            "has a length field that disagrees with the {} bytes present",
+            body.len()
+        ));
+    }
+    let found = crc32(sealed);
+    if crc != found.to_le_bytes() {
+        return Err(format!("fails its crc (computed {found:#010x})"));
+    }
+    std::str::from_utf8(body).map_err(|e| format!("is not utf-8: {e}"))
 }
 
-/// Appends `json` as a new generation of the [`crate::store::GenChain`]
-/// rooted at `path` (manifest + CRC-verified generation files).
-fn write_chained_json(path: &Path, json: &str) -> Result<(), CheckpointError> {
-    let chain = crate::store::GenChain::new(path);
-    chain
-        .append(&crate::store::FsIo, json.as_bytes())
-        .map(|_gen| ())
-        .map_err(store_to_ckpt)
+/// Where the image that `path` held before the newest write is kept.
+fn previous_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".prev");
+    PathBuf::from(name)
 }
 
-/// Loads the newest good generation at `path`, accepting plain (legacy)
-/// checkpoint files transparently. Returns the JSON plus a warning when
-/// the head generation was corrupt and an older one was used.
-fn read_chained_json(path: &Path) -> Result<(String, Option<String>), CheckpointError> {
-    let chain = crate::store::GenChain::new(path);
-    let load = chain
-        .load_latest(&crate::store::FsIo)
-        .map_err(store_to_ckpt)?
-        .ok_or_else(|| {
-            CheckpointError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no checkpoint at {}", path.display()),
-            ))
-        })?;
-    let json = String::from_utf8(load.payload)
-        .map_err(|e| CheckpointError::Malformed(format!("checkpoint is not utf-8: {e}")))?;
-    Ok((json, load.warning))
+/// An image read back by [`Checkpoint::load`].
+#[derive(Debug)]
+pub struct LoadedImage {
+    /// The image.
+    pub checkpoint: Checkpoint,
+    /// Set when the head image was missing or did not verify and the
+    /// previous image was used: a degraded-but-safe load the caller
+    /// should surface, not abort on — the older image plus its resume
+    /// cursor reaches the identical verdict.
+    pub warning: Option<String>,
+    /// Byte length of the image's JSON document.
+    pub bytes: u64,
 }
 
 impl Checkpoint {
@@ -258,37 +287,79 @@ impl Checkpoint {
         }
     }
 
-    /// Writes the checkpoint to `path` atomically and durably
-    /// (write-to-temp, fsync, rename, fsync parent directory), so a
-    /// crash mid-write never leaves a truncated checkpoint behind and a
-    /// power loss after the rename cannot lose the directory entry.
+    /// Writes the image file at `path` — the one layout every image has,
+    /// with or without a spill tier: [`Checkpoint::to_json`] followed by a
+    /// magic + length + CRC-32 seal, replaced atomically and durably
+    /// ([`StoreIo::write_atomic`]). The file `path` held before is first
+    /// renamed to `<path>.prev` and stays there as the one fallback
+    /// [`Checkpoint::load`] has; between the two renames `path` does not
+    /// exist and `<path>.prev` is the newest image. Returns the byte
+    /// length of the JSON document.
+    pub fn store(&self, io: &dyn StoreIo, path: &Path) -> std::io::Result<u64> {
+        let file = seal(self.to_json());
+        match io.rename(path, &previous_path(path)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
+        io.write_atomic(path, &file)?;
+        Ok((file.len() - SEAL) as u64)
+    }
+
+    /// [`Checkpoint::store`] on the real filesystem.
     pub fn write(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_atomic_durable(path, &self.to_json())
+        self.store(&FsIo, path)?;
+        Ok(())
     }
 
-    /// Reads and parses a checkpoint from `path`.
-    pub fn read(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        let json = fs::read_to_string(path)?;
-        Checkpoint::from_json(&json)
-    }
-
-    /// Writes the checkpoint as a new generation of the generation chain
-    /// rooted at `path` (see [`crate::store::GenChain`]): the image goes
-    /// to a CRC-recorded sibling generation file and the manifest at
-    /// `path` is atomically updated, keeping the previous generation as
-    /// a verified fallback.
-    pub fn write_chained(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_chained_json(path, &self.to_json())
-    }
-
-    /// Reads the newest *good* checkpoint generation at `path`, falling
-    /// back generation-by-generation past truncated or corrupt heads.
-    /// Plain (pre-chain) checkpoint files are accepted transparently.
-    /// Returns the checkpoint plus a warning describing any fallback —
-    /// a degraded-but-safe load the caller should surface, not abort on.
-    pub fn read_chained(path: &Path) -> Result<(Checkpoint, Option<String>), CheckpointError> {
-        let (json, warning) = read_chained_json(path)?;
-        Ok((Checkpoint::from_json(&json)?, warning))
+    /// Reads the image at `path` back: the head if its seal verifies,
+    /// else the previous image with a [`LoadedImage::warning`], else
+    /// [`CheckpointError::Corrupt`]. `Ok(None)` when neither file exists.
+    /// A document that verifies but does not parse as this build's
+    /// version is refused as such; the previous image is no older a
+    /// version and is not tried.
+    pub fn load(io: &dyn StoreIo, path: &Path) -> Result<Option<LoadedImage>, CheckpointError> {
+        let read = |path: &Path| match io.read(path) {
+            Ok(file) => Ok(Some(file)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(CheckpointError::Io(e)),
+        };
+        let loaded = |json: &str, warning: Option<String>| {
+            Checkpoint::from_json(json).map(|checkpoint| {
+                Some(LoadedImage {
+                    checkpoint,
+                    warning,
+                    bytes: json.len() as u64,
+                })
+            })
+        };
+        let head = match read(path)? {
+            None => None,
+            Some(file) => match unseal(&file) {
+                Ok(json) => return loaded(json, None),
+                Err(why) => Some(why),
+            },
+        };
+        let previous = read(&previous_path(path))?;
+        if head.is_none() && previous.is_none() {
+            return Ok(None);
+        }
+        let head = head.unwrap_or_else(|| "is missing (an image write was interrupted)".into());
+        let Some(previous) = previous else {
+            return Err(CheckpointError::Corrupt(format!(
+                "head image {head}; there is no previous image"
+            )));
+        };
+        match unseal(&previous) {
+            Ok(json) => loaded(
+                json,
+                Some(format!(
+                    "checkpoint head image {head}; resumed from the previous image"
+                )),
+            ),
+            Err(why) => Err(CheckpointError::Corrupt(format!(
+                "head image {head}; previous image {why}"
+            ))),
+        }
     }
 }
 
@@ -375,15 +446,115 @@ mod tests {
         assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
-    #[test]
-    fn file_round_trip() {
+    // --- The image file: one layout, one fallback -------------------------
+
+    /// A fresh directory, and the image path tests use inside it.
+    fn image_path(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("leopard-image-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir.join("state.ckpt")
+    }
+
+    /// Distinguishable images: an empty verifier's, at cursor `cursor`.
+    fn image(cursor: u64) -> Checkpoint {
         let v = Verifier::new(VerifierConfig::for_level(IsolationLevel::Serializable));
-        let ckpt = v.checkpoint();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("leopard-ckpt-test-{}.json", std::process::id()));
-        ckpt.write(&path).expect("writes");
-        let back = Checkpoint::read(&path).expect("reads");
-        let _ = fs::remove_file(&path);
-        assert_eq!(back, ckpt);
+        Checkpoint {
+            traces_ingested: cursor,
+            ..v.checkpoint()
+        }
+    }
+
+    /// Loads `path`: the cursor of the image that came back and whether it
+    /// came with a fallback warning, or `None` for no image.
+    fn load(path: &Path) -> Result<Option<(u64, bool)>, CheckpointError> {
+        let loaded = Checkpoint::load(&FsIo, path)?;
+        Ok(loaded.map(|l| (l.checkpoint.traces_ingested, l.warning.is_some())))
+    }
+
+    fn damage(path: &Path, how: impl FnOnce(&mut Vec<u8>)) {
+        let mut file = std::fs::read(path).expect("image file");
+        how(&mut file);
+        std::fs::write(path, &file).expect("damage");
+    }
+
+    #[test]
+    fn the_head_wins_when_good_and_the_previous_image_is_the_one_fallback() {
+        let path = image_path("fallback");
+        assert!(matches!(load(&path), Ok(None)), "absent is not an error");
+        image(1).write(&path).expect("first image");
+        let bytes = image(2).store(&FsIo, &path).expect("second image");
+        assert_eq!(bytes, image(2).to_json().len() as u64);
+        let loaded = Checkpoint::load(&FsIo, &path)
+            .expect("loads")
+            .expect("present");
+        assert_eq!((&loaded.checkpoint, loaded.bytes), (&image(2), bytes));
+        assert_eq!(loaded.warning, None);
+        // A head that does not verify — flipped byte, truncated, or gone,
+        // which is what a crash between the two renames leaves — loads the
+        // image it replaced, with a warning.
+        let head = std::fs::read(&path).expect("head");
+        damage(&path, |file| file[5] ^= 0x01);
+        assert!(matches!(load(&path), Ok(Some((1, true)))), "flipped byte");
+        damage(&path, |file| file.truncate(SEAL + 3));
+        assert!(matches!(load(&path), Ok(Some((1, true)))), "truncated");
+        std::fs::remove_file(&path).expect("remove head");
+        assert!(matches!(load(&path), Ok(Some((1, true)))), "missing");
+        // Nothing that verifies is a typed error, with or without a
+        // previous image to have tried.
+        std::fs::write(&path, &head).expect("restore head");
+        for p in [previous_path(&path), path.clone()] {
+            damage(&p, |file| file[0] ^= 0x40);
+            let err = load(&path).err();
+            assert!(
+                matches!(err, None | Some(CheckpointError::Corrupt(_))),
+                "{err:?}"
+            );
+        }
+        assert!(load(&path).is_err(), "both bad");
+        std::fs::remove_file(previous_path(&path)).expect("remove previous");
+        assert!(matches!(load(&path), Err(CheckpointError::Corrupt(_))));
+    }
+
+    /// The two layouts older builds wrote — a bare JSON document, a
+    /// generation manifest — are refused for what they are, not parsed.
+    #[test]
+    fn files_in_the_old_layouts_are_refused_not_sniffed() {
+        let path = image_path("old");
+        let manifest = r#"{"genchain_version":1,"generations":[{"gen":1,"file":"state.ckpt.gen1","len":2,"crc32":0}]}"#;
+        for old in [image(1).to_json(), manifest.to_string()] {
+            std::fs::write(&path, &old).expect("old-layout file");
+            let err = load(&path).expect_err("refused");
+            assert!(matches!(err, CheckpointError::Corrupt(_)), "{err}");
+            assert!(err.to_string().contains("not a checkpoint image"), "{err}");
+        }
+    }
+
+    /// Every truncation length and every single-bit flip of an image file
+    /// fails the seal check, and — sampled through the file system,
+    /// with nothing to fall back to — is refused by type: none loads as
+    /// some other image.
+    #[test]
+    fn every_truncation_and_bit_flip_of_an_image_is_typed() {
+        let path = image_path("exhaustive");
+        image(1).write(&path).expect("image");
+        let head = std::fs::read(&path).expect("head");
+        let truncations = (0..head.len()).map(|len| head[..len].to_vec());
+        let flips = (0..head.len() * 8).map(|bit| {
+            let mut file = head.clone();
+            file[bit / 8] ^= 1 << (bit % 8);
+            file
+        });
+        for (i, file) in truncations.chain(flips).enumerate() {
+            assert!(unseal(&file).is_err(), "damage #{i} verifies");
+            if i % 61 == 0 {
+                std::fs::write(&path, &file).expect("damage head");
+                let loaded = load(&path);
+                assert!(
+                    matches!(loaded, Err(CheckpointError::Corrupt(_))),
+                    "#{i}: {loaded:?}"
+                );
+            }
+        }
     }
 }

@@ -78,7 +78,9 @@ pub use capture::{CaptureError, CaptureHeader, CaptureReader, CaptureWriter, CAP
 pub use catalog::{
     catalog, CertifierRule, DbmsProfile, IsolationLevel, MechanismSet, SnapshotLevel,
 };
-pub use checkpoint::{Checkpoint, CheckpointError, PendingReadSnap, CHECKPOINT_VERSION};
+pub use checkpoint::{
+    Checkpoint, CheckpointError, LoadedImage, PendingReadSnap, CHECKPOINT_VERSION,
+};
 pub use interval::{Interval, PairOrder};
 pub use lockwitness::{TrackedMutex, TrackedMutexGuard};
 pub use obs::{ObsSnapshot, Registry};
@@ -98,11 +100,12 @@ pub use serve::{
 };
 pub use stats::{DeductionStats, DepCounts, DepKind};
 pub use store::{
-    FaultIo, FaultSpec, FsIo, GenChain, GenLoad, RetryPolicy, SpillSettings, SpillStats, SpillTier,
-    StoreError, StoreIo,
+    FaultIo, FaultSpec, FsIo, RetryPolicy, SpillSettings, SpillStats, SpillTier, StoreError,
+    StoreIo,
 };
 pub use trace::{OpKind, Trace, TraceBuilder};
 pub use types::{ClientId, Key, Timestamp, TxnId, Value};
+pub use verify::engine::{self, EngineOpts};
 pub use verify::{
     Coverage, Footprint, Verifier, VerifierConfig, VerifyCounters, VerifyOutcome,
     MAX_COVERAGE_NOTES,

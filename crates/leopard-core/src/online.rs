@@ -31,10 +31,12 @@
 use crate::lockwitness::TrackedMutex;
 use crate::obs;
 use crate::pipeline::{Backpressure, ChannelTracer, ClientHandle, PipelineConfig, PipelineStats};
+use crate::store::FsIo;
 use crate::types::{ClientId, Key, Value};
+use crate::verify::engine::{self, EngineOpts};
 use crate::verify::{Verifier, VerifierConfig, VerifyOutcome};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -51,43 +53,32 @@ pub struct OnlineOptions {
     /// `None` (the default) never evicts: a silent open client blocks
     /// forever, exactly as the original blocking chain did.
     pub eviction_timeout: Option<Duration>,
-    /// Where to write verifier checkpoints (atomic write-then-rename).
-    pub checkpoint_path: Option<PathBuf>,
-    /// Write a checkpoint every this many processed traces. Only effective
-    /// together with [`OnlineOptions::checkpoint_path`].
-    pub checkpoint_every: Option<u64>,
     /// Channel policy between client handles and the collector. The
     /// default keeps the historical unbounded channels; bounded policies
     /// couple ingest rate to verification rate (blocking) or shed with a
     /// counter (lossy). See [`Backpressure`].
     pub backpressure: Backpressure,
-    /// Disk-spilling backing tier for cold verifier state — rung 1.5 of
-    /// the overload ladder, between forced GC and forced dispatch. When
-    /// the tier cannot be attached or a spill write fails, the chain
-    /// falls back to the in-memory path (counted, noted in coverage);
-    /// an unrecoverable spill *read* failure latches
+    /// The engine: spill tier, checkpoint path and cadence.
+    /// [`OnlineLeopard::start_opts`] takes the verifier configuration as
+    /// its own argument, which replaces [`EngineOpts::verifier`] here.
+    /// When the tier cannot be attached or a spill write fails, the chain
+    /// falls back to the in-memory path (counted, noted in coverage); an
+    /// unrecoverable spill *read* failure latches
     /// [`VerifyOutcome::store_fault`] instead of risking a wrong verdict.
-    pub spill: Option<crate::store::SpillSettings>,
+    pub engine: EngineOpts,
 }
 
-/// Best-effort checkpoint write: an unwritable checkpoint must not take
-/// the verification down.
-fn write_checkpoint(verifier: &Verifier, path: &Path) {
+/// Best-effort image write: an unwritable checkpoint must not take the
+/// verification down, but it is said, and it is not counted as written.
+fn save_image(verifier: &Verifier, cursor: u64, path: &Path) {
     let span = obs::span_start();
-    // Sync first so the image never references unsynced pages; sync
-    // failures are retried/counted by the tier and surface at resume as a
-    // typed corrupt-store error.
-    let _ = verifier.sync_spill();
-    if verifier.spill_attached() {
-        // A spill-backed image is written through the generation chain so
-        // a torn head falls back to the previous good generation instead
-        // of aborting.
-        let _ = verifier.checkpoint().write_chained(path);
-    } else {
-        let _ = verifier.checkpoint().write(path);
+    if let Err(e) = engine::save(verifier, cursor, &FsIo, path) {
+        eprintln!(
+            "leopard: warning: checkpoint not written to {}: {e}",
+            path.display()
+        );
     }
     obs::span_end(obs::Stage::Checkpoint, obs::LANE_ONLINE, span);
-    obs::ctr(obs::Counter::CheckpointsWritten, 1);
 }
 
 /// [`OnlineLeopard::finish_with_timeout`] gave up waiting: some client
@@ -130,9 +121,6 @@ struct Shared {
     /// Set by the front end to force-evict every open client (used by
     /// [`OnlineLeopard::finish_with_timeout`] to guarantee termination).
     force_evict: AtomicBool,
-    /// Set by [`OnlineLeopard::request_checkpoint`]; cleared by the worker
-    /// once the checkpoint is written.
-    checkpoint: AtomicBool,
     /// Clients whose streams were open at the worker's last poll.
     open: TrackedMutex<Vec<ClientId>>,
 }
@@ -141,7 +129,6 @@ impl Default for Shared {
     fn default() -> Self {
         Shared {
             force_evict: AtomicBool::new(false),
-            checkpoint: AtomicBool::new(false),
             open: TrackedMutex::new("Shared.open", Vec::new()),
         }
     }
@@ -186,7 +173,8 @@ impl OnlineLeopard {
         )
     }
 
-    /// Starts the chain with full degradation/checkpoint options.
+    /// Starts the chain with full degradation/checkpoint options; `cfg`
+    /// is the verifier configuration ([`OnlineOptions::engine`]).
     #[must_use]
     pub fn start_opts(
         clients: usize,
@@ -201,16 +189,13 @@ impl OnlineLeopard {
         let (done_tx, done_rx) = mpsc::channel();
         let worker = std::thread::spawn(move || {
             let shared = worker_shared;
-            let mut verifier = Verifier::new(cfg);
-            if let Some(settings) = opts.spill.as_ref() {
-                match crate::store::SpillTier::open(settings) {
-                    Ok(tier) => verifier.attach_spill(tier),
-                    Err(e) => verifier.note_spill_unavailable(&e.to_string()),
-                }
-            }
-            for (k, v) in preload {
-                verifier.preload(k, v);
-            }
+            let engine = EngineOpts {
+                verifier: cfg,
+                ..opts.engine
+            };
+            // lint: allow(L001): open refuses images only, and a fresh start has none
+            let opened = engine::open(&engine, None, &preload).expect("a fresh start");
+            let mut verifier = opened.verifier;
             let mut batch = Vec::new();
             let mut processed: u64 = 0;
             let mut last_dispatched: u64 = 0;
@@ -227,11 +212,9 @@ impl OnlineLeopard {
                 for trace in batch.drain(..) {
                     verifier.process(&trace);
                     processed += 1;
-                    if let (Some(path), Some(every)) =
-                        (opts.checkpoint_path.as_deref(), opts.checkpoint_every)
-                    {
-                        if every > 0 && processed.is_multiple_of(every) {
-                            write_checkpoint(&verifier, path);
+                    if let Some(path) = engine.checkpoint.as_deref() {
+                        if engine.checkpoint_due(processed) {
+                            save_image(&verifier, processed, path);
                         }
                     }
                 }
@@ -248,24 +231,17 @@ impl OnlineLeopard {
                     }
                 }
                 // Resource governance: the graduated overload ladder.
-                // Rung 1 (forced GC below the watermark), rung 1.5 (spill
-                // cold records to disk when a tier is attached), rung 2
-                // (flush the pipeline's buffers through the verifier),
-                // rung 3 (evict the laggiest client into degraded
-                // coverage). Each rung runs only if the previous one left
-                // the chain over budget — spilling relieves pressure
-                // without losing coverage, so it always runs before the
-                // coverage-degrading rungs.
+                // Rungs 1 and 1.5 are the verifier's own relief (forced GC
+                // below the watermark, then cold records spilled to disk
+                // when a tier is attached), with the tracer's buffers
+                // counted in; rung 2 flushes the pipeline's buffers
+                // through the verifier; rung 3 evicts the laggiest client
+                // into degraded coverage. Each rung runs only if the
+                // previous one left the chain over budget — spilling
+                // relieves pressure without losing coverage, so it always
+                // runs before the coverage-degrading rungs.
                 if !budget.is_unlimited() {
-                    let mut usage = verifier.mem_usage() + tracer.mem_usage();
-                    if budget.exceeded_by(usage) {
-                        verifier.force_gc();
-                        usage = verifier.mem_usage() + tracer.mem_usage();
-                    }
-                    if budget.exceeded_by(usage) && verifier.can_spill() {
-                        verifier.spill_pass();
-                        usage = verifier.mem_usage() + tracer.mem_usage();
-                    }
+                    let mut usage = verifier.relieve_if_armed(tracer.mem_usage());
                     if budget.exceeded_by(usage) {
                         let mut forced = Vec::new();
                         if tracer.force_dispatch(&mut forced) > 0 {
@@ -294,11 +270,6 @@ impl OnlineLeopard {
                     let usage = verifier.mem_usage() + tracer.mem_usage();
                     obs::gauge_set(obs::Gauge::MemBytes, usage.bytes);
                     verifier.observe_usage(usage);
-                }
-                if shared.checkpoint.swap(false, Ordering::SeqCst) {
-                    if let Some(path) = opts.checkpoint_path.as_deref() {
-                        write_checkpoint(&verifier, path);
-                    }
                 }
                 {
                     let open: Vec<ClientId> = tracer
@@ -343,11 +314,9 @@ impl OnlineLeopard {
                 }
                 std::thread::yield_now();
             }
-            if let Some(path) = opts.checkpoint_path.as_deref() {
-                if opts.checkpoint_every.is_some() {
-                    // Final image so a post-run resume replays nothing.
-                    write_checkpoint(&verifier, path);
-                }
+            if let Some(path) = engine.checkpoint.as_deref() {
+                // Final image so a post-run resume replays nothing.
+                save_image(&verifier, processed, path);
             }
             let result = (verifier.finish(), tracer.stats());
             let _ = done_tx.send(());
@@ -361,13 +330,6 @@ impl OnlineLeopard {
             },
             handles,
         )
-    }
-
-    /// Asks the verifier thread to write a checkpoint at the next batch
-    /// boundary. No-op unless the chain was started with a
-    /// [`OnlineOptions::checkpoint_path`].
-    pub fn request_checkpoint(&self) {
-        self.shared.checkpoint.store(true, Ordering::SeqCst);
     }
 
     /// Waits for every client stream to close and every trace to be

@@ -27,11 +27,12 @@
 use crate::budget::{GlobalAdmission, MemBudget};
 use crate::capture::CaptureReader;
 use crate::catalog::{IsolationLevel, MechanismSet};
-use crate::checkpoint::{write_atomic_durable, Checkpoint, CheckpointError};
+use crate::checkpoint::Checkpoint;
 use crate::lockwitness::TrackedMutex;
 use crate::obs;
-use crate::store::{FsIo, GenChain, Journal, RetryPolicy, StoreError, StoreIo, StoreResult};
-use crate::verify::{Verifier, VerifierConfig, VerifyOutcome};
+use crate::store::{FsIo, Journal, RetryPolicy, StoreError, StoreIo, StoreResult};
+use crate::verify::engine::{self, EngineOpts};
+use crate::verify::{Verifier, VerifierConfig};
 use crate::wire::{
     read_frame, write_frame, Frame, FrameDecoder, Hello, RejectReason, TraceFrame, WireError,
     WIRE_VERSION,
@@ -196,21 +197,26 @@ pub struct ServeOptions {
     /// Directory holding per-stream checkpoints and verdicts. Created if
     /// missing; scanned for existing checkpoints on startup.
     pub checkpoint_dir: PathBuf,
-    /// Make each stream's cursor durable every N ingested traces (also on
-    /// disconnect and on shutdown): the frames since the last boundary
-    /// are journaled and synced, and a full image replaces the journal
-    /// once it has grown to the size of the last image. Boundaries land
-    /// on exact multiples of N, so after a kill -9 the `Ack` cursor is at
-    /// least the last multiple of N the daemon passed.
-    pub checkpoint_every: u64,
+    /// What every stream's engine is cut from.
+    ///
+    /// `checkpoint_every`: make each stream's cursor durable every N
+    /// ingested traces (also on disconnect and on shutdown) — the frames
+    /// since the last boundary are journaled and synced, and a full image
+    /// replaces the journal once it has grown to the size of the last
+    /// image. Boundaries land on exact multiples of N, so after a kill -9
+    /// the `Ack` cursor is at least the last multiple of N the daemon
+    /// passed.
+    ///
+    /// `spill`: disk-spilling backing tier for cold verifier state, one
+    /// private subdirectory per stream; `None` (the default) keeps every
+    /// stream fully in memory.
+    ///
+    /// `verifier` and `checkpoint` are per stream — the handshake's level
+    /// and budget in degraded mode ([`stream_config`]), and
+    /// `<checkpoint_dir>/<stream>.ckpt` — and are not read from here.
+    pub engine: EngineOpts,
     /// Global admission pool in bytes (0 = unlimited).
     pub global_budget_bytes: u64,
-    /// Disk-spilling backing tier for cold verifier state, one private
-    /// subdirectory per stream. `None` (the default) keeps every stream
-    /// fully in memory. When set, stream checkpoints are written through
-    /// the generation chain (manifest + CRC-verified generations with
-    /// corrupt-head fallback at resume).
-    pub spill: Option<crate::store::SpillSettings>,
     /// Retry schedule for stream image and journal writes: transient
     /// I/O failures back off and retry; only repeated failure degrades
     /// the stream.
@@ -224,23 +230,14 @@ impl ServeOptions {
     pub fn new(checkpoint_dir: PathBuf) -> ServeOptions {
         ServeOptions {
             checkpoint_dir,
-            checkpoint_every: 512,
+            engine: EngineOpts {
+                checkpoint_every: Some(512),
+                ..EngineOpts::default()
+            },
             global_budget_bytes: 0,
-            spill: None,
             checkpoint_retry: RetryPolicy::default(),
         }
     }
-}
-
-/// The per-stream spill settings: the daemon-wide configuration rooted
-/// at a private `spill/<stream>` subdirectory, so tenant tiers never
-/// share segment files.
-fn stream_spill_settings(opts: &ServeOptions, stream: &str) -> Option<crate::store::SpillSettings> {
-    opts.spill.as_ref().map(|s| {
-        let mut per = s.clone();
-        per.dir = s.dir.join(sanitize_stream_name(stream));
-        per
-    })
 }
 
 /// Lifecycle of one stream as the registry tracks it.
@@ -272,7 +269,8 @@ impl StreamState {
 /// One row of the `streams` control listing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamInfo {
-    /// Stream (tenant) name from the handshake.
+    /// Stream (tenant) name from the handshake, as its files spell it
+    /// ([`sanitize_stream_name`]).
     pub stream: String,
     /// Isolation level label (`RC`/`RR`/`SI`/`SR`, `-` if unknown).
     pub level: String,
@@ -325,8 +323,12 @@ impl StreamVerdict {
     }
 }
 
+/// One registry row, keyed by the stream's file stem
+/// ([`sanitize_stream_name`]) — the key its files have, so two names that
+/// share files are one stream here too.
+#[derive(Clone)]
 struct StreamEntry {
-    name: String,
+    stem: String,
     level: String,
     state: StreamState,
     ingested: u64,
@@ -342,9 +344,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn update_stream(&self, name: &str, level: &str, state: StreamState, ingested: u64) {
+    fn update_stream(&self, stem: &str, level: &str, state: StreamState, ingested: u64) {
         let mut streams = self.streams.lock();
-        if let Some(e) = streams.iter_mut().find(|e| e.name == name) {
+        if let Some(e) = streams.iter_mut().find(|e| e.stem == stem) {
             e.state = state;
             e.ingested = ingested;
             if level != "-" {
@@ -352,12 +354,43 @@ impl Shared {
             }
         } else {
             streams.push(StreamEntry {
-                name: name.to_string(),
+                stem: stem.to_string(),
                 level: level.to_string(),
                 state,
                 ingested,
             });
         }
+    }
+
+    /// Makes the calling connection the owner of stream `stem`, unless
+    /// another connection is: the "already `Active`?" check and the
+    /// `Active` mark are one critical section, so of two simultaneous
+    /// handshakes for one stream exactly one gets a claim.
+    fn claim<'a>(&'a self, stem: &'a str, level: &str) -> Option<Claim<'a>> {
+        let mut streams = self.streams.lock();
+        let found = match streams.iter_mut().find(|e| e.stem == stem) {
+            Some(e) if e.state == StreamState::Active => return None,
+            Some(e) => {
+                let found = e.clone();
+                e.state = StreamState::Active;
+                Some(found)
+            }
+            None => {
+                streams.push(StreamEntry {
+                    stem: stem.to_string(),
+                    level: level.to_string(),
+                    state: StreamState::Active,
+                    ingested: 0,
+                });
+                None
+            }
+        };
+        Some(Claim {
+            shared: self,
+            stem,
+            found,
+            settled: false,
+        })
     }
 
     fn stream_infos(&self) -> Vec<StreamInfo> {
@@ -366,7 +399,7 @@ impl Shared {
             .lock()
             .iter()
             .map(|e| StreamInfo {
-                stream: e.name.clone(),
+                stream: e.stem.clone(),
                 level: e.level.clone(),
                 state: e.state.label().to_string(),
                 ingested: e.ingested,
@@ -374,6 +407,44 @@ impl Shared {
             .collect();
         rows.sort_by(|a, b| a.stream.cmp(&b.stream));
         rows
+    }
+}
+
+/// One connection's ownership of a stream ([`Shared::claim`]): the row
+/// says `Active` until the connection settles it as `Idle`, `Finished`
+/// or `Quarantined`. A claim dropped unsettled — a refused handshake, a
+/// connection thread unwinding — puts the row back as it was found, so a
+/// stream is never left owned by a connection that is gone.
+struct Claim<'a> {
+    shared: &'a Shared,
+    stem: &'a str,
+    found: Option<StreamEntry>,
+    settled: bool,
+}
+
+impl Claim<'_> {
+    /// Ends the ownership: the row moves to `state` at `cursor`, and the
+    /// next handshake for the stream may claim it.
+    fn settle(&mut self, level: &str, state: StreamState, cursor: u64) {
+        self.shared.update_stream(self.stem, level, state, cursor);
+        self.settled = true;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.settled {
+            return;
+        }
+        let mut streams = self.shared.streams.lock();
+        if let Some(i) = streams.iter().position(|e| e.stem == self.stem) {
+            match self.found.take() {
+                Some(found) => streams[i] = found,
+                None => {
+                    streams.remove(i);
+                }
+            }
+        }
     }
 }
 
@@ -443,21 +514,10 @@ pub fn sanitize_stream_name(name: &str) -> String {
     s
 }
 
-/// The checkpoint path for a stream name under `dir`.
-#[must_use]
-pub fn stream_checkpoint_path(dir: &Path, stream: &str) -> PathBuf {
-    dir.join(format!("{}.ckpt", sanitize_stream_name(stream)))
-}
-
-/// The journal path for a stream name under `dir`.
-fn stream_journal_path(dir: &Path, stream: &str) -> PathBuf {
-    dir.join(format!("{}.wal", sanitize_stream_name(stream)))
-}
-
-/// The verdict path for a stream name under `dir`.
-#[must_use]
-pub fn stream_verdict_path(dir: &Path, stream: &str) -> PathBuf {
-    dir.join(format!("{}.verdict.json", sanitize_stream_name(stream)))
+/// A stream's file under `dir`: `<stem>.ckpt` (image), `<stem>.wal`
+/// (journal) or `<stem>.verdict.json`.
+fn stream_file(dir: &Path, stem: &str, ext: &str) -> PathBuf {
+    dir.join(format!("{stem}.{ext}"))
 }
 
 /// Derives the isolation-level label back out of a checkpointed
@@ -521,34 +581,40 @@ impl Server {
         Ok(server)
     }
 
-    /// Scans the checkpoint directory and registers every parseable
-    /// stream image as idle with its durable cursor: the image's cursor
+    /// Scans the checkpoint directory and registers every stream whose
+    /// image loads as idle with its durable cursor: the image's cursor
     /// plus the frames of the stream's journal that replay onto it.
-    /// Unparseable or temporary files are skipped — recovery must never
+    /// Unreadable or temporary files are skipped — recovery must never
     /// refuse to start over one bad file.
     fn recover_streams(&self) -> std::io::Result<()> {
         let dir = &self.shared.opts.checkpoint_dir;
+        // A stream killed between the two renames of an image write has
+        // only its previous image; it is a stream all the same.
+        let mut stems = std::collections::BTreeSet::new();
         for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+            let name = entry?.file_name();
+            let Some(name) = name.to_str() else {
                 continue;
             };
-            let Some(stem) = name.strip_suffix(".ckpt") else {
+            let stem = name
+                .strip_suffix(".ckpt")
+                .or_else(|| name.strip_suffix(".ckpt.prev"));
+            stems.extend(stem.map(str::to_string));
+        }
+        for stem in stems {
+            let Ok(Some(image)) = Checkpoint::load(&FsIo, &stream_file(dir, &stem, "ckpt")) else {
                 continue;
             };
-            let Ok(Some((ckpt, _warning, _bytes))) = read_image(&FsIo, &path) else {
-                continue;
-            };
+            let ckpt = image.checkpoint;
             // A finished stream has no journal; do not create one for it.
-            let wal = stream_journal_path(dir, stem);
+            let wal = stream_file(dir, &stem, "wal");
             let journaled = if wal.exists() {
                 Journal::open(&FsIo, &wal, ckpt.traces_ingested).map_or(0, |(_, r)| r.len())
             } else {
                 0
             };
             self.shared.update_stream(
-                stem,
+                &stem,
                 &level_label_of(&ckpt.config.mechanisms),
                 StreamState::Idle,
                 ckpt.traces_ingested + journaled as u64,
@@ -748,22 +814,18 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
         reject(&mut sock, RejectReason::Draining, "server is draining");
         return;
     }
-    // One live connection per stream name.
-    {
-        let streams = shared.streams.lock();
-        if streams
-            .iter()
-            .any(|e| e.name == hello.stream && e.state == StreamState::Active)
-        {
-            drop(streams);
-            reject(
-                &mut sock,
-                RejectReason::Admission,
-                "stream is already being fed by another connection",
-            );
-            return;
-        }
-    }
+    // One live connection per stream: every return below this line
+    // drops the claim.
+    let level_label = hello.level.to_string();
+    let stem = sanitize_stream_name(&hello.stream);
+    let Some(mut claim) = shared.claim(&stem, &level_label) else {
+        reject(
+            &mut sock,
+            RejectReason::Admission,
+            "stream is already being fed by another connection",
+        );
+        return;
+    };
     let Some(grant) = shared.admission.admit(hello.mem_budget) else {
         reject(
             &mut sock,
@@ -778,8 +840,7 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
     };
 
     // --- Build or resume the stream's verifier -------------------------
-    let level_label = hello.level.to_string();
-    let quarantine = |shared: &Shared, sock: &mut WireConn, cursor: u64, why: &str| {
+    let quarantine = |claim: &mut Claim<'_>, sock: &mut WireConn, cursor: u64, why: &str| {
         obs::ctr(obs::Counter::StreamsQuarantined, 1);
         let verdict = StreamVerdict {
             stream: hello.stream.clone(),
@@ -793,32 +854,27 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
             quarantined_traces: 0,
             demoted_reads: 0,
         };
-        let vpath = stream_verdict_path(&shared.opts.checkpoint_dir, &hello.stream);
-        let _ = write_atomic_durable(&vpath, &verdict.to_json());
-        shared.update_stream(
-            &hello.stream,
-            &level_label,
-            StreamState::Quarantined,
-            cursor,
-        );
+        let vpath = stream_file(&shared.opts.checkpoint_dir, &stem, "verdict.json");
+        let _ = FsIo.write_atomic(&vpath, verdict.to_json().as_bytes());
+        claim.settle(&level_label, StreamState::Quarantined, cursor);
         reject(sock, RejectReason::Quarantined, why);
     };
 
     let panic_at = panic_injection_for(&hello.stream);
     let (mut verifier, mut cursor, mut durable) =
-        match recover_stream(&FsIo, &shared.opts, &hello, panic_at) {
+        match recover_stream(&FsIo, &shared.opts, &stem, &hello, panic_at) {
             Ok(recovered) => recovered,
             Err(RecoverError::Refused(why)) => {
                 reject(&mut sock, RejectReason::Malformed, &why);
                 return;
             }
             Err(RecoverError::Poisoned { cursor, why }) => {
-                quarantine(shared, &mut sock, cursor, &why);
+                quarantine(&mut claim, &mut sock, cursor, &why);
                 return;
             }
         };
 
-    shared.update_stream(&hello.stream, &level_label, StreamState::Active, cursor);
+    shared.update_stream(&stem, &level_label, StreamState::Active, cursor);
     obs::ctr(obs::Counter::StreamsAccepted, 1);
     send(
         &mut sock,
@@ -826,8 +882,6 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
             resume_from: cursor,
         },
     );
-
-    let every = shared.opts.checkpoint_every.max(1);
 
     // --- Ingest loop ---------------------------------------------------
     loop {
@@ -840,7 +894,7 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
                 }
                 if tf.seq != cursor + 1 {
                     quarantine(
-                        shared,
+                        &mut claim,
                         &mut sock,
                         cursor,
                         &format!("sequence gap: expected {} got {}", cursor + 1, tf.seq),
@@ -851,36 +905,37 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
                     // The trace was refused or the verifier's invariants
                     // are suspect: it is dropped, not checkpointed, and
                     // the frame never reaches the journal.
-                    quarantine(shared, &mut sock, cursor, &why);
+                    quarantine(&mut claim, &mut sock, cursor, &why);
                     return;
                 }
                 cursor += 1;
                 durable.ingested(tf);
-                if cursor % every == 0 {
+                if shared.opts.engine.checkpoint_due(cursor) {
                     if let Err(e) = durable.boundary(&verifier, cursor) {
                         quarantine(
-                            shared,
+                            &mut claim,
                             &mut sock,
                             cursor,
                             &format!("checkpoint write failed: {e}"),
                         );
                         return;
                     }
-                    shared.update_stream(&hello.stream, &level_label, StreamState::Active, cursor);
+                    shared.update_stream(&stem, &level_label, StreamState::Active, cursor);
                 }
             }
             NextFrame::Frame(Frame::Bye { traces_sent }) => {
                 if traces_sent != cursor {
                     quarantine(
-                        shared,
+                        &mut claim,
                         &mut sock,
                         cursor,
                         &format!("client sent {traces_sent} traces, server ingested {cursor}"),
                     );
                     return;
                 }
+                let vpath = stream_file(&shared.opts.checkpoint_dir, &stem, "verdict.json");
                 match finalize_stream(
-                    shared,
+                    &vpath,
                     &hello.stream,
                     &level_label,
                     verifier,
@@ -888,12 +943,7 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
                     durable,
                 ) {
                     Ok(verdict) => {
-                        shared.update_stream(
-                            &hello.stream,
-                            &level_label,
-                            StreamState::Finished,
-                            cursor,
-                        );
+                        claim.settle(&level_label, StreamState::Finished, cursor);
                         send(
                             &mut sock,
                             &Frame::Verdict {
@@ -902,25 +952,30 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
                         );
                     }
                     Err(e) => {
-                        quarantine(shared, &mut sock, cursor, &format!("finalize failed: {e}"));
+                        quarantine(
+                            &mut claim,
+                            &mut sock,
+                            cursor,
+                            &format!("finalize failed: {e}"),
+                        );
                     }
                 }
                 drop(grant);
                 return;
             }
             NextFrame::Frame(_) => {
-                quarantine(shared, &mut sock, cursor, "unexpected frame mid-stream");
+                quarantine(&mut claim, &mut sock, cursor, "unexpected frame mid-stream");
                 return;
             }
             NextFrame::Bad(e) => {
-                quarantine(shared, &mut sock, cursor, &e.to_string());
+                quarantine(&mut claim, &mut sock, cursor, &e.to_string());
                 return;
             }
             NextFrame::Eof | NextFrame::Stop => {
                 // Disconnect (or daemon shutdown) without Bye: persist the
                 // cursor so a reconnect resumes exactly here.
                 let _ = durable.image(&verifier, cursor);
-                shared.update_stream(&hello.stream, &level_label, StreamState::Idle, cursor);
+                claim.settle(&level_label, StreamState::Idle, cursor);
                 return;
             }
         }
@@ -946,68 +1001,31 @@ enum RecoverError {
 fn recover_stream<'a>(
     io: &'a dyn StoreIo,
     opts: &'a ServeOptions,
+    stem: &str,
     hello: &Hello,
     panic_at: Option<u64>,
 ) -> Result<(Verifier, u64, DurableCursor<'a>), RecoverError> {
     let refused = |why: String| RecoverError::Refused(why);
-    let vcfg = stream_config(hello.level, hello.mem_budget);
-    let ckpt_path = stream_checkpoint_path(&opts.checkpoint_dir, &hello.stream);
-    let spill_settings = stream_spill_settings(opts, &hello.stream);
-    let image = read_image(io, &ckpt_path)
-        .map_err(|e| refused(format!("cannot resume stream checkpoint: {e}")))?;
-    let (mut verifier, mut cursor, image_bytes) = if let Some((ckpt, warning, bytes)) = image {
-        let mut v = Verifier::from_checkpoint(&ckpt)
-            .map_err(|e| refused(format!("cannot resume stream checkpoint: {e}")))?;
-        if ckpt.config != vcfg {
-            return Err(refused(
-                "handshake configuration differs from the stream's checkpoint".to_string(),
-            ));
-        }
-        if let Some(w) = warning {
-            // Generation fallback: degraded-but-safe — the older image
-            // plus the resume cursor reaches the identical verdict, so
-            // warn in coverage instead of aborting.
-            v.note_degraded_load(&w);
-        }
-        match spill_settings.as_ref() {
-            Some(s) => match crate::store::SpillTier::open(s) {
-                Ok(tier) => v.resume_spill(tier, &ckpt.spill),
-                Err(e) if ckpt.spill.is_empty() => {
-                    v.note_spill_unavailable(&e.to_string());
-                }
-                Err(e) => {
-                    return Err(refused(format!(
-                        "checkpoint references {} spilled records but the \
-                         spill tier cannot be opened: {e}",
-                        ckpt.spill.len()
-                    )));
-                }
-            },
-            None if !ckpt.spill.is_empty() => {
-                return Err(refused(format!(
-                    "checkpoint references {} spilled records but the daemon \
-                     has no spill directory configured",
-                    ckpt.spill.len()
-                )));
-            }
-            None => {}
-        }
-        (v, ckpt.traces_ingested, bytes)
-    } else {
-        let mut v = Verifier::new(vcfg);
-        if let Some(s) = spill_settings.as_ref() {
-            match crate::store::SpillTier::open(s) {
-                Ok(tier) => v.attach_spill(tier),
-                Err(e) => v.note_spill_unavailable(&e.to_string()),
-            }
-        }
-        for &(k, val) in &hello.preload {
-            v.preload(k, val);
-        }
-        (v, 0, 0)
+    let ckpt_path = stream_file(&opts.checkpoint_dir, stem, "ckpt");
+    // The handshake's level and budget, the daemon's cadence, and its
+    // spill settings rooted at a private `<spill dir>/<stem>`
+    // subdirectory, so tenant tiers never share segment files.
+    let engine = EngineOpts {
+        verifier: stream_config(hello.level, hello.mem_budget),
+        spill: opts.engine.spill.as_ref().map(|s| {
+            let mut per = s.clone();
+            per.dir = s.dir.join(stem);
+            per
+        }),
+        checkpoint: Some(ckpt_path.clone()),
+        checkpoint_every: opts.engine.checkpoint_every,
     };
+    let opened = Checkpoint::load(io, &ckpt_path)
+        .and_then(|image| engine::open(&engine, image, &hello.preload))
+        .map_err(|e| refused(format!("cannot resume stream checkpoint: {e}")))?;
+    let (mut verifier, mut cursor) = (opened.verifier, opened.cursor);
 
-    let wal_path = stream_journal_path(&opts.checkpoint_dir, &hello.stream);
+    let wal_path = stream_file(&opts.checkpoint_dir, stem, "wal");
     let (journal, replay) = Journal::open(io, &wal_path, cursor)
         .map_err(|e| refused(format!("cannot open stream journal: {e}")))?;
     for tf in &replay {
@@ -1023,7 +1041,7 @@ fn recover_stream<'a>(
         ckpt_path,
         journal,
         pending: Vec::new(),
-        image_bytes,
+        image_bytes: opened.image_bytes,
     };
     Ok((verifier, cursor, durable))
 }
@@ -1035,24 +1053,20 @@ fn recover_stream<'a>(
 /// it and the trace was refused — a typed error, never a wrong verdict.
 fn ingest_one(v: &mut Verifier, tf: &TraceFrame, panic_at: Option<u64>) -> Result<(), String> {
     let seq = tf.seq;
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    let fed = catch_unwind(AssertUnwindSafe(|| {
         if panic_at == Some(seq) {
             panic!("injected fault (LEOPARD_SERVE_PANIC_AT) at seq {seq}");
         }
-        v.process(&tf.trace);
+        engine::feed(v, &tf.trace).map_err(|e| format!("spill store fault: {e}"))
     }));
-    if let Err(payload) = result {
+    fed.unwrap_or_else(|payload| {
         let msg = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "opaque panic payload".to_string());
-        return Err(format!("verifier panicked: {msg}"));
-    }
-    match v.store_fault() {
-        Some(e) => Err(format!("spill store fault: {e}")),
-        None => Ok(()),
-    }
+        Err(format!("verifier panicked: {msg}"))
+    })
 }
 
 /// What makes one stream's cursor durable: the newest full image of its
@@ -1091,7 +1105,7 @@ impl DurableCursor<'_> {
     /// A `checkpoint_every` boundary: makes `cursor` durable by appending
     /// the pending frames to the journal, or by a full image when one is
     /// due.
-    fn boundary(&mut self, v: &Verifier, cursor: u64) -> Result<(), CheckpointError> {
+    fn boundary(&mut self, v: &Verifier, cursor: u64) -> StoreResult<()> {
         if self.image_due() {
             return self.image(v, cursor);
         }
@@ -1106,84 +1120,38 @@ impl DurableCursor<'_> {
     /// Writes a full image at `cursor` and only then empties the journal:
     /// a crash between the two leaves frames at or below the new image's
     /// cursor, which replay drops as duplicates.
-    fn image(&mut self, v: &Verifier, cursor: u64) -> Result<(), CheckpointError> {
+    fn image(&mut self, v: &Verifier, cursor: u64) -> StoreResult<()> {
         let (io, path) = (self.io, &self.ckpt_path);
         self.image_bytes = self
             .retry
-            .run(|_| (), || write_image(io, v, cursor, path))?;
+            .run(|_| (), || engine::save(v, cursor, io, path))?;
         self.pending.clear();
         let journal = &mut self.journal;
-        self.retry.run(|_| (), || journal.reset())?;
-        Ok(())
+        self.retry.run(|_| (), || journal.reset())
     }
 
     /// The final image of a finished stream; nothing is left to replay,
     /// so the journal goes.
-    fn finish(mut self, v: &Verifier, cursor: u64) -> Result<(), CheckpointError> {
+    fn finish(mut self, v: &Verifier, cursor: u64) -> StoreResult<()> {
         self.image(v, cursor)?;
-        Ok(self.journal.remove(self.io)?)
+        self.journal.remove(self.io)
     }
-}
-
-/// Loads the newest good image at `path` — a plain file or the head of
-/// a generation chain, falling back past a corrupt head with a warning,
-/// as `Checkpoint::read_chained` does — together with its byte size.
-/// `None` when the stream has no image yet.
-fn read_image(
-    io: &dyn StoreIo,
-    path: &Path,
-) -> Result<Option<(Checkpoint, Option<String>, u64)>, CheckpointError> {
-    let Some(load) = GenChain::new(path).load_latest(io)? else {
-        return Ok(None);
-    };
-    let json = std::str::from_utf8(&load.payload)
-        .map_err(|e| CheckpointError::Malformed(format!("checkpoint is not utf-8: {e}")))?;
-    let ckpt = Checkpoint::from_json(json)?;
-    Ok(Some((ckpt, load.warning, load.payload.len() as u64)))
-}
-
-/// Writes the verifier's image with the ingest cursor patched in and
-/// returns its byte size: the plain atomic replace `Checkpoint::write`
-/// does, or — with a spill tier attached — the tier synced first (so the
-/// image never references unsynced pages) and the image appended to the
-/// generation chain `Checkpoint::write_chained` keeps, the previous
-/// generation staying behind as a CRC-verified fallback.
-fn write_image(io: &dyn StoreIo, v: &Verifier, cursor: u64, path: &Path) -> StoreResult<u64> {
-    let mut ckpt = v.checkpoint();
-    ckpt.traces_ingested = cursor;
-    let json = ckpt.to_json();
-    if v.spill_attached() {
-        v.sync_spill()?;
-        GenChain::new(path).append(io, json.as_bytes())?;
-    } else {
-        io.write_atomic(path, json.as_bytes())
-            .map_err(StoreError::Io)?;
-    }
-    obs::ctr(obs::Counter::CheckpointsWritten, 1);
-    Ok(json.len() as u64)
 }
 
 /// Finishes a stream: final image at the terminal cursor, journal
-/// removed, verdict document written durably, verdict returned for the
-/// `Verdict` frame.
+/// removed, verdict document written durably at `vpath`, verdict
+/// returned for the `Verdict` frame.
 fn finalize_stream(
-    shared: &Shared,
+    vpath: &Path,
     stream: &str,
     level_label: &str,
     v: Verifier,
     cursor: u64,
     durable: DurableCursor<'_>,
-) -> Result<StreamVerdict, CheckpointError> {
+) -> StoreResult<StreamVerdict> {
+    let io = durable.io;
     durable.finish(&v, cursor)?;
-    let outcome: VerifyOutcome = v.finish();
-    if let Some(e) = outcome.store_fault.as_ref() {
-        // Deferred checks flushed at finish may fault spilled records
-        // back in; an unrecoverable failure there must surface as a
-        // typed error, never as a verdict over partial state.
-        return Err(CheckpointError::Malformed(format!(
-            "spill store fault at finalize: {e}"
-        )));
-    }
+    let outcome = engine::finish(v)?;
     let verdict = StreamVerdict {
         stream: stream.to_string(),
         level: level_label.to_string(),
@@ -1196,8 +1164,8 @@ fn finalize_stream(
         quarantined_traces: outcome.coverage.quarantined_traces,
         demoted_reads: outcome.coverage.demoted_reads,
     };
-    let vpath = stream_verdict_path(&shared.opts.checkpoint_dir, stream);
-    write_atomic_durable(&vpath, &verdict.to_json())?;
+    io.write_atomic(vpath, verdict.to_json().as_bytes())
+        .map_err(StoreError::Io)?;
     Ok(verdict)
 }
 
@@ -1587,28 +1555,54 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Polls `done` (every 5 ms, for at most 20 s) until it holds.
+    fn wait_for(mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// Sends `hello` on a fresh connection and returns it with the answer.
+    fn handshake(ingest: &Endpoint, hello: Hello) -> (WireConn, Frame) {
+        let mut sock = ingest.connect().unwrap();
+        write_frame(&mut sock, &Frame::Hello(hello)).unwrap();
+        sock.flush().unwrap();
+        let answer = read_frame(&mut sock).unwrap().expect("an answer");
+        (sock, answer)
+    }
+
+    /// Sends `traces` under the given sequence numbers.
+    fn send_traces(sock: &mut WireConn, traces: &[Trace], seqs: &[u64]) {
+        for (trace, &seq) in traces.iter().zip(seqs) {
+            let trace = trace.clone();
+            write_frame(sock, &Frame::Trace(TraceFrame { seq, trace })).unwrap();
+        }
+        sock.flush().unwrap();
+    }
+
+    fn rejected_for(answer: &Frame) -> Option<RejectReason> {
+        match answer {
+            Frame::Reject { reason, .. } => Some(*reason),
+            _ => None,
+        }
+    }
+
     #[test]
     fn version_mismatch_is_rejected() {
         let dir = temp_dir("version");
         let (ingest, handle, join) = start_server(&dir, "ingest");
-        let mut sock = ingest.connect().unwrap();
-        write_frame(
-            &mut sock,
-            &Frame::Hello(Hello {
-                version: 99,
-                stream: "future".to_string(),
-                description: String::new(),
-                level: IsolationLevel::Serializable,
-                mem_budget: 0,
-                preload: vec![],
-            }),
-        )
-        .unwrap();
-        sock.flush().unwrap();
-        match read_frame(&mut sock).unwrap() {
-            Some(Frame::Reject { reason, .. }) => assert_eq!(reason, RejectReason::Version),
-            other => panic!("expected Reject, got {other:?}"),
-        }
+        let hello = Hello {
+            version: 99,
+            ..hello_for("future")
+        };
+        let (_, answer) = handshake(&ingest, hello);
+        assert_eq!(
+            rejected_for(&answer),
+            Some(RejectReason::Version),
+            "{answer:?}"
+        );
         handle.shutdown();
         join.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1618,49 +1612,19 @@ mod tests {
     fn sequence_gap_quarantines_the_stream() {
         let dir = temp_dir("gap");
         let (ingest, handle, join) = start_server(&dir, "ingest");
-        let mut sock = ingest.connect().unwrap();
-        write_frame(
-            &mut sock,
-            &Frame::Hello(Hello {
-                version: WIRE_VERSION,
-                stream: "gappy".to_string(),
-                description: String::new(),
-                level: IsolationLevel::Serializable,
-                mem_budget: 0,
-                preload: vec![],
-            }),
-        )
-        .unwrap();
-        sock.flush().unwrap();
-        assert!(matches!(
-            read_frame(&mut sock).unwrap(),
-            Some(Frame::Ack { resume_from: 0 })
-        ));
-        let traces = clean_traces();
+        let (mut sock, answer) = handshake(&ingest, hello_for("gappy"));
+        assert!(
+            matches!(answer, Frame::Ack { resume_from: 0 }),
+            "{answer:?}"
+        );
         // seq 1 then seq 5: a gap.
-        write_frame(
-            &mut sock,
-            &Frame::Trace(TraceFrame {
-                seq: 1,
-                trace: traces[0].clone(),
-            }),
-        )
-        .unwrap();
-        write_frame(
-            &mut sock,
-            &Frame::Trace(TraceFrame {
-                seq: 5,
-                trace: traces[1].clone(),
-            }),
-        )
-        .unwrap();
-        sock.flush().unwrap();
-        match read_frame(&mut sock).unwrap() {
-            Some(Frame::Reject { reason, .. }) => {
-                assert_eq!(reason, RejectReason::Quarantined);
-            }
-            other => panic!("expected Reject, got {other:?}"),
-        }
+        send_traces(&mut sock, &clean_traces(), &[1, 5]);
+        let answer = read_frame(&mut sock).unwrap().expect("an answer");
+        assert_eq!(
+            rejected_for(&answer),
+            Some(RejectReason::Quarantined),
+            "{answer:?}"
+        );
         // The quarantined verdict is on disk.
         let vjson = std::fs::read_to_string(dir.join("ckpt").join("gappy.verdict.json")).unwrap();
         let verdict = StreamVerdict::from_json(&vjson).unwrap();
@@ -1685,43 +1649,25 @@ mod tests {
             ingest_capture(&ingest_r, "t", IsolationLevel::Serializable, 0, &mut reader).unwrap();
         handle_r.shutdown();
         join_r.join().unwrap();
-        let ref_ckpt = std::fs::read_to_string(ref_dir.join("ckpt").join("t.ckpt")).unwrap();
+        let ref_ckpt = std::fs::read(ref_dir.join("ckpt").join("t.ckpt")).unwrap();
 
-        // Interrupted run: send 2 traces, drop the connection, then
-        // restart the whole daemon and replay from a fresh client.
+        // Interrupted run: send 2 traces, drop the connection without a
+        // Bye (a killed client), then restart the whole daemon and replay
+        // from a fresh client.
         let (ingest, handle, join) = start_server(&dir, "ingest");
-        {
-            let mut sock = ingest.connect().unwrap();
-            write_frame(
-                &mut sock,
-                &Frame::Hello(Hello {
-                    version: WIRE_VERSION,
-                    stream: "t".to_string(),
-                    description: "serve unit test".to_string(),
-                    level: IsolationLevel::Serializable,
-                    mem_budget: 0,
-                    preload: vec![(Key(1), Value(0))],
-                }),
-            )
-            .unwrap();
-            sock.flush().unwrap();
-            assert!(matches!(
-                read_frame(&mut sock).unwrap(),
-                Some(Frame::Ack { resume_from: 0 })
-            ));
-            for (i, t) in traces.iter().take(2).enumerate() {
-                write_frame(
-                    &mut sock,
-                    &Frame::Trace(TraceFrame {
-                        seq: i as u64 + 1,
-                        trace: t.clone(),
-                    }),
-                )
-                .unwrap();
-            }
-            sock.flush().unwrap();
-            // Drop without Bye — simulates a killed client.
-        }
+        let (mut sock, answer) = handshake(&ingest, hello_for("t"));
+        assert!(
+            matches!(answer, Frame::Ack { resume_from: 0 }),
+            "{answer:?}"
+        );
+        send_traces(&mut sock, &traces, &[1, 2]);
+        drop(sock);
+        // The daemon must have read both frames before it is told to
+        // stop, or it stops with fewer ingested.
+        wait_for(|| {
+            let streams = handle.streams();
+            streams.len() == 1 && streams[0].state == "idle" && streams[0].ingested == 2
+        });
         // Daemon shutdown (flushes the stream checkpoint) + restart.
         handle.shutdown();
         join.join().unwrap();
@@ -1740,10 +1686,116 @@ mod tests {
         join2.join().unwrap();
 
         assert_eq!(verdict, ref_verdict, "verdicts must be byte-identical");
-        let ckpt = std::fs::read_to_string(dir.join("ckpt").join("t.ckpt")).unwrap();
-        assert_eq!(ckpt, ref_ckpt, "final checkpoints must be byte-identical");
+        let ckpt = std::fs::read(dir.join("ckpt").join("t.ckpt")).unwrap();
+        assert!(ckpt == ref_ckpt, "final checkpoints must be byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&ref_dir);
+    }
+
+    /// Two handshakes for one stream at the same moment: exactly one owns
+    /// it. The stream has an image large enough that recovering it takes
+    /// far longer than the two `Hello`s are apart, which is the window the
+    /// check and the `Active` mark must close.
+    #[test]
+    fn simultaneous_hellos_for_one_stream_get_one_ack_and_one_reject() {
+        let dir = temp_dir("two-hellos");
+        let (ingest, handle, join) = start_server(&dir, "ingest");
+        let hello = || Hello {
+            preload: (0..600).map(|k| (Key(k), Value(0))).collect(),
+            ..hello_for("t")
+        };
+        // Connect, disconnect: the stream is idle with an image on disk.
+        drop(handshake(&ingest, hello()));
+        wait_for(|| handle.streams().first().is_some_and(|s| s.state == "idle"));
+
+        let (start, answered) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let contend = || {
+            start.wait();
+            let (sock, answer) = handshake(&ingest, hello());
+            // The winner keeps the stream until the loser has been answered.
+            answered.wait();
+            drop(sock);
+            answer
+        };
+        let answers = std::thread::scope(|scope| {
+            let contenders = [scope.spawn(contend), scope.spawn(contend)];
+            contenders.map(|c| c.join().unwrap())
+        });
+        let acks = answers.iter().filter(|a| matches!(a, Frame::Ack { .. }));
+        let rejects = answers
+            .iter()
+            .filter(|a| rejected_for(a) == Some(RejectReason::Admission));
+        assert_eq!((acks.count(), rejects.count()), (1, 1), "{answers:?}");
+        // The loser's refusal left the winner's claim alone, and the
+        // winner's disconnect released it.
+        wait_for(|| handle.streams()[0].state == "idle");
+        assert!(matches!(handshake(&ingest, hello()).1, Frame::Ack { .. }));
+        handle.shutdown();
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `a/b` and `a_b` have the same files, so they are the same stream:
+    /// one registry row, one owner at a time, one cursor.
+    #[test]
+    fn names_that_share_files_are_one_stream() {
+        let dir = temp_dir("one-stem");
+        let (ingest, handle, join) = start_server(&dir, "ingest");
+        let (mut first, answer) = handshake(&ingest, hello_for("a/b"));
+        assert!(
+            matches!(answer, Frame::Ack { resume_from: 0 }),
+            "{answer:?}"
+        );
+        // While `a/b` is being fed, `a_b` is taken.
+        let (_, answer) = handshake(&ingest, hello_for("a_b"));
+        assert_eq!(
+            rejected_for(&answer),
+            Some(RejectReason::Admission),
+            "{answer:?}"
+        );
+        send_traces(&mut first, &clean_traces(), &[1, 2]);
+        drop(first);
+        wait_for(|| handle.streams()[0].state == "idle" && handle.streams()[0].ingested == 2);
+        // Afterwards `a_b` resumes what `a/b` ingested.
+        let (_, answer) = handshake(&ingest, hello_for("a_b"));
+        assert!(
+            matches!(answer, Frame::Ack { resume_from: 2 }),
+            "{answer:?}"
+        );
+        let streams = handle.streams();
+        assert_eq!(streams.len(), 1, "{streams:?}");
+        assert_eq!(streams[0].stream, "a_b");
+        handle.shutdown();
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stream whose image an older build wrote — a bare JSON document —
+    /// is refused by type; the file is neither parsed nor replaced.
+    #[test]
+    fn a_stream_image_in_an_old_layout_is_rejected() {
+        let dir = temp_dir("old-layout");
+        let (ingest, handle, join) = start_server(&dir, "ingest");
+        let v = Verifier::new(stream_config(IsolationLevel::Serializable, 0));
+        let old = v.checkpoint().to_json();
+        let path = dir.join("ckpt").join("t.ckpt");
+        std::fs::write(&path, &old).unwrap();
+        let (_, answer) = handshake(&ingest, hello_for("t"));
+        assert_eq!(
+            rejected_for(&answer),
+            Some(RejectReason::Malformed),
+            "{answer:?}"
+        );
+        assert!(
+            format!("{answer:?}").contains("not a checkpoint image"),
+            "{answer:?}"
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), old);
+        // The refusal leaves no row (once the connection thread is done).
+        wait_for(|| handle.streams().is_empty());
+        handle.shutdown();
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn hello_for(stream: &str) -> Hello {
@@ -1778,7 +1830,7 @@ mod tests {
     ) -> (u64, Option<String>, u64) {
         let hello = hello_for("t");
         let (mut v, mut cursor, mut durable) =
-            recover_stream(io, opts, &hello, None).expect("recovers");
+            recover_stream(io, opts, "t", &hello, None).expect("recovers");
         let mut made_durable = cursor;
         for (i, trace) in traces.iter().enumerate().skip(cursor as usize) {
             let tf = TraceFrame {
@@ -1788,7 +1840,7 @@ mod tests {
             ingest_one(&mut v, &tf, None).expect("clean trace");
             cursor += 1;
             durable.ingested(tf);
-            if cursor % opts.checkpoint_every == 0 {
+            if opts.engine.checkpoint_due(cursor) {
                 match durable.boundary(&v, cursor) {
                     Ok(()) => made_durable = cursor,
                     Err(e) => return (made_durable, Some(e.to_string()), durable.image_bytes),
@@ -1811,7 +1863,7 @@ mod tests {
         let options = |dir: &Path| {
             let mut opts = ServeOptions::new(dir.join("ckpt"));
             std::fs::create_dir_all(&opts.checkpoint_dir).unwrap();
-            opts.checkpoint_every = 2;
+            opts.engine.checkpoint_every = Some(2);
             opts.checkpoint_retry = retry;
             opts
         };
@@ -1880,7 +1932,7 @@ mod tests {
             // The restart acks exactly what was made durable, and what it
             // replayed is the state a clean run has at that cursor.
             let (v, cursor, _) =
-                recover_stream(&FsIo, &opts, &hello_for("t"), None).expect("recovers");
+                recover_stream(&FsIo, &opts, "t", &hello_for("t"), None).expect("recovers");
             assert_eq!(cursor, durable, "{tag}");
             let mut clean = Verifier::new(stream_config(IsolationLevel::Serializable, 0));
             clean.preload(Key(1), Value(0));

@@ -1,12 +1,11 @@
 //! CRC-32 (IEEE 802.3 polynomial, the `crc32` everybody means), shared by
-//! the spill record log ([`super::segment`]) and the checkpoint generation
-//! chain ([`super::genchain`]).
+//! the spill record log ([`super::segment`]) and the checkpoint image
+//! seal ([`crate::checkpoint`]).
 //!
 //! Hand-rolled because `leopard-core` carries no compression/hashing
 //! dependency and must not grow one for this. Slicing-by-8: eight
 //! 256-entry tables let the loop consume eight input bytes per step
-//! instead of one; the generation chain checksums whole checkpoint images
-//! with it.
+//! instead of one; whole checkpoint images are checksummed with it.
 
 /// `TABLES[0]` is the classic bytewise table; `TABLES[k][i]` is the CRC
 /// of byte `i` followed by `k` zero bytes.

@@ -1,8 +1,8 @@
 //! Injectable storage I/O: the [`StoreIo`] boundary, the real
 //! filesystem implementation, and a seeded hostile-disk fault injector.
 //!
-//! Every byte the spill tier and the checkpoint generation chain move
-//! crosses this trait, so the fault-injection suite can subject the
+//! Every byte the spill tier, the stream journal and the checkpoint image
+//! move crosses this trait, so the fault-injection suite can subject the
 //! *production* code paths — not mocks of them — to ENOSPC, short
 //! writes, torn writes, fsync failures and delayed errors, and prove
 //! each one resolves to a retry, a counted fallback or a typed error.
@@ -34,7 +34,8 @@ pub trait StoreFile: Send + fmt::Debug {
     fn sync(&mut self) -> io::Result<()>;
 }
 
-/// The storage-I/O boundary of the spill tier and generation chain.
+/// The storage-I/O boundary of the spill tier, the stream journal and
+/// the checkpoint image.
 pub trait StoreIo: Send + Sync + fmt::Debug {
     /// Creates `path` and every missing parent directory.
     fn create_dir_all(&self, path: &Path) -> io::Result<()>;
@@ -45,6 +46,10 @@ pub trait StoreIo: Send + Sync + fmt::Debug {
     /// Atomically and durably replaces `path` with `data`
     /// (write-to-temp, fsync, rename, fsync parent directory).
     fn write_atomic(&self, path: &Path, data: &[u8]) -> io::Result<()>;
+    /// Renames `from` over `to` within one directory. Not synced by
+    /// itself: the next [`StoreIo::write_atomic`] in that directory
+    /// makes it durable, and until then either name is a valid outcome.
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
     /// Removes a file; absent files are not an error.
     fn remove(&self, path: &Path) -> io::Result<()>;
     /// Paths of the directory's entries (files only), sorted.
@@ -119,6 +124,10 @@ impl StoreIo for FsIo {
         };
         fs::File::open(parent)?.sync_all()?;
         Ok(())
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        fs::rename(from, to)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -458,6 +467,10 @@ impl<I: StoreIo + 'static> StoreIo for FaultIo<I> {
             }
         }
         self.inner.write_atomic(path, data)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {

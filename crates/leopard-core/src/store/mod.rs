@@ -1,6 +1,5 @@
 //! `leopard_core::store` — the disk-spilling backing tier for cold
-//! verifier state, plus the checkpoint generation chain and the
-//! `leopard serve` stream journal ([`journal`]).
+//! verifier state, plus the `leopard serve` stream journal ([`journal`]).
 //!
 //! The module exists so captures larger than RAM verify with **zero
 //! coverage loss**: when the [`crate::budget::MemBudget`] is exceeded,
@@ -12,21 +11,19 @@
 //!
 //! Because the tier holds verdict-critical state, the disk is treated as
 //! hostile: every byte moves through the injectable [`StoreIo`] trait
-//! ([`io`]), every record carries a CRC ([`crc32`]), and the checkpoint
-//! path has a CRC'd generation chain with corrupt-head fallback
-//! ([`genchain`]). Every error path resolves to exactly one of three
+//! ([`io`]) and every record carries a CRC ([`crc32`]) — as does the
+//! checkpoint image, which moves through the same two
+//! ([`crate::checkpoint`]). Every error path resolves to exactly one of three
 //! outcomes — transparent retry ([`RetryPolicy`]), counted fallback to
 //! the in-memory path, or a typed [`StoreError`] — never a silent wrong
 //! verdict.
 
 pub mod crc32;
-pub mod genchain;
 pub mod io;
 pub mod journal;
 pub mod segment;
 pub mod tier;
 
-pub use genchain::{GenChain, GenLoad};
 pub use io::{FaultIo, FaultSpec, FsIo, InjectedFaults, SplitMix64, StoreFile, StoreIo};
 pub use journal::Journal;
 pub use segment::{RecordAddr, SegmentLog};
@@ -93,15 +90,6 @@ impl std::error::Error for StoreError {
         match self {
             StoreError::Io(e) => Some(e),
             _ => None,
-        }
-    }
-}
-
-impl From<StoreError> for crate::checkpoint::CheckpointError {
-    fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::Io(io) => crate::checkpoint::CheckpointError::Io(io),
-            other => crate::checkpoint::CheckpointError::Malformed(other.to_string()),
         }
     }
 }

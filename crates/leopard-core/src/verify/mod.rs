@@ -15,6 +15,7 @@
 //! later starts after `S` and is a *future version* by definition.
 
 mod depgraph;
+pub mod engine;
 mod lock_table;
 mod txn_table;
 mod version_store;
@@ -246,9 +247,21 @@ pub struct VerifyOutcome {
     pub obs: Option<crate::obs::ObsSnapshot>,
     /// The first unrecoverable spill-store failure, if one occurred.
     /// When set, the run stopped admitting traces at the fault and the
-    /// report/coverage cover only the prefix — callers must surface this
-    /// as a typed fatal error, never as a verdict.
-    pub store_fault: Option<String>,
+    /// report/coverage cover only the prefix: not a verdict. Read the
+    /// outcome through [`VerifyOutcome::into_result`], which makes that
+    /// an `Err`.
+    pub store_fault: Option<crate::store::StoreError>,
+}
+
+impl VerifyOutcome {
+    /// The outcome as a verdict, or the store fault that means there is
+    /// none.
+    pub fn into_result(mut self) -> Result<VerifyOutcome, crate::store::StoreError> {
+        match self.store_fault.take() {
+            Some(fault) => Err(fault),
+            None => Ok(self),
+        }
+    }
 }
 
 /// A deferred consistent-read check (due once the stream passes
@@ -478,18 +491,39 @@ impl Verifier {
         self.counters.budget.observe(usage);
     }
 
+    /// [`Verifier::relieve_beside`] for a verifier that is the whole
+    /// footprint.
+    fn relieve(&mut self) -> MemUsage {
+        self.relieve_beside(MemUsage::default())
+    }
+
+    /// The online chain's entry to the one relief: `beside` is what the
+    /// chain holds outside the verifier (the tracer's buffers) and counts
+    /// against the same budget. Gated by `armed` like the per-trace
+    /// check, so a floor above the budget is not fought on every poll.
+    /// Returns the chain's usage afterwards.
+    pub(crate) fn relieve_if_armed(&mut self, beside: MemUsage) -> MemUsage {
+        let usage = self.mem_usage() + beside;
+        if self.armed.exceeded_by(usage) {
+            self.relieve_beside(beside)
+        } else {
+            usage
+        }
+    }
+
     /// Rungs 1 and 1.5 of the overload ladder: a forced GC and, if the
     /// budget is still exceeded and a tier takes writes, a spill pass —
     /// cold chains go to disk before any rung that costs coverage gets a
     /// chance to run. Re-arms an eighth of the budget above where it
-    /// ends, or at the budget if that is higher. Returns the usage left.
-    fn relieve(&mut self) -> MemUsage {
+    /// ends, or at the budget if that is higher. Returns the usage left,
+    /// `beside` included.
+    fn relieve_beside(&mut self, beside: MemUsage) -> MemUsage {
         self.force_gc();
-        let mut usage = self.mem_usage();
+        let mut usage = self.mem_usage() + beside;
         let cap = self.cfg.mem_budget;
         if cap.exceeded_by(usage) && self.can_spill() {
-            self.spill_pass();
-            usage = self.mem_usage();
+            self.spill_pass(beside.bytes);
+            usage = self.mem_usage() + beside;
         }
         if cap.exceeded_by(usage) {
             // What is left cannot be collected or spilled. Not a coverage
@@ -515,40 +549,28 @@ impl Verifier {
 
     /// Forces a garbage-collection pass immediately, off the periodic
     /// `gc_every` cadence — rung 1 of the overload ladder.
-    pub fn force_gc(&mut self) {
+    pub(crate) fn force_gc(&mut self) {
         self.counters.budget.forced_gcs += 1;
         obs::ctr(obs::Counter::ForcedGcs, 1);
         self.collect_garbage();
     }
 
     /// `true` when a spill tier is attached and still accepting writes.
-    #[must_use]
-    pub fn can_spill(&self) -> bool {
+    fn can_spill(&self) -> bool {
         self.spill_writes_enabled && self.versions.spill_attached() && self.store_fault.is_none()
-    }
-
-    /// `true` when a spill tier is attached (regardless of write state).
-    #[must_use]
-    pub fn spill_attached(&self) -> bool {
-        self.versions.spill_attached()
-    }
-
-    /// Appends a degraded-load warning to coverage — e.g. a checkpoint
-    /// generation fallback surfaced by an embedding layer at resume.
-    pub fn note_degraded_load(&mut self, note: &str) {
-        self.coverage.push_note(note.to_string());
     }
 
     /// Runs one spill pass — rung 1.5 of the overload ladder, between
     /// forced GC and forced dispatch: cold fully-committed version
     /// chains no open transaction will come back to page out to the
     /// spill tier, coldest first, until estimated usage drops to half
-    /// the byte budget — well below it, so the pass pays for a long run
-    /// of traces, not for the next one. Write failures are *never*
+    /// the byte budget (less `beside_bytes`, what the chain holds outside
+    /// the verifier) — well below it, so the pass pays for a long run of
+    /// traces, not for the next one. Write failures are *never*
     /// fatal: the records stay resident, the pass is abandoned, further
     /// passes are disabled, and the fallback is counted — the ladder
     /// then proceeds exactly as it would without a spill tier.
-    pub fn spill_pass(&mut self) {
+    fn spill_pass(&mut self, beside_bytes: u64) {
         let t0 = obs::span_start();
         // A record an open transaction wrote or matched a read against,
         // or a deferred check names, is faulted back in when that
@@ -565,7 +587,8 @@ impl Verifier {
         let target = match self.cfg.mem_budget.max_bytes {
             0 => u64::MAX,
             cap => {
-                let elsewhere = self.mem_usage().bytes - self.versions.mem_usage().bytes;
+                let elsewhere =
+                    self.mem_usage().bytes - self.versions.mem_usage().bytes + beside_bytes;
                 (cap / 2).saturating_sub(elsewhere)
             }
         };
@@ -645,22 +668,17 @@ impl Verifier {
         }
     }
 
-    /// The first unrecoverable spill-store failure, if one occurred.
-    /// While set, [`Verifier::process`] refuses traces — the caller must
-    /// surface this as a typed fatal error, never report a verdict.
-    #[must_use]
-    pub fn store_fault(&self) -> Option<&crate::store::StoreError> {
-        self.store_fault.as_ref()
-    }
-
     /// Records that a spill tier could not be attached — a clean counted
-    /// fallback to the in-memory path. Rung 1.5 stays disarmed; the
-    /// ladder's other rungs govern exactly as before.
-    pub fn note_spill_unavailable(&mut self, why: &str) {
+    /// fallback to the in-memory path: the run proceeds with a coverage
+    /// note, never a silent change of verdict. Rung 1.5 stays disarmed;
+    /// the ladder's other rungs govern exactly as before. Returns the
+    /// warning for an operator.
+    fn note_spill_unavailable(&mut self, why: &crate::store::StoreError) -> String {
         self.counters.budget.spill_fallbacks += 1;
         obs::ctr(obs::Counter::SpillFallbacks, 1);
         self.coverage
             .push_note(format!("spill unavailable (records stay in memory): {why}"));
+        format!("spill tier unavailable ({why}); continuing in memory")
     }
 
     /// Attaches a spill tier (rung 1.5 of the overload ladder) to the
@@ -672,7 +690,7 @@ impl Verifier {
     /// Resume path: re-attaches the spill tier and adopts the
     /// checkpoint's spill index, clearing the spilled-state-unavailable
     /// latch set by [`Verifier::from_checkpoint`].
-    pub fn resume_spill(&mut self, tier: crate::store::SpillTier, index: &[SpillIndexEntry]) {
+    fn resume_spill(&mut self, tier: crate::store::SpillTier, index: &[SpillIndexEntry]) {
         self.versions.adopt_spill(tier, index);
         if matches!(
             self.store_fault,
@@ -685,7 +703,7 @@ impl Verifier {
     /// Durably syncs the spill tier (no-op without one). Called before a
     /// checkpoint is written so the image never references unsynced
     /// pages.
-    pub fn sync_spill(&self) -> crate::store::StoreResult<()> {
+    fn sync_spill(&self) -> crate::store::StoreResult<()> {
         match self.versions.spill_tier() {
             Some(tier) => tier.sync(),
             None => Ok(()),
@@ -736,7 +754,7 @@ impl Verifier {
             counters: self.counters,
             coverage,
             obs: obs::snapshot_if_enabled(),
-            store_fault: self.store_fault.as_ref().map(ToString::to_string),
+            store_fault: self.store_fault,
         }
     }
 
@@ -881,11 +899,11 @@ impl Verifier {
             scratch_lock_checks: Vec::new(),
             // A checkpoint referencing spilled records cannot verify
             // without its spill directory: latch the typed error now;
-            // [`Verifier::resume_spill`] clears it.
+            // `resume_spill` clears it.
             store_fault: (!ckpt.spill.is_empty()).then(|| {
                 crate::store::StoreError::Unavailable(format!(
-                    "checkpoint references {} spilled records; reattach the spill \
-                     directory (resume_spill) before verifying",
+                    "checkpoint references {} spilled records; resume it through \
+                     engine::open with its spill directory",
                     ckpt.spill.len()
                 ))
             }),

@@ -371,7 +371,7 @@ mod tests {
         let dir = temp_dir("chaos");
         let ingest = Endpoint::Unix(dir.join("ingest.sock"));
         let mut sopts = ServeOptions::new(dir.join("ckpt"));
-        sopts.checkpoint_every = 16;
+        sopts.engine.checkpoint_every = Some(16);
         let server = Server::bind(&ingest, None, sopts).unwrap();
         let handle = server.handle();
         let join = std::thread::spawn(move || server.run().unwrap());

@@ -1,0 +1,320 @@
+//! The one equivalence table: every engine configuration, through the one
+//! open → feed → save → finish path, reaches the verdict of the plain
+//! engine — or a typed error and no verdict.
+//!
+//! Rows are [`EngineOpts`] values (plus whether the observability registry
+//! records). They are crossed with every `tests/corpus/*.jsonl` capture
+//! (and a chaos-degraded copy of the base capture), the four isolation
+//! levels, and a kill point — none, or mid-stream: the engine is saved to
+//! an image file, dropped, and opened again from the file, as `leopard
+//! verify --resume` and a reconnecting `leopard serve` stream do.
+//!
+//! A cell's reference is the uninterrupted plain run at the same level and
+//! the same `degraded` setting (degraded mode is a different question put
+//! to the history, not a different engine). Compared: the verdict —
+//! report, trace / commit / abort counts, coverage — and, where no budget
+//! moves the forced-GC cadence, the deduction statistics and the bytes of
+//! the image file at the kill point, so nothing a row switches on leaks
+//! into persisted state. The budget and footprint gauges measure the
+//! engine's memory topology, not the history, and are left out.
+
+use leopard_core::obs;
+use leopard_core::store::io::FaultSpec;
+use leopard_core::{
+    engine, CaptureReader, Checkpoint, EngineOpts, FsIo, IsolationLevel, MemBudget, RetryPolicy,
+    SpillSettings, Trace, VerifierConfig, VerifyOutcome,
+};
+use leopard_oracle::{
+    degrade_capture, generate_clean_capture, Capture, CleanRunSpec, DegradeSpec, Schedule, LEVELS,
+};
+use std::fs::File;
+use std::path::{Path, PathBuf};
+
+/// One engine configuration of the table.
+#[derive(Clone, Copy)]
+struct Row {
+    name: &'static str,
+    /// A starvation-level budget: a quarter of the plain run's peak.
+    budget: bool,
+    spill: bool,
+    degraded: bool,
+    obs: bool,
+    /// The spill tier's disk fails a fifth of its reads and is not retried.
+    hostile: bool,
+}
+
+const fn row(name: &'static str, [budget, spill, degraded, obs, hostile]: [bool; 5]) -> Row {
+    Row {
+        name,
+        budget,
+        spill,
+        degraded,
+        obs,
+        hostile,
+    }
+}
+
+/// The rows with nothing but `degraded` set are the references and run
+/// first.
+const ROWS: [Row; 7] = [
+    row("plain", [false; 5]),
+    row("degraded", [false, false, true, false, false]),
+    row("budget", [true, false, false, false, false]),
+    row("budget+spill", [true, true, false, false, false]),
+    row("obs", [false, false, false, true, false]),
+    row("budget+spill+degraded+obs", [true, true, true, true, false]),
+    row(
+        "budget+spill, failing reads",
+        [true, true, false, false, true],
+    ),
+];
+
+/// Cells (capture, level, row) that do *not* reach the plain verdict, and
+/// are pinned as they are until they are fixed.
+///
+/// `write-skew` at SR under a budget with no spill tier: the forced GCs a
+/// starvation budget triggers prune the version chain the certifier's rw
+/// edge is derived from, and the SSI dangerous structure goes unreported
+/// — a clean, "complete" verdict on a history with a write skew. With a
+/// tier the chains are on disk when the GC runs, and the violation is
+/// found. The parent commit behaves the same (`leopard verify
+/// tests/corpus/write-skew.jsonl --level sr --mem-budget 6000` exits 0);
+/// this table is what found it.
+const KNOWN_GAPS: [(&str, IsolationLevel, &str); 1] =
+    [("write-skew.jsonl", IsolationLevel::Serializable, "budget")];
+
+impl Row {
+    fn opts(&self, level: IsolationLevel, plain_peak: u64, dir: &Path) -> EngineOpts {
+        let mut verifier = VerifierConfig::for_level(level);
+        verifier.degraded = self.degraded;
+        if self.budget {
+            // Low enough to force the relief rungs; no rung that costs
+            // coverage exists to run (there is no tracer).
+            verifier.mem_budget = MemBudget::bytes((plain_peak / 4).max(4096));
+        }
+        let mut spill = self.spill.then(|| SpillSettings::new(dir.join("tier")));
+        if let (Some(settings), true) = (&mut spill, self.hostile) {
+            settings.retry = RetryPolicy::none();
+            settings.fault = FaultSpec {
+                seed: plain_peak,
+                read_err_prob: 0.2,
+                ..FaultSpec::default()
+            };
+        }
+        EngineOpts {
+            verifier,
+            spill,
+            checkpoint: Some(dir.join("image.ckpt")),
+            checkpoint_every: None,
+        }
+    }
+}
+
+/// Drives one engine over the capture through the one path. With a kill
+/// point, the engine is saved there, dropped, and the rest of the stream
+/// goes to an engine opened from the image file, whose bytes are returned.
+/// `Err` is a typed refusal — from `open`, `feed`, `save` or `finish` —
+/// and no verdict.
+fn run_cell(
+    opts: &EngineOpts,
+    cap: &Capture,
+    kill: Option<usize>,
+) -> Result<(VerifyOutcome, Vec<u8>), String> {
+    let feed = |v: &mut leopard_core::Verifier, traces: &[Trace]| {
+        traces
+            .iter()
+            .try_for_each(|t| engine::feed(v, t).map_err(|e| e.to_string()))
+    };
+    let path = opts.checkpoint.as_deref().expect("rows name an image path");
+    let dir = path.parent().expect("image path has a parent");
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).expect("mkdir");
+
+    let opened = engine::open(opts, None, &cap.header.preload).map_err(|e| e.to_string())?;
+    assert!(opened.warnings.is_empty(), "{:?}", opened.warnings);
+    let mut v = opened.verifier;
+    let split = kill.unwrap_or(0);
+    feed(&mut v, &cap.traces[..split])?;
+    let mut image_file = Vec::new();
+    if kill.is_some() {
+        engine::save(&v, split as u64, &FsIo, path).map_err(|e| e.to_string())?;
+        drop(v); // the process dies here
+        image_file = std::fs::read(path).expect("image file");
+        let image = Checkpoint::load(&FsIo, path).map_err(|e| e.to_string())?;
+        let image = image.expect("the image just saved");
+        assert_eq!(image.warning, None);
+        let opened = engine::open(opts, Some(image), &[]).map_err(|e| e.to_string())?;
+        assert_eq!(opened.cursor, split as u64);
+        v = opened.verifier;
+    }
+    feed(&mut v, &cap.traces[split..])?;
+    let outcome = engine::finish(v).map_err(|e| e.to_string())?;
+    Ok((outcome, image_file))
+}
+
+fn comparable(o: &VerifyOutcome, with_stats: bool) -> String {
+    let stats = with_stats.then_some(o.stats);
+    format!(
+        "{:?}|{stats:?}|{}|{}|{}|{:?}",
+        o.report, o.counters.traces, o.counters.committed, o.counters.aborted, o.coverage
+    )
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("leopard-equivalence-{tag}-{}", std::process::id()))
+}
+
+/// Every corpus capture, plus the base capture with deliveries dropped,
+/// duplicated and a client killed (what a chaos run leaves behind).
+fn inputs() -> Vec<(String, Capture)> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("tests/corpus exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().and_then(|x| x.to_str()) == Some("jsonl"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no corpus captures found");
+    let mut inputs = Vec::new();
+    for path in files {
+        let name = path.file_name().expect("file name").to_string_lossy();
+        let reader =
+            CaptureReader::new(File::open(&path).expect("open capture")).expect("capture header");
+        let header = reader.header().clone();
+        let traces = reader.map(|t| t.expect("well-formed trace")).collect();
+        let capture = Capture { header, traces };
+        if name == "base.jsonl" {
+            let chaos = degrade_capture(&capture, &DegradeSpec::moderate(7));
+            inputs.push(("base.jsonl+chaos".to_string(), chaos));
+        }
+        inputs.push((name.into_owned(), capture));
+    }
+    inputs
+}
+
+/// The table. One test function: the observability registry is
+/// process-global, and the rows that switch it on must not overlap.
+#[test]
+fn every_engine_configuration_reaches_the_plain_verdict() {
+    let dir = scratch("table");
+    let (mut spilled, mut typed, mut hostile_verdicts) = (0, 0, 0);
+    obs::set_enabled(false);
+    for (fi, (name, cap)) in inputs().iter().enumerate() {
+        for (li, level) in LEVELS.iter().enumerate() {
+            // The kill point varies from cell to cell.
+            let mid = (7 * fi + 3 * li + 1) * cap.traces.len() / (7 * 17 + 3 * 4);
+            // Per `degraded`: the reference verdict, and its image at `mid`.
+            let mut reference: [Option<(VerifyOutcome, Vec<u8>)>; 2] = [None, None];
+            for row in ROWS {
+                let is_reference = !(row.budget || row.spill || row.obs);
+                let slot = usize::from(row.degraded);
+                let peak = reference[slot]
+                    .as_ref()
+                    .map_or(0, |(whole, _)| whole.counters.budget.peak_bytes);
+                let opts = row.opts(*level, peak, &dir);
+                for kill in [None, Some(mid)] {
+                    let what = format!("{name} @ {level:?}, row {}, kill {kill:?}", row.name);
+                    if row.obs {
+                        obs::reset();
+                    }
+                    obs::set_enabled(row.obs);
+                    let cell = run_cell(&opts, cap, kill);
+                    obs::set_enabled(false);
+                    let (mut outcome, image) = match cell {
+                        Ok(cell) => cell,
+                        // The other legal outcome, of a disk made to fail.
+                        Err(_) if row.hostile => {
+                            typed += 1;
+                            continue;
+                        }
+                        Err(e) => panic!("{what}: {e}"),
+                    };
+                    if is_reference && kill.is_none() {
+                        reference[slot] = Some((outcome, Vec::new()));
+                        continue;
+                    }
+                    let (whole, image_at_mid) = reference[slot].as_mut().expect("references first");
+                    if is_reference {
+                        image_at_mid.clone_from(&image);
+                    }
+                    let b = outcome.counters.budget;
+                    if row.hostile {
+                        // A tier the disk would not let open, or write to,
+                        // is a counted fallback to memory, and coverage
+                        // says so.
+                        let notes = &mut outcome.coverage.notes;
+                        let before = notes.len();
+                        notes.retain(|n| !n.starts_with("spill "));
+                        assert_eq!(b.spill_fallbacks > 0, notes.len() < before, "{what}");
+                        hostile_verdicts += 1;
+                    } else {
+                        assert_eq!(b.spill_fallbacks, 0, "{what}");
+                        spilled += b.spilled_records;
+                    }
+                    if KNOWN_GAPS.contains(&(name.as_str(), *level, row.name)) {
+                        assert_ne!(
+                            comparable(whole, false),
+                            comparable(&outcome, false),
+                            "{what}: the gap is closed — take it off KNOWN_GAPS"
+                        );
+                        continue;
+                    }
+                    assert_eq!(
+                        comparable(whole, !row.budget),
+                        comparable(&outcome, !row.budget),
+                        "{what}: the verdict moved"
+                    );
+                    assert_eq!(outcome.obs.is_some(), row.obs, "{what}");
+                    let ingested = obs::counter_value(obs::Counter::OpsIngested);
+                    assert!(
+                        !row.obs || ingested > 0,
+                        "{what}: the registry recorded nothing"
+                    );
+                    assert!(
+                        kill.is_none() || row.budget || image == *image_at_mid,
+                        "{what}: the image file differs from the plain row's"
+                    );
+                    assert_eq!(b.budget_evictions, 0, "{what}: spilling pre-empts eviction");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(spilled > 0, "the budget never forced a spill: vacuous rows");
+    assert!(
+        typed > 0 && hostile_verdicts > 0,
+        "the failing disk should end some cells typed ({typed}) and let some through \
+         ({hostile_verdicts})"
+    );
+}
+
+/// Exhaustive over split points: no "lucky k" can hide a state field
+/// missing from the image.
+#[test]
+fn resume_at_every_split_point_of_a_small_capture() {
+    let spec = CleanRunSpec {
+        workload: "blindw-rw".to_string(),
+        rows: 8,
+        clients: 2,
+        txns_per_client: 4,
+        level: IsolationLevel::Serializable,
+        seed: 42,
+        tick: 10,
+        schedule: Schedule::Interleaved,
+    };
+    let cap = generate_clean_capture(&spec).expect("clean capture");
+    let dir = scratch("splits");
+    let opts = ROWS[0].opts(IsolationLevel::Serializable, 0, &dir);
+    // Everything but the registry snapshot, which the table running
+    // beside this test switches on and off.
+    let whole_outcome = |kill: Option<usize>| {
+        let (mut outcome, _) = run_cell(&opts, &cap, kill).expect("a verdict");
+        outcome.obs = None;
+        format!("{outcome:?}")
+    };
+    let whole = whole_outcome(None);
+    for k in 0..=cap.traces.len() {
+        assert_eq!(whole, whole_outcome(Some(k)), "killed after {k} traces");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

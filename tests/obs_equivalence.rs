@@ -1,123 +1,11 @@
-//! Observability neutrality harness: the metrics/span layer must never
-//! bend a verdict.
-//!
-//! Every committed golden-corpus capture is replayed twice — once with
-//! the global observability registry disabled, once enabled — through
-//! the [`Verifier`], and the verdict projections are compared
-//! byte-for-byte. Mid-stream checkpoint JSON is compared the same way:
-//! instrumentation must not leak into persisted state. The `obs` field
-//! of [`VerifyOutcome`] itself is the one permitted difference (`None`
-//! off, a snapshot on) and is excluded from the projection.
-//!
-//! A public-API exporter suite rides along, pinning the Prometheus text
-//! exposition (monotone cumulative buckets, `+Inf` = `_count`, metric
-//! and label name validity, HELP escaping) and the Chrome trace-event
-//! document shape against private-detail drift.
+//! Public-API exporter suite, pinning the Prometheus text exposition
+//! (monotone cumulative buckets, `+Inf` = `_count`, metric and label name
+//! validity, HELP escaping) and the Chrome trace-event document shape
+//! against private-detail drift. That the metrics/span layer never bends
+//! a verdict or a checkpoint image is the `obs` row of
+//! `tests/equivalence.rs`.
 
 use leopard_core::obs::{self, Counter, Gauge, HistId, Registry, Stage};
-use leopard_core::{CaptureReader, Key, Trace, Value, Verifier, VerifierConfig, VerifyOutcome};
-use leopard_oracle::LEVELS;
-use std::fs::File;
-use std::path::PathBuf;
-
-/// The comparable projection of a verdict: everything the verifier
-/// deduced about the history. Excludes only the `obs` snapshot, which
-/// is the observability payload under test.
-fn comparable(o: &VerifyOutcome) -> String {
-    format!(
-        "{:?}|{:?}|{}|{}|{}|{:?}",
-        o.report, o.stats, o.counters.traces, o.counters.committed, o.counters.aborted, o.coverage
-    )
-}
-
-struct RunResult {
-    projection: String,
-    mid_checkpoint: String,
-    obs_present: bool,
-}
-
-fn run_one(preload: &[(Key, Value)], traces: &[Trace], cfg: VerifierConfig) -> RunResult {
-    let mid = traces.len() / 2;
-    let mut v = Verifier::new(cfg);
-    for &(k, val) in preload {
-        v.preload(k, val);
-    }
-    for t in &traces[..mid] {
-        v.process(t);
-    }
-    let mid_checkpoint = v.checkpoint().to_json();
-    for t in &traces[mid..] {
-        v.process(t);
-    }
-    let outcome = v.finish();
-    RunResult {
-        projection: comparable(&outcome),
-        mid_checkpoint,
-        obs_present: outcome.obs.is_some(),
-    }
-}
-
-fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
-}
-
-/// Corpus × levels × observability {off, on}: identical
-/// verdict projections and identical mid-stream checkpoints. The whole
-/// sweep lives in one test function because the registry is
-/// process-global; no other test in this binary touches it.
-#[test]
-fn observability_is_verdict_neutral_across_corpus() {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
-        .expect("tests/corpus exists")
-        .filter_map(|e| {
-            let p = e.expect("dir entry").path();
-            (p.extension().and_then(|x| x.to_str()) == Some("jsonl")).then_some(p)
-        })
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "no corpus captures found");
-
-    obs::set_enabled(false);
-    for path in &files {
-        let name = path.file_name().expect("file name").to_string_lossy();
-        let reader =
-            CaptureReader::new(File::open(path).expect("open capture")).expect("capture header");
-        let preload = reader.header().preload.clone();
-        let traces: Vec<Trace> = reader
-            .map(|t| t.expect("well-formed corpus trace"))
-            .collect();
-        for level in LEVELS {
-            let cfg = VerifierConfig::for_level(level);
-            let what = format!("{name} @ {level:?}");
-            obs::set_enabled(false);
-            let off = run_one(&preload, &traces, cfg);
-            assert!(
-                !off.obs_present,
-                "{what}: obs-off outcome carries a snapshot"
-            );
-
-            obs::reset();
-            obs::set_enabled(true);
-            let on = run_one(&preload, &traces, cfg);
-            let ingested = obs::counter_value(Counter::OpsIngested);
-            obs::set_enabled(false);
-            assert!(on.obs_present, "{what}: obs-on outcome lost its snapshot");
-
-            assert_eq!(
-                off.projection, on.projection,
-                "{what}: enabling observability changed the verdict"
-            );
-            assert_eq!(
-                off.mid_checkpoint, on.mid_checkpoint,
-                "{what}: enabling observability changed the checkpoint image"
-            );
-            assert!(
-                ingested > 0,
-                "{what}: obs-on run recorded no ingested operations"
-            );
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Public-API exporter suite: a private Registry per test, so these run

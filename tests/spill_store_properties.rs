@@ -389,6 +389,10 @@ impl StoreIo for DribbleIo {
         self.inner.write_atomic(path, data)
     }
 
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
     fn remove(&self, path: &Path) -> io::Result<()> {
         self.inner.remove(path)
     }
