@@ -199,10 +199,7 @@ impl GlobalAdmission {
         GlobalAdmission {
             inner: std::sync::Arc::new(AdmissionInner {
                 capacity,
-                outstanding: crate::lockwitness::TrackedMutex::new(
-                    "GlobalAdmission.outstanding",
-                    0,
-                ),
+                outstanding: crate::lockwitness::TrackedMutex::new("AdmissionInner.outstanding", 0),
             }),
         }
     }

@@ -1,26 +1,27 @@
-//! Runtime lock-order witness — the executable half of the L101 story.
+//! The lock-order check: a runtime witness at the point of acquisition.
 //!
-//! `leopard-lint`'s L101 pass derives an *acquired-while-held* graph
-//! from source text; this module cross-checks it from the running
-//! program. Every lock that matters is wrapped in a [`TrackedMutex`]
-//! carrying the same stable identity the static pass uses
-//! (`Owner.field`, e.g. `"Storage.map"`). In debug builds each
-//! acquisition records, per thread, which locks were already held: the
-//! resulting edge set must be consistent with (a subset of, or at least
-//! acyclic together with) the static graph, and an actual inversion —
-//! lock B taken while A is held on one thread, after A was taken while
-//! B was held on another — is reported immediately via
-//! [`order_violations`]. The test suites assert both directions: no
-//! runtime violations, and no observed edge the static pass cannot
-//! explain.
+//! Every lock that matters is wrapped in a [`TrackedMutex`] carrying a
+//! stable identity, `Owner.field` (e.g. `"Storage.map"`) — the id the
+//! shared-state inventory (`leopard-lint` L103) lists the field under. In
+//! debug builds each acquisition records, per thread, which locks were
+//! already held, and **panics at the offending `lock()`**, naming both
+//! locks, when
+//!
+//! * the thread already holds a lock of that name (self-deadlock), or
+//! * the reverse order has been observed anywhere in the process before —
+//!   lock B taken while A is held, after A was taken while B was held.
+//!
+//! So every test that takes a lock is a lock-order test, through `dyn`
+//! calls and closures alike, and an inversion fails the test that commits
+//! it. The check runs *before* blocking on the inner mutex: an actual
+//! deadlock still panics instead of hanging.
 //!
 //! In release builds the wrapper compiles down to a plain
 //! `parking_lot::Mutex` — no thread-local bookkeeping, no global
 //! registry, zero overhead on the verification hot path.
 //!
-//! The witness state is process-global. Tests that inspect it should
-//! use uniquely-named locks and filter [`observed_edges`] rather than
-//! call [`reset`], which races against concurrently-running tests.
+//! The observed edges are process-global. Tests that inspect them should
+//! use uniquely-named locks and filter [`observed_edges`].
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -30,58 +31,46 @@ mod witness {
     use std::cell::RefCell;
     use std::sync::{Mutex, PoisonError};
 
-    // Const-initialized std mutexes: usable from any thread at any time,
+    // A const-initialized std mutex: usable from any thread at any time,
     // including before main in other statics' initializers.
     static EDGES: Mutex<Vec<(&'static str, &'static str)>> = Mutex::new(Vec::new());
-    static VIOLATIONS: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    static LOCKS: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
     thread_local! {
         static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
     }
 
-    fn un<T>(r: Result<T, PoisonError<T>>) -> T {
-        r.unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Records the intent to acquire `name`: registers the lock, adds an
-    /// acquired-while-held edge for every lock this thread holds, and
-    /// detects inversions against previously observed edges. Called
-    /// *before* blocking on the inner mutex so that an actual deadlock
-    /// still leaves the evidence behind.
+    /// Checks the intent to acquire `name` against every lock this thread
+    /// holds and records the acquired-while-held edges. Called *before*
+    /// blocking on the inner mutex.
     pub(super) fn before_acquire(name: &'static str) {
-        {
-            let mut locks = un(LOCKS.lock());
-            if !locks.contains(&name) {
-                locks.push(name);
+        let violation = HELD.with(|held| {
+            let held = held.borrow();
+            if held.is_empty() {
+                return None;
             }
-        }
-        let held: Vec<&'static str> = HELD.with(|h| h.borrow().clone());
-        if held.is_empty() {
-            return;
-        }
-        let mut new_violations = Vec::new();
-        {
-            let mut edges = un(EDGES.lock());
-            for &from in &held {
+            let mut edges = EDGES.lock().unwrap_or_else(PoisonError::into_inner);
+            for &from in held.iter() {
                 if from == name {
-                    new_violations.push(format!(
-                        "recursive acquisition of {name} on one thread (self-deadlock)"
+                    return Some(format!(
+                        "recursive acquisition: {name} acquired while this thread already \
+                         holds {from} (self-deadlock)"
+                    ));
+                }
+                if edges.contains(&(name, from)) {
+                    return Some(format!(
+                        "lock-order inversion: {name} acquired while {from} is held, \
+                         but {from} was previously acquired while {name} was held"
                     ));
                 }
                 if !edges.contains(&(from, name)) {
                     edges.push((from, name));
                 }
-                if from != name && edges.contains(&(name, from)) {
-                    new_violations.push(format!(
-                        "lock-order inversion: {name} acquired while {from} is held, \
-                         but {from} was previously acquired while {name} was held"
-                    ));
-                }
             }
-        }
-        if !new_violations.is_empty() {
-            un(VIOLATIONS.lock()).extend(new_violations);
+            None
+        });
+        // Outside the registry's own lock, so the panic poisons nothing.
+        if let Some(violation) = violation {
+            panic!("{violation}");
         }
     }
 
@@ -91,9 +80,11 @@ mod witness {
         HELD.with(|h| h.borrow_mut().push(name));
     }
 
-    /// Removes the most recent hold of `name` on this thread.
+    /// Removes the most recent hold of `name` on this thread. Runs in a
+    /// `Drop`, possibly while the thread's locals are being torn down:
+    /// then there is no record left to clear.
     pub(super) fn release(name: &'static str) {
-        HELD.with(|h| {
+        let _ = HELD.try_with(|h| {
             let mut held = h.borrow_mut();
             if let Some(pos) = held.iter().rposition(|&n| n == name) {
                 held.remove(pos);
@@ -102,21 +93,7 @@ mod witness {
     }
 
     pub(super) fn edges() -> Vec<(&'static str, &'static str)> {
-        un(EDGES.lock()).clone()
-    }
-
-    pub(super) fn violations() -> Vec<String> {
-        un(VIOLATIONS.lock()).clone()
-    }
-
-    pub(super) fn locks() -> Vec<&'static str> {
-        un(LOCKS.lock()).clone()
-    }
-
-    pub(super) fn reset() {
-        un(EDGES.lock()).clear();
-        un(VIOLATIONS.lock()).clear();
-        un(LOCKS.lock()).clear();
+        EDGES.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
@@ -128,8 +105,8 @@ pub struct TrackedMutex<T> {
 }
 
 impl<T> TrackedMutex<T> {
-    /// Creates a tracked mutex. `name` is the identity the static
-    /// analyzer uses for this lock: `Owner.field` for struct fields
+    /// Creates a tracked mutex. `name` is the id the shared-state
+    /// inventory lists this lock under: `Owner.field` for struct fields
     /// (e.g. `"Storage.map"`), `static.NAME` for statics.
     #[must_use]
     pub const fn new(name: &'static str, value: T) -> Self {
@@ -139,14 +116,12 @@ impl<T> TrackedMutex<T> {
         }
     }
 
-    /// The lock's witness identity.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Acquires the lock. Never poisons; in debug builds the
-    /// acquisition is recorded by the lock-order witness.
+    /// Acquires the lock. Never poisons.
+    ///
+    /// # Panics
+    /// In debug builds, when this thread already holds a lock of this
+    /// name, or holds one that has been acquired *under* this one before
+    /// (see the module docs).
     pub fn lock(&self) -> TrackedMutexGuard<'_, T> {
         #[cfg(debug_assertions)]
         witness::before_acquire(self.name);
@@ -155,6 +130,7 @@ impl<T> TrackedMutex<T> {
         witness::acquired(self.name);
         TrackedMutexGuard {
             guard,
+            #[cfg(debug_assertions)]
             name: self.name,
         }
     }
@@ -182,15 +158,8 @@ impl<T> fmt::Debug for TrackedMutex<T> {
 /// (debug builds) and the inner mutex on drop.
 pub struct TrackedMutexGuard<'a, T> {
     guard: parking_lot::MutexGuard<'a, T>,
+    #[cfg(debug_assertions)]
     name: &'static str,
-}
-
-impl<T> TrackedMutexGuard<'_, T> {
-    /// The identity of the lock this guard holds.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 impl<T> Deref for TrackedMutexGuard<'_, T> {
@@ -230,48 +199,14 @@ pub fn observed_edges() -> Vec<(&'static str, &'static str)> {
     }
 }
 
-/// Lock-order violations observed so far: inversions between threads
-/// and same-thread recursive acquisitions. Empty in release builds.
-#[must_use]
-pub fn order_violations() -> Vec<String> {
-    #[cfg(debug_assertions)]
-    {
-        witness::violations()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        Vec::new()
-    }
-}
-
-/// Every lock identity that has been acquired at least once. Empty in
-/// release builds.
-#[must_use]
-pub fn registered_locks() -> Vec<&'static str> {
-    #[cfg(debug_assertions)]
-    {
-        witness::locks()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        Vec::new()
-    }
-}
-
-/// Clears all witness state. Races against concurrently-running tests
-/// in the same process — prefer uniquely-named locks plus filtering in
-/// assertions; this exists for single-threaded harnesses.
-pub fn reset() {
-    #[cfg(debug_assertions)]
-    witness::reset();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // All tests use the `lw_test_` prefix and filter on it: the witness
-    // registry is process-global and other tests run concurrently.
+    // All tests use the `lw_test_` prefix and filter on it: the observed
+    // edges are process-global and other tests run concurrently. The two
+    // acquisitions that panic are seeded in
+    // `crates/leopard-lint/tests/witness_crosscheck.rs`.
 
     #[test]
     fn nested_acquisition_records_an_edge() {
@@ -283,8 +218,6 @@ mod tests {
         }
         if cfg!(debug_assertions) {
             assert!(observed_edges().contains(&("lw_test_edge.a", "lw_test_edge.b")));
-            assert!(registered_locks().contains(&"lw_test_edge.a"));
-            assert!(registered_locks().contains(&"lw_test_edge.b"));
         } else {
             assert!(observed_edges().is_empty());
         }
@@ -306,27 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn inversion_is_reported() {
-        let a = TrackedMutex::new("lw_test_inv.a", 0u32);
-        let b = TrackedMutex::new("lw_test_inv.b", 0u32);
-        {
-            let _ga = a.lock();
-            let _gb = b.lock();
-        }
-        {
-            let _gb = b.lock();
-            let _ga = a.lock();
-        }
-        if cfg!(debug_assertions) {
-            assert!(
-                order_violations().iter().any(|v| v.contains("lw_test_inv")),
-                "{:?}",
-                order_violations()
-            );
-        }
-    }
-
-    #[test]
     fn guard_drop_clears_the_hold() {
         let a = TrackedMutex::new("lw_test_drop.a", 0u32);
         let b = TrackedMutex::new("lw_test_drop.b", 0u32);
@@ -339,15 +251,13 @@ mod tests {
     }
 
     #[test]
-    fn guard_derefs_and_names() {
+    fn guard_derefs_to_the_value() {
         let m = TrackedMutex::new("lw_test_deref.m", vec![1u32]);
         {
             let mut g = m.lock();
             g.push(2);
-            assert_eq!(g.name(), "lw_test_deref.m");
             assert_eq!(*g, vec![1, 2]);
         }
-        assert_eq!(m.name(), "lw_test_deref.m");
         assert_eq!(m.into_inner(), vec![1, 2]);
     }
 }

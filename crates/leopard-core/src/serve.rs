@@ -567,7 +567,7 @@ impl Server {
         let shared = Arc::new(Shared {
             admission: GlobalAdmission::new(opts.global_budget_bytes),
             opts,
-            streams: TrackedMutex::new("Server.streams", Vec::new()),
+            streams: TrackedMutex::new("Shared.streams", Vec::new()),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),

@@ -155,10 +155,10 @@ impl SpillTier {
                 stats.retries += 1;
                 obs::ctr(obs::Counter::SpillRetries, 1);
             },
-            // lint: allow(L101): name-union call resolution conflates
-            // this with unrelated `append`/`run` functions elsewhere;
-            // SegmentLog and RetryPolicy hold no lock of their own (a
-            // `FaultIo` under them does, always taken after this one).
+            // SegmentLog and RetryPolicy hold no lock of their own; a
+            // `FaultIo` under them does, always taken after this one
+            // (`SpillTier.inner -> FaultIo.state`, the workspace's one
+            // nested acquisition).
             || log.append(io.as_ref(), batch),
         );
         match &result {
@@ -258,8 +258,6 @@ impl SpillTier {
                 stats.retries += 1;
                 obs::ctr(obs::Counter::SpillRetries, 1);
             },
-            // lint: allow(L101): name-union conflates SegmentLog::sync
-            // with SpillTier::sync itself; the log holds no lock.
             || log.sync(io.as_ref()),
         )
     }

@@ -560,8 +560,16 @@ impl VersionStore {
     /// version may be the one the DBMS actually serves). Only versions
     /// certainly before the pivot (garbage) are removed.
     ///
+    /// Reader lists follow the reader, not the version: an entry on a
+    /// surviving old version is dropped only when `live(reader)` is false
+    /// — the reader's transaction ended before `low`, so no transaction
+    /// still to commit can be concurrent with it. The age of the version
+    /// says nothing: the pivot is still the head of its chain, and the rw
+    /// edge from its readers to the *next* writer is derived only when
+    /// that writer commits.
+    ///
     /// Returns a [`PruneBreakdown`] of what was removed.
-    pub fn prune(&mut self, low: Timestamp) -> PruneBreakdown {
+    pub fn prune(&mut self, low: Timestamp, live: impl Fn(TxnId) -> bool) -> PruneBreakdown {
         let mut out = PruneBreakdown::default();
         for key in self.dirty.drain() {
             let Some(rec) = self.records.get_mut(&key) else {
@@ -597,11 +605,9 @@ impl VersionStore {
                 vis == pivot_vis || !vis.certainly_before(&pivot_vis)
             });
             out.versions += before - rec.entries.len();
-            // Reader lists on surviving old versions are stale: those
-            // reads have been fully processed (their rw edges derived).
             for e in &mut rec.entries {
                 if e.visibility.is_some_and(|v| v.hi < low) && !e.readers.is_empty() {
-                    e.readers.clear();
+                    e.readers.retain(|&(reader, _)| live(reader));
                     e.readers.shrink_to_fit();
                 }
             }
@@ -1070,7 +1076,7 @@ mod tests {
         put(&mut store, 1, 1, 2, (10, 11), (12, 13));
         put(&mut store, 1, 2, 3, (20, 21), (22, 23));
         put(&mut store, 1, 3, 4, (90, 91), (92, 93));
-        let removed = store.prune(Timestamp(50));
+        let removed = store.prune(Timestamp(50), |_| false);
         assert_eq!(removed.versions, 2); // initial + value 1 dropped
         assert_eq!(removed.records, 0);
         let rec = store.record(Key(1)).unwrap();
@@ -1116,7 +1122,7 @@ mod tests {
         // the boundary version is "recent" and must survive; value 1
         // (hi = 13 < 23) becomes the pivot and survives; only the initial
         // version is certainly before the pivot.
-        let removed = store.prune(Timestamp(23));
+        let removed = store.prune(Timestamp(23), |_| false);
         assert_eq!(
             removed,
             PruneBreakdown {
@@ -1136,7 +1142,7 @@ mod tests {
         // and value 1 is certainly before it.
         store.install(Key(1), Value(3), TxnId(9), iv(100, 101), iv(100, 101));
         store.commit(TxnId(9), &[Key(1)], iv(102, 103));
-        let removed = store.prune(Timestamp(24));
+        let removed = store.prune(Timestamp(24), |_| false);
         assert_eq!(removed.versions, 1);
         assert_eq!(store.record(Key(1)).unwrap().entries()[0].value, Value(2));
     }
@@ -1147,11 +1153,26 @@ mod tests {
         store.preload(Key(1), Value(0));
         put(&mut store, 1, 1, 2, (10, 11), (12, 13));
         put(&mut store, 1, 2, 3, (20, 21), (22, 23));
-        assert_eq!(store.prune(Timestamp(50)).versions, 2);
+        assert_eq!(store.prune(Timestamp(50), |_| false).versions, 2);
         // Nothing is dirty any more: a second pass with a higher horizon
         // must be a no-op until the key is touched again.
-        assert_eq!(store.prune(Timestamp(500)).total(), 0);
+        assert_eq!(store.prune(Timestamp(500), |_| false).total(), 0);
         assert_eq!(store.version_count(), 1);
+    }
+
+    #[test]
+    fn prune_keeps_live_readers_on_an_old_chain_head() {
+        let mut store = VersionStore::default();
+        put(&mut store, 1, 1, 2, (10, 11), (12, 13));
+        let head = store.record(Key(1)).unwrap().entries()[0].uid;
+        // Both read the head long ago; only txn 8 is still live at `low`
+        // (it committed after it), so only its rw edge to the next writer
+        // can still matter.
+        store.add_reader(Key(1), head, TxnId(7), iv(20, 21));
+        store.add_reader(Key(1), head, TxnId(8), iv(22, 23));
+        assert_eq!(store.prune(Timestamp(50), |t| t == TxnId(8)).total(), 0);
+        let readers = &store.record(Key(1)).unwrap().entries()[0].readers;
+        assert_eq!(readers, &[(TxnId(8), iv(22, 23))]);
     }
 
     #[test]
@@ -1160,7 +1181,7 @@ mod tests {
         store.install(Key(7), Value(1), TxnId(2), iv(10, 11), iv(10, 11));
         store.abort(TxnId(2), &[Key(7)]);
         assert_eq!(store.record_count(), 1, "empty husk still in the map");
-        let removed = store.prune(Timestamp(0));
+        let removed = store.prune(Timestamp(0), |_| false);
         assert_eq!(
             removed,
             PruneBreakdown {
@@ -1187,7 +1208,7 @@ mod tests {
             .find(|e| e.value == Value(2))
             .unwrap()
             .uid;
-        assert_eq!(store.prune(Timestamp(50)).versions, 2);
+        assert_eq!(store.prune(Timestamp(50), |_| false).versions, 2);
         // The pivot chain is intact: value 2 -> value 3 adjacency still
         // resolves for the surviving suffix of the version order.
         let succ = store.committed_successor(Key(1), pivot_uid).unwrap();
@@ -1213,7 +1234,7 @@ mod tests {
         }
         let before = store.mem_usage();
         assert_eq!(before.entries, 21);
-        store.prune(Timestamp(1_000));
+        store.prune(Timestamp(1_000), |_| false);
         let after = store.mem_usage();
         assert!(after.bytes < before.bytes);
         assert_eq!(after.entries as usize, store.version_count());

@@ -305,9 +305,9 @@ mod tests {
     #[test]
     fn scan_lines_resolves_standalone_and_trailing_allows() {
         let scan = scan_lines(
-            "// lint: allow(L101): seeded\nx.lock();\ny.lock(); // lint: allow(L102): why\n",
+            "// lint: allow(L001): seeded\nx.lock();\ny.lock(); // lint: allow(L102): why\n",
         );
-        assert!(scan.lines[1].allowed("L101"));
+        assert!(scan.lines[1].allowed("L001"));
         assert!(!scan.lines[1].allowed("L102"));
         assert!(scan.lines[2].allowed("L102"));
     }

@@ -19,7 +19,6 @@
 //!
 //! | code | invariant |
 //! |------|-----------|
-//! | L101 | the inter-procedural acquired-while-held lock graph is acyclic ([`lockorder`]) |
 //! | L102 | atomic `Ordering`s pair up: Release writes ⇄ Acquire reads, no Relaxed on strongly-ordered fields ([`atomics`]) |
 //! | L103 | every piece of shared state is in the committed `shared_state_baseline.json` ([`manifest`]) |
 //!
@@ -39,13 +38,13 @@
 //! before matching, tracks multi-line strings and nested block comments,
 //! and stops at the first `#[cfg(test)]` attribute of a file — by repo
 //! convention the trailing unit-test module, which is free to `unwrap()`
-//! at will. The static lock graph is cross-checked at runtime by
-//! `leopard_core::lockwitness`, which records actual acquisition order
-//! in debug builds while the test suites run.
+//! at will. Lock *order* is not checked here: `leopard_core::lockwitness`
+//! panics at an inverted or recursive acquisition in every debug-build
+//! test run (DESIGN §9); this crate supplies the lock identities it uses
+//! (the L103 inventory ids).
 
 pub mod atomics;
 pub mod lexer;
-pub mod lockorder;
 pub mod manifest;
 pub mod model;
 
@@ -128,7 +127,7 @@ fn scope_for(rel: &str) -> Scope {
 /// (L001–L004), returning its violations.
 ///
 /// `rel` is the workspace-relative path (used both for scoping and for
-/// reporting). The workspace-level passes (L101–L103) need the whole
+/// reporting). The workspace-level passes (L102, L103) need the whole
 /// workspace — see [`analyze_workspace`].
 #[must_use]
 pub fn scan_file(rel: &str, content: &str) -> Vec<Finding> {
@@ -253,13 +252,10 @@ pub struct Analysis {
     pub manifest: Vec<manifest::ManifestEntry>,
     /// The serialized `shared_state.json` document.
     pub manifest_json: String,
-    /// The static lock-order graph (exported for the runtime witness).
-    pub lock_graph: lockorder::LockGraph,
 }
 
 /// Runs every pass over the workspace rooted at `root`: token lints per
-/// file, then the L101 lock-order pass, the L102 atomics audit, and the
-/// L103 manifest diff against the committed baseline (silently skipped
+/// file, then the L102 atomics audit and the L103 manifest diff against the committed baseline (silently skipped
 /// when no baseline exists — fresh checkouts and test sandboxes).
 pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
     let mut files = Vec::new();
@@ -278,11 +274,9 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         sources.push((rel, content));
     }
     let model = model::Model::build(&sources);
-    let (l101, lock_graph) = lockorder::analyze(&model);
-    findings.extend(l101);
     findings.extend(atomics::analyze(&model));
     let entries = manifest::build(&model);
-    let manifest_json = manifest::to_json(&entries, &lock_graph);
+    let manifest_json = manifest::to_json(&entries);
     let baseline_path = root.join(manifest::BASELINE_REL);
     if let Ok(text) = fs::read_to_string(&baseline_path) {
         let baseline = manifest::parse_baseline(&text);
@@ -294,7 +288,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         scanned: files.len(),
         manifest: entries,
         manifest_json,
-        lock_graph,
     })
 }
 
@@ -467,14 +460,14 @@ let r = r"HashMap inside a raw string";
     #[test]
     fn finding_json_escapes_and_shapes() {
         let f = Finding {
-            code: "L101",
+            code: "L103",
             file: "src/a.rs".to_string(),
             line: 3,
             message: "cycle \"x\"".to_string(),
         };
         assert_eq!(
             f.to_json(),
-            "{ \"code\": \"L101\", \"file\": \"src/a.rs\", \"line\": 3, \"message\": \"cycle \\\"x\\\"\" }"
+            "{ \"code\": \"L103\", \"file\": \"src/a.rs\", \"line\": 3, \"message\": \"cycle \\\"x\\\"\" }"
         );
     }
 }

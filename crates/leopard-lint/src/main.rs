@@ -1,5 +1,5 @@
 //! `leopard-lint` — run the workspace lints (token lints L001–L004 plus
-//! the concurrency passes L101–L103) and exit non-zero on any violation.
+//! the concurrency passes L102 and L103) and exit non-zero on any violation.
 //! See the library docs for the lint table and the allow-comment escape
 //! hatch.
 //!
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-leopard-lint — Leopard workspace static analysis (L001-L004, L101-L103)
+leopard-lint — Leopard workspace static analysis (L001-L004, L102, L103)
 
 USAGE:
   leopard-lint [--root <DIR>] [--json] [--manifest-out <FILE>] [--update-baseline] [--quiet]
@@ -174,9 +174,8 @@ fn main() -> ExitCode {
                     Level::Info,
                     "clean",
                     &format!(
-                        "{scanned} files clean ({} shared-state entries, {} lock-order edges)",
-                        analysis.manifest.len(),
-                        analysis.lock_graph.edges.len()
+                        "{scanned} files clean ({} shared-state entries)",
+                        analysis.manifest.len()
                     ),
                 );
                 ExitCode::SUCCESS

@@ -2,8 +2,7 @@
 //!
 //! Every concurrency-relevant field in the workspace — mutexes, rwlocks,
 //! condvars, atomics, channel endpoints — is emitted into a
-//! machine-readable `shared_state.json`, together with the lock-order
-//! edges the L101 pass derived. CI diffs the manifest against a
+//! machine-readable `shared_state.json`. CI diffs the manifest against a
 //! committed baseline (`crates/leopard-lint/shared_state_baseline.json`):
 //! a new piece of shared state, or a stale baseline entry, is an L103
 //! finding until the baseline is deliberately regenerated with
@@ -15,7 +14,6 @@
 //! our own emitter's shape): `leopard-lint` stays dependency-free so it
 //! can never be broken by the very workspace it checks.
 
-use crate::lockorder::LockGraph;
 use crate::model::{FieldKind, Model};
 use crate::Finding;
 
@@ -76,7 +74,7 @@ fn esc(s: &str) -> String {
 /// Serializes the manifest (one entry object per line — the baseline
 /// parser depends on that shape).
 #[must_use]
-pub fn to_json(entries: &[ManifestEntry], graph: &LockGraph) -> String {
+pub fn to_json(entries: &[ManifestEntry]) -> String {
     let mut out = String::from("{\n  \"version\": 1,\n  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         out.push_str(&format!(
@@ -87,22 +85,6 @@ pub fn to_json(entries: &[ManifestEntry], graph: &LockGraph) -> String {
             esc(&e.file),
             e.line,
             if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"lock_edges\": [\n");
-    let mut pairs: Vec<(String, String)> = graph
-        .edges
-        .iter()
-        .map(|e| (e.from.clone(), e.to.clone()))
-        .collect();
-    pairs.sort();
-    pairs.dedup();
-    for (i, (from, to)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"from\": \"{}\", \"to\": \"{}\" }}{}\n",
-            esc(from),
-            esc(to),
-            if i + 1 < pairs.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -135,7 +117,7 @@ fn field_on_line(line: &str, key: &str) -> Option<String> {
 }
 
 /// Parses a baseline produced by [`to_json`] into `(id, kind)` pairs.
-/// Lines inside the `lock_edges` array are ignored.
+/// Lines that are not entries are ignored.
 #[must_use]
 pub fn parse_baseline(text: &str) -> Vec<(String, String)> {
     let mut out = Vec::new();
@@ -211,7 +193,7 @@ mod tests {
     #[test]
     fn json_round_trips_through_baseline_parser() {
         let e = entries_of("struct S {\n    m: Mutex<Vec<u32>>,\n    c: AtomicBool,\n}\n");
-        let json = to_json(&e, &LockGraph::default());
+        let json = to_json(&e);
         let parsed = parse_baseline(&json);
         assert_eq!(
             parsed,
@@ -238,7 +220,7 @@ mod tests {
     #[test]
     fn matching_baseline_is_clean() {
         let e = entries_of("struct S {\n    m: Mutex<u32>,\n}\n");
-        let json = to_json(&e, &LockGraph::default());
+        let json = to_json(&e);
         let baseline = parse_baseline(&json);
         assert!(diff(&e, &baseline).is_empty());
     }

@@ -7,8 +7,7 @@
 //! tagged with line numbers, and resolution (which lock does `self.db
 //! .active.lock()` acquire?) happens in the analysis passes on top of the
 //! field inventory. The passes document where this approximation can
-//! miss; the runtime lock-order witness (`leopard_core::lockwitness`)
-//! exists to cross-check it from the executable side.
+//! miss.
 
 use crate::lexer::{scan_lines, FileScan};
 
@@ -50,15 +49,6 @@ impl FieldKind {
         } else {
             FieldKind::Plain
         }
-    }
-
-    /// True for the kinds the L101 pass treats as acquirable locks.
-    #[must_use]
-    pub fn is_lock(self) -> bool {
-        matches!(
-            self,
-            FieldKind::Mutex | FieldKind::RwLock | FieldKind::Condvar
-        )
     }
 
     /// Lowercase label used in the shared-state manifest.
@@ -207,11 +197,6 @@ impl Model {
             });
         }
         model
-    }
-
-    /// Fields of the given kind-filter across the workspace.
-    pub fn fields_where(&self, f: impl Fn(&Field) -> bool) -> Vec<&Field> {
-        self.fields.iter().filter(|fl| f(fl)).collect()
     }
 
     /// The scan for a file, by workspace-relative path.
@@ -660,7 +645,7 @@ mod tests {
         let locks: Vec<String> = m
             .fields
             .iter()
-            .filter(|f| f.kind.is_lock())
+            .filter(|f| f.kind == FieldKind::Mutex)
             .map(Field::id)
             .collect();
         assert_eq!(locks, vec!["Trigger.rng".to_string()]);

@@ -21,23 +21,6 @@ fn rendered(analysis: &Analysis) -> Vec<String> {
 }
 
 #[test]
-fn lock_cycle_fixture_yields_the_exact_cycle_finding() {
-    let analysis = analyze("lock_cycle");
-    assert_eq!(
-        rendered(&analysis),
-        vec![
-            "src/pair.rs:15: L101: lock-order cycle among {Pair.first, Pair.second}: \
-             Pair.first -> Pair.second (src/pair.rs:15 in Pair::forward); \
-             Pair.second -> Pair.first (src/pair.rs:21 in Pair::backward)"
-                .to_string()
-        ]
-    );
-    // Both directions are present in the exported graph.
-    assert!(analysis.lock_graph.has_edge("Pair.first", "Pair.second"));
-    assert!(analysis.lock_graph.has_edge("Pair.second", "Pair.first"));
-}
-
-#[test]
 fn atomics_fixture_yields_the_exact_pairing_findings() {
     let analysis = analyze("atomics");
     assert_eq!(

@@ -3,26 +3,30 @@
 //! engine — or a typed error and no verdict.
 //!
 //! Rows are [`EngineOpts`] values (plus whether the observability registry
-//! records). They are crossed with every `tests/corpus/*.jsonl` capture
-//! (and a chaos-degraded copy of the base capture), the four isolation
-//! levels, and a kill point — none, or mid-stream: the engine is saved to
-//! an image file, dropped, and opened again from the file, as `leopard
-//! verify --resume` and a reconnecting `leopard serve` stream do.
+//! records), the garbage collector's cadence among them: off, the default,
+//! and after every trace. They are crossed with every
+//! `tests/corpus/*.jsonl` capture (and a chaos-degraded copy of the base
+//! capture), the four isolation levels, and a kill point — none, or
+//! mid-stream: the engine is saved to an image file, dropped, and opened
+//! again from the file, as `leopard verify --resume` and a reconnecting
+//! `leopard serve` stream do.
 //!
 //! A cell's reference is the uninterrupted plain run at the same level and
 //! the same `degraded` setting (degraded mode is a different question put
 //! to the history, not a different engine). Compared: the verdict —
-//! report, trace / commit / abort counts, coverage — and, where no budget
-//! moves the forced-GC cadence, the deduction statistics and the bytes of
-//! the image file at the kill point, so nothing a row switches on leaks
-//! into persisted state. The budget and footprint gauges measure the
-//! engine's memory topology, not the history, and are left out.
+//! report, trace / commit / abort counts, coverage — and, where the row
+//! leaves the GC cadence alone (no budget forces passes, no `gc_every`),
+//! the deduction statistics and the bytes of the image file at the kill
+//! point, so nothing a row switches on leaks into persisted state. The
+//! budget and footprint gauges measure the engine's memory topology, not
+//! the history, and are left out.
 
 use leopard_core::obs;
 use leopard_core::store::io::FaultSpec;
 use leopard_core::{
-    engine, CaptureReader, Checkpoint, EngineOpts, FsIo, IsolationLevel, MemBudget, RetryPolicy,
-    SpillSettings, Trace, VerifierConfig, VerifyOutcome,
+    engine, CaptureReader, Checkpoint, EngineOpts, FsIo, Interval, IsolationLevel, MemBudget,
+    OpKind, RetryPolicy, SpillSettings, Timestamp, Trace, TraceBuilder, VerifierConfig,
+    VerifyOutcome, Violation,
 };
 use leopard_oracle::{
     degrade_capture, generate_clean_capture, Capture, CleanRunSpec, DegradeSpec, Schedule, LEVELS,
@@ -34,6 +38,8 @@ use std::path::{Path, PathBuf};
 #[derive(Clone, Copy)]
 struct Row {
     name: &'static str,
+    /// Collect after this many traces; 0 switches the collector off.
+    gc_every: u64,
     /// A starvation-level budget: a quarter of the plain run's peak.
     budget: bool,
     spill: bool,
@@ -43,50 +49,88 @@ struct Row {
     hostile: bool,
 }
 
-const fn row(name: &'static str, [budget, spill, degraded, obs, hostile]: [bool; 5]) -> Row {
-    Row {
-        name,
-        budget,
-        spill,
-        degraded,
-        obs,
-        hostile,
-    }
-}
+const PLAIN: Row = Row {
+    name: "plain",
+    gc_every: 512,
+    budget: false,
+    spill: false,
+    degraded: false,
+    obs: false,
+    hostile: false,
+};
 
-/// The rows with nothing but `degraded` set are the references and run
+const BUDGET_SPILL: Row = Row {
+    name: "budget+spill",
+    budget: true,
+    spill: true,
+    ..PLAIN
+};
+
+/// The two references — the product defaults, plain and degraded — run
 /// first.
-const ROWS: [Row; 7] = [
-    row("plain", [false; 5]),
-    row("degraded", [false, false, true, false, false]),
-    row("budget", [true, false, false, false, false]),
-    row("budget+spill", [true, true, false, false, false]),
-    row("obs", [false, false, false, true, false]),
-    row("budget+spill+degraded+obs", [true, true, true, true, false]),
-    row(
-        "budget+spill, failing reads",
-        [true, true, false, false, true],
-    ),
+const ROWS: [Row; 9] = [
+    PLAIN,
+    Row {
+        name: "degraded",
+        degraded: true,
+        ..PLAIN
+    },
+    Row {
+        name: "gc off",
+        gc_every: 0,
+        ..PLAIN
+    },
+    Row {
+        name: "gc after every trace",
+        gc_every: 1,
+        ..PLAIN
+    },
+    Row {
+        name: "budget",
+        budget: true,
+        ..PLAIN
+    },
+    BUDGET_SPILL,
+    Row {
+        name: "obs",
+        obs: true,
+        ..PLAIN
+    },
+    Row {
+        name: "budget+spill+degraded+obs",
+        degraded: true,
+        obs: true,
+        ..BUDGET_SPILL
+    },
+    Row {
+        name: "budget+spill, failing reads",
+        hostile: true,
+        ..BUDGET_SPILL
+    },
 ];
 
 /// Cells (capture, level, row) that do *not* reach the plain verdict, and
-/// are pinned as they are until they are fixed.
-///
-/// `write-skew` at SR under a budget with no spill tier: the forced GCs a
-/// starvation budget triggers prune the version chain the certifier's rw
-/// edge is derived from, and the SSI dangerous structure goes unreported
-/// — a clean, "complete" verdict on a history with a write skew. With a
-/// tier the chains are on disk when the GC runs, and the violation is
-/// found. The parent commit behaves the same (`leopard verify
-/// tests/corpus/write-skew.jsonl --level sr --mem-budget 6000` exits 0);
-/// this table is what found it.
-const KNOWN_GAPS: [(&str, IsolationLevel, &str); 1] =
-    [("write-skew.jsonl", IsolationLevel::Serializable, "budget")];
+/// are pinned as they are until they are fixed. Empty: the one cell it
+/// held — `write-skew` at SR under a budget with no spill tier — was GC
+/// forgetting a live reader, and is closed.
+const KNOWN_GAPS: [(&str, IsolationLevel, &str); 0] = [];
 
 impl Row {
+    /// Whether collections run off the default cadence: statistics and
+    /// image bytes then differ from the reference's, the verdict may not.
+    fn moves_gc(&self) -> bool {
+        self.budget || self.gc_every != PLAIN.gc_every
+    }
+
+    fn is_reference(&self) -> bool {
+        !(self.moves_gc() || self.spill || self.obs)
+    }
+
     fn opts(&self, level: IsolationLevel, plain_peak: u64, dir: &Path) -> EngineOpts {
         let mut verifier = VerifierConfig::for_level(level);
         verifier.degraded = self.degraded;
+        verifier.gc = self.gc_every > 0;
+        verifier.gc_every = self.gc_every;
         if self.budget {
             // Low enough to force the relief rungs; no rung that costs
             // coverage exists to run (there is no tracer).
@@ -164,6 +208,14 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("leopard-equivalence-{tag}-{}", std::process::id()))
 }
 
+fn read_capture(path: &Path) -> Capture {
+    let reader =
+        CaptureReader::new(File::open(path).expect("open capture")).expect("capture header");
+    let header = reader.header().clone();
+    let traces = reader.map(|t| t.expect("well-formed trace")).collect();
+    Capture { header, traces }
+}
+
 /// Every corpus capture, plus the base capture with deliveries dropped,
 /// duplicated and a client killed (what a chaos run leaves behind).
 fn inputs() -> Vec<(String, Capture)> {
@@ -178,11 +230,7 @@ fn inputs() -> Vec<(String, Capture)> {
     let mut inputs = Vec::new();
     for path in files {
         let name = path.file_name().expect("file name").to_string_lossy();
-        let reader =
-            CaptureReader::new(File::open(&path).expect("open capture")).expect("capture header");
-        let header = reader.header().clone();
-        let traces = reader.map(|t| t.expect("well-formed trace")).collect();
-        let capture = Capture { header, traces };
+        let capture = read_capture(&path);
         if name == "base.jsonl" {
             let chaos = degrade_capture(&capture, &DegradeSpec::moderate(7));
             inputs.push(("base.jsonl+chaos".to_string(), chaos));
@@ -206,7 +254,7 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
             // Per `degraded`: the reference verdict, and its image at `mid`.
             let mut reference: [Option<(VerifyOutcome, Vec<u8>)>; 2] = [None, None];
             for row in ROWS {
-                let is_reference = !(row.budget || row.spill || row.obs);
+                let is_reference = row.is_reference();
                 let slot = usize::from(row.degraded);
                 let peak = reference[slot]
                     .as_ref()
@@ -260,8 +308,8 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
                         continue;
                     }
                     assert_eq!(
-                        comparable(whole, !row.budget),
-                        comparable(&outcome, !row.budget),
+                        comparable(whole, !row.moves_gc()),
+                        comparable(&outcome, !row.moves_gc()),
                         "{what}: the verdict moved"
                     );
                     assert_eq!(outcome.obs.is_some(), row.obs, "{what}");
@@ -271,7 +319,7 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
                         "{what}: the registry recorded nothing"
                     );
                     assert!(
-                        kill.is_none() || row.budget || image == *image_at_mid,
+                        kill.is_none() || row.moves_gc() || image == *image_at_mid,
                         "{what}: the image file differs from the plain row's"
                     );
                     assert_eq!(b.budget_evictions, 0, "{what}: spilling pre-empts eviction");
@@ -304,7 +352,7 @@ fn resume_at_every_split_point_of_a_small_capture() {
     };
     let cap = generate_clean_capture(&spec).expect("clean capture");
     let dir = scratch("splits");
-    let opts = ROWS[0].opts(IsolationLevel::Serializable, 0, &dir);
+    let opts = PLAIN.opts(IsolationLevel::Serializable, 0, &dir);
     // Everything but the registry snapshot, which the table running
     // beside this test switches on and off.
     let whole_outcome = |kill: Option<usize>| {
@@ -316,5 +364,83 @@ fn resume_at_every_split_point_of_a_small_capture() {
     for k in 0..=cap.traces.len() {
         assert_eq!(whole, whole_outcome(Some(k)), "killed after {k} traces");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The SR outcome on `cap` with a collection every `gc_every` traces (0:
+/// never), everything else at the product defaults.
+fn sr_outcome(cap: &Capture, gc_every: u64, dir: &Path) -> VerifyOutcome {
+    let row = Row { gc_every, ..PLAIN };
+    let opts = row.opts(IsolationLevel::Serializable, 0, dir);
+    run_cell(&opts, cap, None).expect("a verdict").0
+}
+
+fn write_skew_capture() -> Capture {
+    read_capture(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/write-skew.jsonl"))
+}
+
+/// A collection landing between two commits must lose no edge between
+/// them, wherever it lands: every cadence up to the capture's length.
+#[test]
+fn write_skew_is_found_at_every_gc_cadence() {
+    let cap = write_skew_capture();
+    let dir = scratch("gc-sweep");
+    let off = sr_outcome(&cap, 0, &dir);
+    assert!(!off.report.is_clean(), "{}", off.report);
+    for every in 1..=160 {
+        assert_eq!(
+            comparable(&off, false),
+            comparable(&sr_outcome(&cap, every, &dir), false),
+            "gc_every = {every}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same at the product default of 512: the capture pushed back until
+/// the skew's first commit is the trace a collection follows.
+#[test]
+fn write_skew_astride_the_default_gc_tick_is_found() {
+    let cap = write_skew_capture();
+    let dir = scratch("gc-tick");
+    let outcome = sr_outcome(&cap, 0, &dir);
+    let [Violation::SerializationCertifier { txns, .. }] = outcome.report.violations.as_slice()
+    else {
+        panic!("one dangerous structure expected: {}", outcome.report);
+    };
+    let is_skew_commit = |t: &Trace| t.op == OpKind::Commit && txns.contains(&t.txn);
+    let first = cap.traces.iter().position(is_skew_commit).expect("commits");
+    // One read-only transaction of `pad` traces ahead of everything puts
+    // that commit at trace 512.
+    let pad = (511 - first % 512) as u64;
+    let &(key, value) = cap.header.preload.first().expect("a preloaded row");
+    let mut padding = TraceBuilder::new();
+    for i in 0..pad - 1 {
+        padding.read(
+            200 * i + 1,
+            200 * i + 100,
+            9_999,
+            9_999,
+            vec![(key.0, value.0)],
+        );
+    }
+    let end = 200 * pad;
+    padding.commit(end - 199, end - 100, 9_999, 9_999);
+    let mut padded = Capture {
+        header: cap.header.clone(),
+        traces: padding.build(),
+    };
+    padded
+        .traces
+        .extend(cap.traces.iter().cloned().map(|mut t| {
+            let Interval { lo, hi } = t.interval;
+            t.interval = Interval::new(Timestamp(lo.0 + end), Timestamp(hi.0 + end));
+            t
+        }));
+    assert!(is_skew_commit(&padded.traces[511]) && is_skew_commit(&padded.traces[512]));
+    assert_eq!(
+        comparable(&sr_outcome(&padded, 0, &dir), false),
+        comparable(&sr_outcome(&padded, PLAIN.gc_every, &dir), false),
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
