@@ -1,10 +1,10 @@
 //! The assembled online verifier: Fig. 2 of the paper as one object.
 //!
 //! [`OnlineLeopard`] owns the whole Tracer→Verifier chain: client threads
-//! record into [`ClientHandle`]s; a background thread drains the channels
-//! through the two-level pipeline and feeds the mechanism-mirrored
-//! verifier as traces become dispatchable. Dropping the last handle closes
-//! a client's stream; [`OnlineLeopard::finish`] joins the verifier thread
+//! record into [`ClientHandle`]s; a background thread takes their hand-off
+//! buffers through the two-level pipeline and feeds the mechanism-mirrored
+//! verifier as traces become dispatchable. Dropping a handle closes its
+//! client's stream; [`OnlineLeopard::finish`] joins the verifier thread
 //! and returns the outcome.
 //!
 //! ```
@@ -53,8 +53,8 @@ pub struct OnlineOptions {
     /// `None` (the default) never evicts: a silent open client blocks
     /// forever, exactly as the original blocking chain did.
     pub eviction_timeout: Option<Duration>,
-    /// Channel policy between client handles and the collector. The
-    /// default keeps the historical unbounded channels; bounded policies
+    /// Hand-off policy between client handles and the collector. The
+    /// default keeps the historical unbounded buffers; bounded policies
     /// couple ingest rate to verification rate (blocking) or shed with a
     /// counter (lossy). See [`Backpressure`].
     pub backpressure: Backpressure,
@@ -200,6 +200,9 @@ impl OnlineLeopard {
             let mut processed: u64 = 0;
             let mut last_dispatched: u64 = 0;
             let mut last_shed: u64 = 0;
+            let mut folded_errors = 0;
+            // Streams only ever close, so the count identifies the set.
+            let mut published_open = usize::MAX;
             let budget = cfg.mem_budget;
             let mut last_progress = Instant::now(); // lint: allow(L004): eviction timeout is wall-clock by definition; verdicts stay trace-time only
             loop {
@@ -219,8 +222,16 @@ impl OnlineLeopard {
                     }
                 }
                 obs::span_end(obs::Stage::Dispatch, obs::LANE_ONLINE, span);
-                // Fold newly shed traces (lossy backpressure, post-shutdown
-                // records, forced-dispatch stragglers) into the verifier's
+                // A stream the tracer closed at a clock regression is an
+                // eviction the client caused itself: the verdict does not
+                // speak for what that client did afterwards.
+                for e in &tracer.errors()[folded_errors..] {
+                    verifier.note_stream_error(ClientId(e.client() as u32), e);
+                }
+                folded_errors = tracer.errors().len();
+                // Fold newly shed traces (lossy backpressure, records into
+                // a closed stream, what an evicted buffer held,
+                // forced-dispatch stragglers) into the verifier's
                 // checkpointable counters.
                 {
                     let s = tracer.stats();
@@ -271,7 +282,8 @@ impl OnlineLeopard {
                     obs::gauge_set(obs::Gauge::MemBytes, usage.bytes);
                     verifier.observe_usage(usage);
                 }
-                {
+                if tracer.open_count() != published_open {
+                    published_open = tracer.open_count();
                     let open: Vec<ClientId> = tracer
                         .open_clients()
                         .into_iter()
@@ -312,7 +324,7 @@ impl OnlineLeopard {
                         last_progress = Instant::now(); // lint: allow(L004): eviction timeout is wall-clock by definition
                     }
                 }
-                std::thread::yield_now();
+                tracer.idle_wait();
             }
             if let Some(path) = engine.checkpoint.as_deref() {
                 // Final image so a post-run resume replays nothing.
@@ -622,5 +634,48 @@ mod tests {
         drop(handle);
         let outcome = leopard.finish();
         assert_eq!(outcome.report.violations.len(), 1);
+    }
+
+    #[test]
+    fn client_clock_regression_is_a_recorded_hole_not_a_silent_drop() {
+        let (leopard, mut handles) = OnlineLeopard::start(
+            2,
+            VerifierConfig::for_level(IsolationLevel::Serializable),
+            vec![(Key(1), Value(0))],
+        );
+        // Client 1 only keeps the chain alive until client 0 is through.
+        let keepalive = handles.remove(1);
+        let stepped = handles.remove(0);
+        let record =
+            |lo, txn, op| stepped.record(Trace::new(iv(lo, lo + 1), ClientId(0), TxnId(txn), op));
+        record(100, 1, OpKind::Write(vec![(Key(1), Value(7))]));
+        record(104, 1, OpKind::Commit);
+        // The clock steps back; behind the step, two dirty reads of a
+        // value nobody wrote — the second with the clock back in order.
+        record(50, 2, OpKind::Read(vec![(Key(1), Value(99))]));
+        record(60, 2, OpKind::Commit);
+        record(200, 3, OpKind::Read(vec![(Key(1), Value(99))]));
+        record(210, 3, OpKind::Commit);
+        drop(stepped);
+        drop(keepalive);
+        let (outcome, stats) = leopard.finish_with_stats();
+        assert_eq!(outcome.counters.traces, 2);
+        assert_eq!(outcome.counters.committed, 1);
+        // The stream was closed at the step, so the reads went unverified
+        // — and the verdict says so instead of "clean, complete".
+        assert!(outcome.report.is_clean(), "{}", outcome.report);
+        assert!(!outcome.coverage.is_complete());
+        assert_eq!(outcome.coverage.evicted_clients, vec![ClientId(0)]);
+        assert!(
+            outcome
+                .coverage
+                .notes
+                .iter()
+                .any(|n| n.contains("ts_bef 50ns after 104ns")),
+            "a note must name the regression: {:?}",
+            outcome.coverage.notes
+        );
+        assert_eq!(stats.shed_traces, 4, "the discarded remainder is counted");
+        assert_eq!(outcome.counters.budget.shed_traces, 4);
     }
 }

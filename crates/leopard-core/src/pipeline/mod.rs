@@ -90,6 +90,18 @@ pub enum PipelineError {
     ClientClosed(usize),
 }
 
+impl PipelineError {
+    /// The client index the error is about.
+    #[must_use]
+    pub fn client(&self) -> usize {
+        match *self {
+            PipelineError::NonMonotonicClient { client, .. }
+            | PipelineError::UnknownClient(client)
+            | PipelineError::ClientClosed(client) => client,
+        }
+    }
+}
+
 impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -133,7 +145,9 @@ pub struct PipelineStats {
     /// (re-delivery under chaotic trace transport).
     pub duplicates_dropped: u64,
     /// Traces shed before reaching the pipeline: lossy-backpressure
-    /// drops and records attempted after collector shutdown (see
+    /// drops, records refused by a closed stream or after collector
+    /// shutdown, what an evicted client's buffer still held, and the
+    /// remainder of a stream closed at a clock regression (see
     /// [`ClientHandle::record`]).
     pub shed_traces: u64,
     /// Traces dropped because they arrived below a forced-dispatch
@@ -190,9 +204,10 @@ struct LocalBuffer {
     last_seen: Timestamp,
     closed: bool,
     local_total: usize,
-    /// The most recent trace accepted from this client, kept to drop
-    /// exact re-deliveries (duplicates arrive back-to-back per client).
-    last_pushed: Option<Trace>,
+    /// The most recent trace accepted from this client, once it has left
+    /// `queue`: while the queue is non-empty its tail is that trace, so a
+    /// copy is made only by the fetch that empties the queue.
+    last_fetched: Option<Trace>,
 }
 
 impl LocalBuffer {
@@ -206,6 +221,12 @@ impl LocalBuffer {
         } else {
             Some(self.last_seen)
         }
+    }
+
+    /// The most recent trace accepted from this client, kept to drop
+    /// exact re-deliveries (duplicates arrive back-to-back per client).
+    fn last_accepted(&self) -> Option<&Trace> {
+        self.queue.back().or(self.last_fetched.as_ref())
     }
 }
 
@@ -238,7 +259,7 @@ impl TwoLevelPipeline {
                     last_seen: Timestamp::ZERO,
                     closed: false,
                     local_total: 0,
-                    last_pushed: None,
+                    last_fetched: None,
                 })
                 .collect(),
             heap: BinaryHeap::new(),
@@ -267,7 +288,7 @@ impl TwoLevelPipeline {
         if local.closed {
             return Err(PipelineError::ClientClosed(client));
         }
-        if local.last_pushed.as_ref() == Some(&trace) {
+        if local.last_accepted() == Some(&trace) {
             // A re-delivered trace: transports under fault injection may
             // duplicate a delivery; the duplicate arrives immediately after
             // the original because pushes are per-client FIFO. Dropping it
@@ -295,7 +316,6 @@ impl TwoLevelPipeline {
             return Ok(());
         }
         local.last_seen = trace.ts_bef();
-        local.last_pushed = Some(trace.clone());
         local.queue.push_back(trace);
         local.local_total += 1;
         self.local_total += 1;
@@ -571,10 +591,14 @@ impl TwoLevelPipeline {
     fn move_from_local(&mut self, idx: usize, limit: usize) -> usize {
         let mut n = 0;
         while n < limit {
-            let Some(trace) = self.locals[idx].queue.pop_front() else {
+            let local = &mut self.locals[idx];
+            let Some(trace) = local.queue.pop_front() else {
                 break;
             };
-            self.locals[idx].local_total -= 1;
+            if local.queue.is_empty() {
+                local.last_fetched = Some(trace.clone());
+            }
+            local.local_total -= 1;
             self.local_total -= 1;
             self.seq += 1;
             self.heap.push(Reverse(HeapEntry {
@@ -798,6 +822,19 @@ mod tests {
         assert_eq!(out[0], tr);
         assert_eq!(p.stats().duplicates_dropped, 1);
         assert_eq!(p.stats().dispatched, 2);
+    }
+
+    #[test]
+    fn duplicate_of_a_trace_already_fetched_is_dropped() {
+        let mut p = TwoLevelPipeline::new(1, PipelineConfig::default());
+        let tr = t(0, 5, 6);
+        p.push(0, tr.clone()).unwrap();
+        // The fetch empties the queue: the original is no longer its tail.
+        assert_eq!(p.try_dispatch(), Some(tr.clone()));
+        assert_eq!(p.local_len(), 0);
+        p.push(0, tr).unwrap();
+        assert_eq!(p.stats().duplicates_dropped, 1);
+        assert_eq!(p.local_len(), 0);
     }
 
     #[test]

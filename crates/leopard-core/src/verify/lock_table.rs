@@ -67,7 +67,17 @@ pub struct LockTable {
     total: usize,
     /// Keys touched since the last prune; GC revisits only these.
     dirty: FxHashSet<Key>,
+    /// Lists `prune` emptied, kept with their capacity for the next
+    /// records `acquire` meets: records are pruned and locked again all
+    /// the time, and each round trip was a free and an allocation.
+    spare: Vec<Vec<LockEntry>>,
 }
+
+/// How many emptied lists the table keeps, and the capacity (in entries)
+/// above which one is let go instead: a hot record's list can be long, and
+/// a shelf of those is memory nobody counts.
+const SPARE_LISTS: usize = 256;
+const SPARE_LIST_ENTRIES: usize = 8;
 
 impl LockTable {
     /// Mirrors a lock acquisition by `txn` on `key` within `acquire`.
@@ -76,7 +86,11 @@ impl LockTable {
     /// earliest acquire interval.
     pub fn acquire(&mut self, key: Key, txn: TxnId, acquire: Interval) {
         self.dirty.insert(key);
-        let entries = self.locks.entry(key).or_default();
+        let spare = &mut self.spare;
+        let entries = self
+            .locks
+            .entry(key)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         if entries.iter().any(|e| e.txn == txn && e.release.is_none()) {
             return;
         }
@@ -165,7 +179,11 @@ impl LockTable {
             });
             removed += before - entries.len();
             if entries.is_empty() {
-                self.locks.remove(&key);
+                if let Some(list) = self.locks.remove(&key) {
+                    if self.spare.len() < SPARE_LISTS && list.capacity() <= SPARE_LIST_ENTRIES {
+                        self.spare.push(list);
+                    }
+                }
             }
         }
         self.total -= removed;
@@ -229,6 +247,7 @@ impl LockTable {
             locks,
             total,
             dirty,
+            spare: Vec::new(),
         }
     }
 }

@@ -304,6 +304,17 @@ impl Ord for PendingRead {
     }
 }
 
+/// One step `Verifier::link_version_adjacency` planned while it had the
+/// version store borrowed: a dependency to count and, unless unresolved,
+/// to add.
+#[derive(Debug)]
+struct Planned {
+    from: TxnId,
+    to: TxnId,
+    kind: DepKind,
+    bucket: u8, // 0 certain, 1 deduced, 2 uncertain (no edge)
+}
+
 /// The mechanism-mirrored verifier.
 #[derive(Debug)]
 pub struct Verifier {
@@ -321,6 +332,7 @@ pub struct Verifier {
     quarantine: QuarantineGate,
     // Scratch buffers reused across traces to avoid per-trace allocation.
     scratch_lock_checks: Vec<(Key, LockCheck)>,
+    scratch_planned: Vec<Planned>,
     /// First unrecoverable spill-store failure. Once latched the
     /// verifier refuses further work: a spilled chain that cannot be
     /// faulted back in makes any verdict unreliable, and a typed error
@@ -358,6 +370,7 @@ impl Verifier {
             coverage: Coverage::default(),
             quarantine: QuarantineGate::default(),
             scratch_lock_checks: Vec::new(),
+            scratch_planned: Vec::new(),
             store_fault: None,
             spill_writes_enabled: true,
             armed: cfg.mem_budget,
@@ -761,13 +774,28 @@ impl Verifier {
     /// Records that `client` was force-evicted by the pipeline (its
     /// in-flight transaction, if any, will surface as indeterminate).
     pub fn note_evicted_client(&mut self, client: ClientId) {
-        if !self.coverage.evicted_clients.contains(&client) {
-            self.coverage.evicted_clients.push(client);
-            self.coverage.evicted_clients.sort_unstable();
-            self.coverage
-                .push_note(format!("evicted: {client} force-closed by stall timeout"));
+        if self.evict_from_coverage(client, "force-closed by stall timeout") {
             obs::ctr(obs::Counter::StallEvictions, 1);
         }
+    }
+
+    /// Records that the tracer closed `client`'s stream at `error` (its
+    /// clock stepped backwards): what the client sent from there on is a
+    /// hole in the verdict, exactly as if it had been evicted.
+    pub fn note_stream_error(&mut self, client: ClientId, error: &dyn fmt::Display) {
+        self.evict_from_coverage(client, &format!("stream closed: {error}"));
+    }
+
+    /// Adds `client` to the evicted set with a note saying `why`; `false`
+    /// if it was there already.
+    fn evict_from_coverage(&mut self, client: ClientId, why: &str) -> bool {
+        let new = !self.coverage.evicted_clients.contains(&client);
+        if new {
+            self.coverage.evicted_clients.push(client);
+            self.coverage.evicted_clients.sort_unstable();
+            self.coverage.push_note(format!("evicted: {client} {why}"));
+        }
+        new
     }
 
     /// Records that `client` was evicted by rung 3 of the overload
@@ -777,18 +805,13 @@ impl Verifier {
     pub fn note_budget_eviction(&mut self, client: ClientId) {
         self.counters.budget.budget_evictions += 1;
         obs::ctr(obs::Counter::BudgetEvictions, 1);
-        if !self.coverage.evicted_clients.contains(&client) {
-            self.coverage.evicted_clients.push(client);
-            self.coverage.evicted_clients.sort_unstable();
-            self.coverage.push_note(format!(
-                "evicted: {client} force-closed under memory pressure"
-            ));
-        }
+        self.evict_from_coverage(client, "force-closed under memory pressure");
     }
 
-    /// Folds `n` newly shed traces (lossy backpressure, post-shutdown
-    /// records, forced-dispatch stragglers) into the budget counters so
-    /// they survive checkpoint/resume.
+    /// Folds `n` newly shed traces (lossy backpressure, records into a
+    /// closed stream, what an evicted buffer held, forced-dispatch
+    /// stragglers) into the budget counters so they survive
+    /// checkpoint/resume.
     pub fn note_shed_traces(&mut self, n: u64) {
         if n > 0 {
             self.counters.budget.shed_traces += n;
@@ -897,6 +920,7 @@ impl Verifier {
                 &ckpt.quarantine_terminals,
             ),
             scratch_lock_checks: Vec::new(),
+            scratch_planned: Vec::new(),
             // A checkpoint referencing spilled records cannot verify
             // without its spill directory: latch the typed error now;
             // `resume_spill` clears it.
@@ -1168,8 +1192,10 @@ impl Verifier {
         }
         info.outcome = Some(TxnOutcome::Committed(commit));
         let snapshot = info.first_op;
-        let write_keys = info.write_keys.clone();
-        let locked_read_keys = info.locked_read_keys.clone();
+        // Taken, not cloned: nothing below reads this transaction's entry,
+        // and both lists go back when the commit is through.
+        let write_keys = std::mem::take(&mut info.write_keys);
+        let locked_read_keys = std::mem::take(&mut info.locked_read_keys);
         let matched_reads = std::mem::take(&mut info.matched_reads);
         self.counters.committed += 1;
 
@@ -1196,6 +1222,15 @@ impl Verifier {
             }
             self.settle_version_order(txn, key);
             self.link_version_adjacency(txn, key);
+        }
+        self.restore_key_lists(txn, write_keys, locked_read_keys);
+    }
+
+    /// Hands back the key lists a terminal took out of `txn`'s entry.
+    fn restore_key_lists(&mut self, txn: TxnId, write_keys: Vec<Key>, locked_read_keys: Vec<Key>) {
+        if let Some(info) = self.txns.get_mut(txn) {
+            info.write_keys = write_keys;
+            info.locked_read_keys = locked_read_keys;
         }
     }
 
@@ -1306,8 +1341,8 @@ impl Verifier {
             return;
         }
         info.outcome = Some(TxnOutcome::Aborted(abort));
-        let write_keys = info.write_keys.clone();
-        let locked_read_keys = info.locked_read_keys.clone();
+        let write_keys = std::mem::take(&mut info.write_keys);
+        let locked_read_keys = std::mem::take(&mut info.locked_read_keys);
         info.matched_reads.clear();
         self.counters.aborted += 1;
 
@@ -1317,6 +1352,7 @@ impl Verifier {
 
         // Aborted versions are discarded (§II-A).
         self.versions.abort(txn, &write_keys);
+        self.restore_key_lists(txn, write_keys, locked_read_keys);
     }
 
     /// First-updater-wins (§V-C, Alg. 2): for every other committed writer
@@ -1352,20 +1388,14 @@ impl Verifier {
     /// and its committed neighbours, plus rw edges from the predecessor's
     /// readers (Fig. 9 derivation).
     fn link_version_adjacency(&mut self, txn: TxnId, key: Key) {
-        struct Planned {
-            from: TxnId,
-            to: TxnId,
-            kind: DepKind,
-            bucket: u8, // 0 certain, 1 deduced, 2 uncertain (no edge)
-        }
-        let mut planned: Vec<Planned> = Vec::new();
-        {
+        let mut planned = std::mem::take(&mut self.scratch_planned);
+        'plan: {
             let Some((pred, me_entry, succ)) = self.versions.committed_neighbors(key, txn) else {
-                return;
+                break 'plan;
             };
             let my_install = me_entry.install;
             let Some(my_commit) = me_entry.visibility else {
-                return;
+                break 'plan;
             };
             let my_snapshot = me_entry.writer_snapshot;
             // `None` for an uncommitted neighbour: no ww edge to plan.
@@ -1481,7 +1511,7 @@ impl Verifier {
                 planned.extend(plan_pair(succ, false));
             }
         }
-        for p in planned {
+        for p in planned.drain(..) {
             match (p.kind, p.bucket) {
                 (DepKind::Ww, 0) => self.stats.ww.certain += 1,
                 (DepKind::Ww, 1) => self.stats.ww.deduced += 1,
@@ -1498,6 +1528,7 @@ impl Verifier {
             }
             self.add_dep(p.from, p.to, p.kind);
         }
+        self.scratch_planned = planned;
     }
 
     /// Adds a dependency edge and reports any certifier-rule match.

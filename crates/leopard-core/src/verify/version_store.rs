@@ -116,49 +116,30 @@ impl RecordVersions {
     /// Returns `(class per entry index)`, parallel to `entries`.
     #[must_use]
     pub fn classify(&self, snapshot: &Interval) -> Vec<VersionClass> {
-        // Pass 1: partition into future / overlap / past.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Rough {
-            Future,
-            Overlap,
-            /// Past version, carrying its (necessarily present) commit
-            /// interval so later passes need no re-lookup.
-            Past(Interval),
-            Pending,
-        }
-        let rough: Vec<Rough> = self
+        self.classified(snapshot).map(|(_, class)| class).collect()
+    }
+
+    /// The classification rule: every entry, in chain order, with its
+    /// class against `snapshot`. [`RecordVersions::classify`] collects
+    /// it; [`VersionStore::check_read`] folds it without a vector.
+    fn classified<'a>(
+        &'a self,
+        snapshot: &'a Interval,
+    ) -> impl Iterator<Item = (&'a VersionEntry, VersionClass)> + 'a {
+        // The pivot is the past version with the latest commit
+        // after-timestamp (the later entry on a tie); past versions
+        // overlapping it are pivot-overlaps, the rest garbage.
+        let pivot = self
             .entries
             .iter()
-            .map(|e| match e.visibility {
-                None => Rough::Pending,
-                Some(vis) => {
-                    if snapshot.certainly_before(&vis) {
-                        Rough::Future
-                    } else if vis.certainly_before(snapshot) {
-                        Rough::Past(vis)
-                    } else {
-                        Rough::Overlap
-                    }
-                }
-            })
-            .collect();
-
-        // Pass 2: the pivot is the past version with the latest commit
-        // after-timestamp; past versions overlapping it are pivot-overlaps,
-        // the rest garbage.
-        let pivot = rough
-            .iter()
             .enumerate()
-            .filter_map(|(i, r)| match r {
-                Rough::Past(vis) => Some((i, *vis)),
+            .filter_map(|(i, e)| match Rough::of(e, snapshot) {
+                Rough::Past(vis) => Some((i, vis)),
                 _ => None,
             })
             .max_by_key(|&(_, vis)| (vis.hi, vis.lo));
-
-        rough
-            .iter()
-            .enumerate()
-            .map(|(i, r)| match r {
+        self.entries.iter().enumerate().map(move |(i, e)| {
+            let class = match Rough::of(e, snapshot) {
                 Rough::Pending => VersionClass::Pending,
                 Rough::Future => VersionClass::Future,
                 Rough::Overlap => VersionClass::Overlap,
@@ -170,8 +151,31 @@ impl RecordVersions {
                     // degrade to possibly-visible rather than panic.
                     None => VersionClass::PivotOverlap,
                 },
-            })
-            .collect()
+            };
+            (e, class)
+        })
+    }
+}
+
+/// Where a version's commit interval lies against a snapshot interval,
+/// before the pivot is known.
+#[derive(Clone, Copy)]
+enum Rough {
+    Pending,
+    Future,
+    Overlap,
+    /// Past version, carrying its (necessarily present) commit interval.
+    Past(Interval),
+}
+
+impl Rough {
+    fn of(e: &VersionEntry, snapshot: &Interval) -> Rough {
+        match e.visibility {
+            None => Rough::Pending,
+            Some(vis) if snapshot.certainly_before(&vis) => Rough::Future,
+            Some(vis) if vis.certainly_before(snapshot) => Rough::Past(vis),
+            Some(_) => Rough::Overlap,
+        }
     }
 }
 
@@ -409,7 +413,6 @@ impl VersionStore {
             // read invented a value.
             return ReadMatch::Violation { candidates: vec![] };
         };
-        let classes = rec.classify(snapshot);
         let candidate = |class: VersionClass| -> bool {
             match class {
                 VersionClass::Overlap | VersionClass::Pivot | VersionClass::PivotOverlap => true,
@@ -417,32 +420,32 @@ impl VersionStore {
                 VersionClass::Future | VersionClass::Pending => false,
             }
         };
-        let mut matches: Vec<&VersionEntry> = Vec::new();
+        let mut first_match: Option<&VersionEntry> = None;
+        let mut n_matches = 0usize;
         let mut n_candidates = 0usize;
-        for (e, class) in rec.entries.iter().zip(&classes) {
-            if candidate(*class) {
+        for (e, class) in rec.classified(snapshot) {
+            if candidate(class) {
                 n_candidates += 1;
                 if e.value == observed {
-                    matches.push(e);
+                    n_matches += 1;
+                    first_match.get_or_insert(e);
                 }
             }
         }
-        match matches.len() {
-            0 => ReadMatch::Violation {
+        match first_match {
+            None => ReadMatch::Violation {
                 candidates: rec
-                    .entries
-                    .iter()
-                    .zip(&classes)
-                    .filter(|(_, c)| candidate(**c))
+                    .classified(snapshot)
+                    .filter(|&(_, class)| candidate(class))
                     .map(|(e, _)| e.value)
                     .collect(),
             },
-            1 => ReadMatch::Unique {
-                writer: matches[0].txn,
-                uid: matches[0].uid,
+            Some(e) if n_matches == 1 => ReadMatch::Unique {
+                writer: e.txn,
+                uid: e.uid,
                 interval_certain: n_candidates == 1,
             },
-            n => ReadMatch::Ambiguous { matches: n },
+            Some(_) => ReadMatch::Ambiguous { matches: n_matches },
         }
     }
 
@@ -608,7 +611,12 @@ impl VersionStore {
             for e in &mut rec.entries {
                 if e.visibility.is_some_and(|v| v.hi < low) && !e.readers.is_empty() {
                     e.readers.retain(|&(reader, _)| live(reader));
-                    e.readers.shrink_to_fit();
+                    if e.readers.is_empty() {
+                        // Dead list: give the allocation back. One with
+                        // live readers keeps its capacity — the next
+                        // reader would only grow it again.
+                        e.readers = Vec::new();
+                    }
                 }
             }
         }

@@ -24,9 +24,9 @@
 use leopard_core::obs;
 use leopard_core::store::io::FaultSpec;
 use leopard_core::{
-    engine, CaptureReader, Checkpoint, EngineOpts, FsIo, Interval, IsolationLevel, MemBudget,
-    OpKind, RetryPolicy, SpillSettings, Timestamp, Trace, TraceBuilder, VerifierConfig,
-    VerifyOutcome, Violation,
+    engine, Backpressure, CaptureReader, Checkpoint, EngineOpts, FsIo, Interval, IsolationLevel,
+    MemBudget, OnlineLeopard, OnlineOptions, OpKind, RetryPolicy, SpillSettings, Timestamp, Trace,
+    TraceBuilder, VerifierConfig, VerifyOutcome, Violation,
 };
 use leopard_oracle::{
     degrade_capture, generate_clean_capture, Capture, CleanRunSpec, DegradeSpec, Schedule, LEVELS,
@@ -333,6 +333,77 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
         typed > 0 && hostile_verdicts > 0,
         "the failing disk should end some cells typed ({typed}) and let some through \
          ({hostile_verdicts})"
+    );
+}
+
+/// The online rows: every corpus capture through the Tracer→Verifier
+/// chain, one [`ClientHandle`](leopard_core::ClientHandle) per capture
+/// client, under a hand-off that never waits and one that waits every
+/// third trace. The chain re-sorts what the clients hand it and must reach
+/// the sequential verdict — except where a client's clock steps backwards:
+/// the chain closes that stream at the step, and must say so.
+#[test]
+fn the_online_chain_reaches_the_sequential_verdict() {
+    let dir = scratch("online");
+    let mut holes = 0;
+    for (name, cap) in inputs() {
+        if name.ends_with("+chaos") {
+            continue; // the degraded copy is the degraded rows' input
+        }
+        let clients = cap.traces.iter().map(|t| t.client.0 as usize + 1).max();
+        let clients = clients.expect("a capture has traces");
+        for level in LEVELS {
+            let opts = PLAIN.opts(level, 0, &dir);
+            let (sequential, _) = run_cell(&opts, &cap, None).expect("a verdict");
+            for backpressure in [Backpressure::Unbounded, Backpressure::Blocking(3)] {
+                let what = format!("{name} @ {level:?}, online, {backpressure:?}");
+                let online = OnlineOptions {
+                    backpressure,
+                    ..OnlineOptions::default()
+                };
+                let (leopard, handles) = OnlineLeopard::start_opts(
+                    clients,
+                    opts.verifier,
+                    online,
+                    cap.header.preload.clone(),
+                );
+                for trace in &cap.traces {
+                    handles[trace.client.0 as usize].record(trace.clone());
+                }
+                drop(handles);
+                let (outcome, stats) = leopard.finish_with_stats();
+                if name == "corrupt-nonmonotonic-client.jsonl" {
+                    let hole = &outcome.coverage;
+                    assert!(!hole.is_complete(), "{what}: a silent drop");
+                    assert_eq!(hole.evicted_clients.len(), 1, "{what}");
+                    assert!(
+                        hole.notes.iter().any(|n| n.contains("stream closed")),
+                        "{what}: {:?}",
+                        hole.notes
+                    );
+                    let verified = outcome.counters.traces;
+                    assert!(stats.shed_traces > 0, "{what}");
+                    assert_eq!(
+                        verified + stats.shed_traces,
+                        cap.traces.len() as u64,
+                        "{what}: every trace is verified or counted as shed"
+                    );
+                    holes += 1;
+                } else {
+                    assert_eq!(
+                        comparable(&sequential, true),
+                        comparable(&outcome, true),
+                        "{what}: the verdict moved"
+                    );
+                    assert_eq!(stats.shed_traces + stats.late_dropped, 0, "{what}");
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        holes, 8,
+        "the clock-regression capture at every level and hand-off"
     );
 }
 

@@ -3,7 +3,7 @@
 
 use leopard::{IsolationLevel, PipelineConfig, TwoLevelPipeline, Verifier, VerifierConfig};
 use leopard_core::interval::{resolve_exclusive_pair, PairOrder};
-use leopard_core::verify::VersionClass;
+use leopard_core::verify::{ReadMatch, VersionClass};
 use leopard_core::{ClientId, Interval, Key, OpKind, Timestamp, Trace, TxnId, Value};
 use proptest::prelude::*;
 
@@ -133,7 +133,9 @@ proptest! {
             let txn = TxnId(i as u64 + 1);
             let install = iv(w_lo, w_lo + w_w);
             let commit = iv(w_lo + w_w + gap, w_lo + w_w + gap + c_w);
-            store.install(Key(1), Value(i as u64 + 1), txn, install, install);
+            // Four values over up to eleven versions: reads can match
+            // none, one or several candidates.
+            store.install(Key(1), Value(i as u64 % 4), txn, install, install);
             store.commit(txn, &[Key(1)], commit);
         }
         let snapshot = iv(snap_lo, snap_lo + snap_w);
@@ -161,6 +163,34 @@ proptest! {
                 }
                 VersionClass::Overlap => prop_assert!(vis.overlaps(&snapshot)),
                 _ => {}
+            }
+        }
+        // `check_read` folds the same classification without building it:
+        // its answer is the one `classify` implies, for every value a read
+        // could observe and both candidate-set rules.
+        for minimal in [true, false] {
+            let candidates: Vec<_> = rec.entries().iter().zip(&classes)
+                .filter(|(_, c)| match c {
+                    VersionClass::Overlap | VersionClass::Pivot | VersionClass::PivotOverlap => true,
+                    VersionClass::Garbage => !minimal,
+                    VersionClass::Future | VersionClass::Pending => false,
+                })
+                .map(|(e, _)| e)
+                .collect();
+            for observed in (0..5).map(Value) {
+                let matches: Vec<_> = candidates.iter().filter(|e| e.value == observed).collect();
+                let implied = match matches.as_slice() {
+                    [] => ReadMatch::Violation {
+                        candidates: candidates.iter().map(|e| e.value).collect(),
+                    },
+                    [e] => ReadMatch::Unique {
+                        writer: e.txn,
+                        uid: e.uid,
+                        interval_certain: candidates.len() == 1,
+                    },
+                    several => ReadMatch::Ambiguous { matches: several.len() },
+                };
+                prop_assert_eq!(store.check_read(Key(1), observed, &snapshot, minimal), implied);
             }
         }
     }
