@@ -23,6 +23,10 @@
 //! The ladder trades coverage for memory *explicitly*: the run degrades
 //! with a named hole instead of growing until the OOM killer decides.
 
+// A panic here kills the stream being verified: return a typed error, or
+// mark the exception `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use serde::{Deserialize, Serialize};
 
 /// A cap on the estimated memory retained by the verification chain.

@@ -6,6 +6,9 @@
 //! multiply-rotate scheme, self-contained to stay within the approved
 //! dependency set.
 
+// The one place the std maps are named: the aliases below wrap them.
+#![allow(clippy::disallowed_types)]
+
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant (64-bit golden-ratio-derived, as used by rustc).

@@ -1,11 +1,10 @@
 //! The lock-order check: a runtime witness at the point of acquisition.
 //!
 //! Every lock that matters is wrapped in a [`TrackedMutex`] carrying a
-//! stable identity, `Owner.field` (e.g. `"Storage.map"`) — the id the
-//! shared-state inventory (`leopard-lint` L103) lists the field under. In
-//! debug builds each acquisition records, per thread, which locks were
-//! already held, and **panics at the offending `lock()`**, naming both
-//! locks, when
+//! stable identity, `Owner.field` (e.g. `"Storage.map"`), a string literal
+//! no other lock shares (`tests/lockwitness.rs` scans for that). In debug
+//! builds each acquisition records, per thread, which locks were already
+//! held, and **panics at the offending `lock()`**, naming both locks, when
 //!
 //! * the thread already holds a lock of that name (self-deadlock), or
 //! * the reverse order has been observed anywhere in the process before —
@@ -205,8 +204,7 @@ mod tests {
 
     // All tests use the `lw_test_` prefix and filter on it: the observed
     // edges are process-global and other tests run concurrently. The two
-    // acquisitions that panic are seeded in
-    // `crates/leopard-lint/tests/witness_crosscheck.rs`.
+    // acquisitions that panic are seeded in `tests/lockwitness.rs`.
 
     #[test]
     fn nested_acquisition_records_an_edge() {

@@ -28,6 +28,10 @@
 //! assert!(outcome.report.is_clean());
 //! ```
 
+// A panic here kills the stream being verified: return a typed error, or
+// mark the exception `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::lockwitness::TrackedMutex;
 use crate::obs;
 use crate::pipeline::{Backpressure, ChannelTracer, ClientHandle, PipelineConfig, PipelineStats};
@@ -187,13 +191,20 @@ impl OnlineLeopard {
         let shared = Arc::new(Shared::default());
         let worker_shared = Arc::clone(&shared);
         let (done_tx, done_rx) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the eviction timeout is wall-clock by definition; verdicts stay trace-time only"
+        )]
         let worker = std::thread::spawn(move || {
             let shared = worker_shared;
             let engine = EngineOpts {
                 verifier: cfg,
                 ..opts.engine
             };
-            // lint: allow(L001): open refuses images only, and a fresh start has none
+            #[expect(
+                clippy::expect_used,
+                reason = "open refuses images only, and a fresh start has none"
+            )]
             let opened = engine::open(&engine, None, &preload).expect("a fresh start");
             let mut verifier = opened.verifier;
             let mut batch = Vec::new();
@@ -204,7 +215,7 @@ impl OnlineLeopard {
             // Streams only ever close, so the count identifies the set.
             let mut published_open = usize::MAX;
             let budget = cfg.mem_budget;
-            let mut last_progress = Instant::now(); // lint: allow(L004): eviction timeout is wall-clock by definition; verdicts stay trace-time only
+            let mut last_progress = Instant::now();
             loop {
                 let live = tracer.poll(&mut batch);
                 let span = if batch.is_empty() {
@@ -304,7 +315,7 @@ impl OnlineLeopard {
                 let dispatched = tracer.stats().dispatched;
                 if dispatched != last_dispatched {
                     last_dispatched = dispatched;
-                    last_progress = Instant::now(); // lint: allow(L004): eviction timeout is wall-clock by definition
+                    last_progress = Instant::now();
                 } else if let Some(timeout) = opts.eviction_timeout {
                     if last_progress.elapsed() >= timeout {
                         if let Some(pin) = tracer.pinning_client() {
@@ -321,7 +332,7 @@ impl OnlineLeopard {
                                 verifier.note_evicted_client(ClientId(c as u32));
                             }
                         }
-                        last_progress = Instant::now(); // lint: allow(L004): eviction timeout is wall-clock by definition
+                        last_progress = Instant::now();
                     }
                 }
                 tracer.idle_wait();
@@ -358,8 +369,11 @@ impl OnlineLeopard {
 
     /// Like [`OnlineLeopard::finish`], also returning pipeline statistics.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "re-raising a worker-thread panic is the only sane join policy"
+    )]
     pub fn finish_with_stats(self) -> (VerifyOutcome, PipelineStats) {
-        // lint: allow(L001): re-raising a worker-thread panic is the only sane join policy
         self.worker.join().expect("verifier thread panicked")
     }
 
@@ -368,19 +382,21 @@ impl OnlineLeopard {
     /// client that kept its connection), returns a [`FinishTimeout`] that
     /// *names the offending clients* — after force-evicting them so the
     /// run still terminates with a degraded outcome instead of hanging.
+    #[expect(
+        clippy::expect_used,
+        reason = "re-raising a worker-thread panic is the only sane join policy"
+    )]
     pub fn finish_with_timeout(
         self,
         timeout: Duration,
     ) -> Result<(VerifyOutcome, PipelineStats), Box<FinishTimeout>> {
         match self.done.recv_timeout(timeout) {
-            // lint: allow(L001): re-raising a worker-thread panic is the only sane join policy
             Ok(()) => Ok(self.worker.join().expect("verifier thread panicked")),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 let pinning = self.shared.open.lock().clone();
                 self.shared.force_evict.store(true, Ordering::SeqCst);
                 // The worker evicts every open client on its next loop
                 // iteration, drains, and completes.
-                // lint: allow(L001): re-raising a worker-thread panic is the only sane join policy
                 let (outcome, stats) = self.worker.join().expect("verifier thread panicked");
                 Err(Box::new(FinishTimeout {
                     pinning,
@@ -391,7 +407,6 @@ impl OnlineLeopard {
             Err(mpsc::RecvTimeoutError::Disconnected) => {
                 // The worker died without sending; join to surface the
                 // panic.
-                // lint: allow(L001): re-raising a worker-thread panic is the only sane join policy
                 Ok(self.worker.join().expect("verifier thread panicked"))
             }
         }

@@ -22,6 +22,10 @@
 //!   dispatchable traces, keeping in-rate equal to out-rate and the heap
 //!   size stable.
 
+// A panic here kills the stream being verified: return a typed error, or
+// mark the exception `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod channel;
 
 pub use channel::{Backpressure, ChannelTracer, ClientHandle};

@@ -1556,6 +1556,10 @@ mod tests {
     }
 
     /// Polls `done` (every 5 ms, for at most 20 s) until it holds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test's give-up deadline is wall-clock by definition"
+    )]
     fn wait_for(mut done: impl FnMut() -> bool) {
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
         while !done() {

@@ -22,6 +22,10 @@ use std::sync::Arc;
 pub trait StoreFile: Send + fmt::Debug {
     /// Current length in bytes.
     fn len(&mut self) -> io::Result<u64>;
+    /// Whether the file holds no bytes.
+    fn is_empty(&mut self) -> io::Result<bool> {
+        Ok(self.len()? == 0)
+    }
     /// Reads up to `buf.len()` bytes at `off`, returning the count
     /// (short reads are legal, exactly like `pread`).
     fn read_at(&mut self, off: u64, buf: &mut [u8]) -> io::Result<usize>;
@@ -363,25 +367,19 @@ impl StoreFile for FaultFile {
         };
         let plan = match plan {
             Plan::Clean => {
-                let mut st = self.state.lock();
-                if data.len() > 1 && {
-                    let p = st.spec.short_write_prob;
-                    st.rng.chance(p)
-                } {
+                // Reborrowed once so a draw can read its probability from
+                // `spec` while `rng` is borrowed. The draws keep this order
+                // and stay short-circuited: seeded schedules depend on it.
+                let st = &mut *self.state.lock();
+                if data.len() > 1 && st.rng.chance(st.spec.short_write_prob) {
                     st.injected.short_writes += 1;
                     let cut = 1 + (st.rng.next_u64() as usize) % (data.len() - 1);
                     Plan::Short(cut)
-                } else if data.len() > 1 && {
-                    let p = st.spec.torn_write_prob;
-                    st.rng.chance(p)
-                } {
+                } else if data.len() > 1 && st.rng.chance(st.spec.torn_write_prob) {
                     st.injected.torn_writes += 1;
                     let cut = 1 + (st.rng.next_u64() as usize) % (data.len() - 1);
                     Plan::Torn(cut)
-                } else if {
-                    let p = st.spec.delayed_write_err_prob;
-                    st.rng.chance(p)
-                } {
+                } else if st.rng.chance(st.spec.delayed_write_err_prob) {
                     st.injected.delayed_errors += 1;
                     st.pending_sync_err = true;
                     Plan::Delayed

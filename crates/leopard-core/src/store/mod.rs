@@ -160,7 +160,7 @@ impl RetryPolicy {
                     on_retry(&e);
                     let backoff = self.backoff(attempt, &mut rng);
                     if !backoff.is_zero() {
-                        std::thread::sleep(backoff); // lint: allow(L004): retry backoff is wall-clock by definition; verdicts stay trace-time only
+                        std::thread::sleep(backoff);
                     }
                 }
             }

@@ -288,7 +288,7 @@ mod tests {
     use crate::interval::Interval;
     use crate::types::{Timestamp, TxnId, Value};
     use crate::verify::VersionEntry;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -325,9 +325,9 @@ mod tests {
         (RECORD_HEADER + payload.len()) as u64
     }
 
-    fn settings(dir: &PathBuf) -> SpillSettings {
+    fn settings(dir: &Path) -> SpillSettings {
         SpillSettings {
-            dir: dir.clone(),
+            dir: dir.to_path_buf(),
             retry: RetryPolicy::none(),
             fault: super::super::io::FaultSpec::default(),
         }

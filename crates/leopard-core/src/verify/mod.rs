@@ -14,6 +14,10 @@
 //! stream position passes `S.ts_aft`, because any commit trace arriving
 //! later starts after `S` and is a *future version* by definition.
 
+// A panic here kills the stream being verified: return a typed error, or
+// mark the exception `#[expect(clippy::…, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod depgraph;
 pub mod engine;
 mod lock_table;

@@ -765,7 +765,11 @@ impl VersionStore {
         let Some(spilled) = self.spilled.get(&key) else {
             return Ok(false);
         };
-        let tier = self.spill.as_ref().expect("spilled keys imply a tier"); // lint: allow(L001): `spilled` is non-empty only while a tier is attached
+        #[expect(
+            clippy::expect_used,
+            reason = "`spilled` is non-empty only while a tier is attached"
+        )]
+        let tier = self.spill.as_ref().expect("spilled keys imply a tier");
         let snap = tier.take(key, &spilled.addr)?;
         self.spilled_total -= spilled.versions;
         self.spilled.remove(&key);
