@@ -268,15 +268,15 @@ pub fn lint_history(cfg: &LintHistoryConfig, out: &mut dyn Write) -> i32 {
 /// The budget / spill counter block of a run summary, one rendering for
 /// `verify` and `chaos`. As JSON it is the run of keys from `peak_bytes`
 /// to `spill_fallbacks` (CI strip-diffs them: keys, order and values are
-/// fixed); `channel` — chaos's `(shed_lossy, post_shutdown_drops)` —
-/// selects chaos's key set, which has those two and no `peak_entries`.
+/// fixed); `channel` — chaos's `post_shutdown_drops` — selects chaos's
+/// key set, which has that one and no `peak_entries`.
 /// As text it is the `resources:` line under a budget and the `spill:`
 /// line with a spill directory.
 fn render_budget(
     b: &BudgetCounters,
     args: &EngineArgs,
     json: bool,
-    channel: Option<(u64, u64)>,
+    channel: Option<u64>,
 ) -> String {
     if json {
         let entries = match channel {
@@ -284,7 +284,7 @@ fn render_budget(
             Some(_) => String::new(),
         };
         let channel = channel
-            .map(|(lossy, late)| format!("\"shed_lossy\":{lossy},\"post_shutdown_drops\":{late},"))
+            .map(|late| format!("\"post_shutdown_drops\":{late},"))
             .unwrap_or_default();
         return format!(
             "\"peak_bytes\":{},{entries}\"forced_gcs\":{},\"forced_dispatches\":{},\
@@ -548,7 +548,6 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
     // Channel-layer losses are counted unconditionally in the global
     // registry (they must never be silent), so the per-run figure is a
     // before/after delta rather than an absolute read.
-    let shed_lossy_before = obs::counter_value(obs::Counter::ShedLossy);
     let post_shutdown_before = obs::counter_value(obs::Counter::PostShutdownDrops);
     let (proto, gens) = match bundled_workload(&cfg.workload, cfg.scale, cfg.threads) {
         Ok(x) => x,
@@ -651,7 +650,6 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
     drop(ticker);
     // saturating: a concurrent in-process run (tests) may reset the
     // registry mid-flight; a clamped-to-zero figure beats a panic.
-    let shed_lossy = obs::counter_value(obs::Counter::ShedLossy).saturating_sub(shed_lossy_before);
     let post_shutdown_drops =
         obs::counter_value(obs::Counter::PostShutdownDrops).saturating_sub(post_shutdown_before);
     if !sinks.finish(out, cfg.json) {
@@ -702,12 +700,7 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
             cov.quarantined_traces,
             cov.demoted_reads,
             cov.indeterminate_txns.len(),
-            render_budget(
-                budget,
-                &cfg.engine,
-                true,
-                Some((shed_lossy, post_shutdown_drops))
-            ),
+            render_budget(budget, &cfg.engine, true, Some(post_shutdown_drops)),
             outcome.report.violations.len(),
             outcome.report.is_clean(),
             cov.is_complete(),
@@ -734,13 +727,6 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
             "pipeline: {} dispatched, {} duplicates deduped, {} clients evicted",
             pstats.dispatched, pstats.duplicates_dropped, pstats.evicted_clients
         );
-        if shed_lossy > 0 || post_shutdown_drops > 0 {
-            let _ = writeln!(
-                out,
-                "channel: {shed_lossy} shed under lossy backpressure, \
-                 {post_shutdown_drops} dropped after shutdown"
-            );
-        }
         let _ = write!(out, "{}", render_budget(budget, &cfg.engine, false, None));
         let _ = write!(out, "{cov}");
     }

@@ -144,8 +144,8 @@ pub struct BudgetCounters {
     /// Ladder rung 3 activations: clients evicted because the budget
     /// was still exceeded after GC and force-dispatch.
     pub budget_evictions: u64,
-    /// Traces shed by the chain: lossy backpressure, post-shutdown
-    /// records, and stragglers below a forced-dispatch floor.
+    /// Traces shed by the chain: records into a closed stream, what an
+    /// evicted buffer held, and stragglers below a forced-dispatch floor.
     pub shed_traces: u64,
     /// Ladder rung 1.5 activations: spill passes that paged cold version
     /// chains to disk instead of degrading coverage.

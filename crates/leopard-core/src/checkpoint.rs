@@ -55,9 +55,13 @@ use std::path::{Path, PathBuf};
 /// at ([`Checkpoint::armed`]).
 pub const CHECKPOINT_VERSION: u32 = 6;
 
-/// A deferred consistent-read check, flattened for checkpointing
-/// (mirrors the verifier's private pending-read heap entries).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A deferred consistent-read check: the entry of the verifier's
+/// pending-read heap, and what an image carries of it.
+///
+/// Ordered by `due` and then by the check's *birth position* in the
+/// stream — (trace sequence, element index), which no two checks share —
+/// so equal-`due` checks run in the order they were deferred.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PendingReadSnap {
     /// Stream position at which the check becomes runnable.
     pub due: Timestamp,
@@ -75,6 +79,18 @@ pub struct PendingReadSnap {
     pub snapshot: Interval,
     /// The read operation's own interval.
     pub read_op: Interval,
+}
+
+impl Ord for PendingReadSnap {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let key = |p: &Self| (p.due, p.born_seq, p.born_elem);
+        key(self).cmp(&key(other))
+    }
+}
+impl PartialOrd for PendingReadSnap {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// A complete verifier state image. See the module docs.

@@ -58,9 +58,8 @@ pub struct OnlineOptions {
     /// forever, exactly as the original blocking chain did.
     pub eviction_timeout: Option<Duration>,
     /// Hand-off policy between client handles and the collector. The
-    /// default keeps the historical unbounded buffers; bounded policies
-    /// couple ingest rate to verification rate (blocking) or shed with a
-    /// counter (lossy). See [`Backpressure`].
+    /// default keeps the historical unbounded buffers; the bounded policy
+    /// couples ingest rate to verification rate. See [`Backpressure`].
     pub backpressure: Backpressure,
     /// The engine: spill tier, checkpoint path and cadence.
     /// [`OnlineLeopard::start_opts`] takes the verifier configuration as
@@ -83,6 +82,17 @@ fn save_image(verifier: &Verifier, cursor: u64, path: &Path) {
         );
     }
     obs::span_end(obs::Stage::Checkpoint, obs::LANE_ONLINE, span);
+}
+
+/// Force-closes `client`'s stream because it stalled the chain and records
+/// the hole (its in-flight transaction, if any, will surface as
+/// indeterminate).
+fn stall_evict(tracer: &mut ChannelTracer, verifier: &mut Verifier, client: usize) {
+    let _ = tracer.evict(client);
+    let (coverage, _) = verifier.ledger();
+    if coverage.evict(ClientId(client as u32), "force-closed by stall timeout") {
+        obs::ctr(obs::Counter::StallEvictions, 1);
+    }
 }
 
 /// [`OnlineLeopard::finish_with_timeout`] gave up waiting: some client
@@ -236,38 +246,38 @@ impl OnlineLeopard {
                 // A stream the tracer closed at a clock regression is an
                 // eviction the client caused itself: the verdict does not
                 // speak for what that client did afterwards.
+                let (coverage, counters) = verifier.ledger();
                 for e in &tracer.errors()[folded_errors..] {
-                    verifier.note_stream_error(ClientId(e.client() as u32), e);
+                    coverage.evict(ClientId(e.client() as u32), &format!("stream closed: {e}"));
                 }
                 folded_errors = tracer.errors().len();
-                // Fold newly shed traces (lossy backpressure, records into
-                // a closed stream, what an evicted buffer held,
-                // forced-dispatch stragglers) into the verifier's
-                // checkpointable counters.
-                {
-                    let s = tracer.stats();
-                    let shed_now = s.shed_traces + s.late_dropped;
-                    if shed_now > last_shed {
-                        verifier.note_shed_traces(shed_now - last_shed);
-                        last_shed = shed_now;
-                    }
+                // Newly shed traces (records into a closed stream, what an
+                // evicted buffer held, forced-dispatch stragglers) go on
+                // the books, which checkpoints carry.
+                let stats = tracer.stats();
+                let shed_now = stats.shed_traces + stats.late_dropped;
+                if shed_now > last_shed {
+                    let n = shed_now - last_shed;
+                    counters.shed_traces += n;
+                    coverage.push_note(format!("shed: {n} traces dropped under backpressure"));
+                    last_shed = shed_now;
                 }
-                // Resource governance: the graduated overload ladder.
-                // Rungs 1 and 1.5 are the verifier's own relief (forced GC
-                // below the watermark, then cold records spilled to disk
-                // when a tier is attached), with the tracer's buffers
-                // counted in; rung 2 flushes the pipeline's buffers
-                // through the verifier; rung 3 evicts the laggiest client
-                // into degraded coverage. Each rung runs only if the
-                // previous one left the chain over budget — spilling
-                // relieves pressure without losing coverage, so it always
-                // runs before the coverage-degrading rungs.
+                // Resource governance: the graduated overload ladder
+                // (DESIGN §8.3). Rungs 1 and 1.5 are the verifier's own
+                // relief (forced GC below the watermark, then cold records
+                // spilled to disk when a tier is attached), with the
+                // tracer's buffers counted in; rung 2 flushes the
+                // pipeline's buffers through the verifier; rung 3 evicts
+                // the laggiest client into degraded coverage. Each rung
+                // runs only if the previous one left the chain over budget
+                // — spilling relieves pressure without losing coverage, so
+                // it always runs before the coverage-degrading rungs.
                 if !budget.is_unlimited() {
-                    let mut usage = verifier.relieve_if_armed(tracer.mem_usage());
+                    let mut usage = verifier.relieve(tracer.mem_usage());
                     if budget.exceeded_by(usage) {
                         let mut forced = Vec::new();
                         if tracer.force_dispatch(&mut forced) > 0 {
-                            verifier.note_forced_dispatch();
+                            verifier.ledger().1.forced_dispatches += 1;
                             for trace in &forced {
                                 verifier.process(trace);
                                 processed += 1;
@@ -280,10 +290,15 @@ impl OnlineLeopard {
                         // The laggiest client is the one holding the
                         // watermark furthest back; sacrificing it lets
                         // everything the healthy clients deliver flow and
-                        // be garbage-collected.
+                        // be garbage-collected. The hole is counted apart
+                        // from stall-timeout evictions.
                         if let Some(lag) = tracer.laggard_client() {
                             let _ = tracer.evict(lag);
-                            verifier.note_budget_eviction(ClientId(lag as u32));
+                            let (coverage, counters) = verifier.ledger();
+                            counters.budget_evictions += 1;
+                            obs::ctr(obs::Counter::BudgetEvictions, 1);
+                            coverage
+                                .evict(ClientId(lag as u32), "force-closed under memory pressure");
                         }
                     }
                     // Record the governed (post-ladder) footprint: the HWM
@@ -291,7 +306,7 @@ impl OnlineLeopard {
                     // just removed.
                     let usage = verifier.mem_usage() + tracer.mem_usage();
                     obs::gauge_set(obs::Gauge::MemBytes, usage.bytes);
-                    verifier.observe_usage(usage);
+                    verifier.ledger().1.observe(usage);
                 }
                 if tracer.open_count() != published_open {
                     published_open = tracer.open_count();
@@ -307,8 +322,7 @@ impl OnlineLeopard {
                 }
                 if shared.force_evict.load(Ordering::SeqCst) {
                     for c in tracer.open_clients() {
-                        let _ = tracer.evict(c);
-                        verifier.note_evicted_client(ClientId(c as u32));
+                        stall_evict(&mut tracer, &mut verifier, c);
                     }
                     continue; // next poll drains the unblocked pipeline
                 }
@@ -322,14 +336,12 @@ impl OnlineLeopard {
                             // Watermark stall: one silent client blocks all
                             // dispatch. Force-close it; its in-flight txn
                             // surfaces as indeterminate in coverage.
-                            let _ = tracer.evict(pin);
-                            verifier.note_evicted_client(ClientId(pin as u32));
+                            stall_evict(&mut tracer, &mut verifier, pin);
                         } else {
                             // Global silence with nothing buffered: every
                             // still-open client is presumed dead.
                             for c in tracer.open_clients() {
-                                let _ = tracer.evict(c);
-                                verifier.note_evicted_client(ClientId(c as u32));
+                                stall_evict(&mut tracer, &mut verifier, c);
                             }
                         }
                         last_progress = Instant::now();

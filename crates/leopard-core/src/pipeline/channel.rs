@@ -17,11 +17,9 @@
 //!
 //! Buffers are governed by a [`Backpressure`] policy. The historical
 //! default is unbounded buffering, which lets ingest outrun verification
-//! until the process OOMs; bounded policies couple the two rates
+//! until the process OOMs; the bounded policy couples the two rates
 //! instead: `Blocking` stalls the recording client when the collector
-//! lags, `Lossy` sheds the trace and counts it
-//! ([`PipelineStats::shed_traces`]) so the loss is an explicit coverage
-//! hole rather than silent growth.
+//! lags.
 
 use super::{PipelineConfig, PipelineError, PipelineStats, TwoLevelPipeline, TRACE_APPROX_BYTES};
 use crate::budget::MemUsage;
@@ -42,18 +40,14 @@ pub enum Backpressure {
     /// blocks until the collector catches up, coupling ingest rate to
     /// verification rate.
     Blocking(usize),
-    /// Bounded buffers of the given per-client capacity: `record`
-    /// sheds the trace when the buffer is full, counting it in
-    /// [`PipelineStats::shed_traces`].
-    Lossy(usize),
 }
 
 impl Backpressure {
-    /// Traces a client's buffer may hold before `record` waits or sheds.
+    /// Traces a client's buffer may hold before `record` waits.
     fn capacity(self) -> usize {
         match self {
             Backpressure::Unbounded => usize::MAX,
-            Backpressure::Blocking(cap) | Backpressure::Lossy(cap) => cap.max(1),
+            Backpressure::Blocking(cap) => cap.max(1),
         }
     }
 }
@@ -116,10 +110,9 @@ pub struct ClientHandle {
 
 impl ClientHandle {
     /// Records one trace. Returns `true` if it was delivered to the
-    /// client's hand-off buffer, `false` if it was shed — because the
+    /// client's hand-off buffer, `false` if it was shed because the
     /// collector has shut down or closed this client's stream (eviction,
-    /// a per-client clock regression), or because the buffer is full
-    /// under [`Backpressure::Lossy`]. Every shed trace is counted in the
+    /// a per-client clock regression). Every shed trace is counted in the
     /// tracer's shared [`PipelineStats::shed_traces`] counter, so even
     /// callers that ignore the return value never lose traces silently.
     ///
@@ -128,46 +121,28 @@ impl ClientHandle {
     pub fn record(&self, trace: Trace) -> bool {
         let cap = self.backpressure.capacity();
         let mut state = self.handoff.lock();
-        let refused = loop {
-            if state.closed {
-                break Some(obs::Counter::PostShutdownDrops);
-            }
-            if state.traces.len() < cap {
-                break None;
-            }
-            if matches!(self.backpressure, Backpressure::Lossy(_)) {
-                // Lossy backpressure: the collector is keeping up with
-                // the budget, not the workload. Distinct from the closed
-                // case above so operators can tell "shedding under load"
-                // from "recording into a closed chain" in the metrics.
-                break Some(obs::Counter::ShedLossy);
-            }
+        while !state.closed && state.traces.len() >= cap {
             state = self
                 .handoff
                 .room
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
-        };
-        match refused {
-            None => {
-                state.traces.push(trace);
-                true
-            }
-            Some(counter) => {
-                drop(state);
-                obs::ctr_always(counter, 1);
-                // relaxed: a monotonically increasing tally read only for
-                // reporting; no other memory depends on its ordering.
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                false
-            }
         }
+        if state.closed {
+            drop(state);
+            obs::ctr_always(obs::Counter::PostShutdownDrops, 1);
+            // relaxed: a monotonically increasing tally read only for
+            // reporting; no other memory depends on its ordering.
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        state.traces.push(trace);
+        true
     }
 
     /// Traces shed so far across *all* handles of this tracer (the
-    /// counter is shared): lossy-backpressure drops, records refused by a
-    /// closed stream or after collector shutdown, and what an evicted
-    /// client's buffer still held.
+    /// counter is shared): records refused by a closed stream or after
+    /// collector shutdown, and what an evicted client's buffer still held.
     #[must_use]
     pub fn shed_count(&self) -> u64 {
         // relaxed: monotone counter, an in-flight increment may be missed
@@ -231,10 +206,7 @@ impl ChannelTracer {
         let tracer = ChannelTracer {
             handoffs,
             disconnected: vec![false; n_clients],
-            wake_at: match backpressure {
-                Backpressure::Blocking(_) => backpressure.capacity(),
-                Backpressure::Unbounded | Backpressure::Lossy(_) => usize::MAX,
-            },
+            wake_at: backpressure.capacity(),
             exchange: Vec::new(),
             pipeline: TwoLevelPipeline::new(n_clients, cfg),
             errors: Vec::new(),
@@ -528,24 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn lossy_backpressure_sheds_with_counter_when_full() {
-        let (mut tracer, handles) =
-            ChannelTracer::with_backpressure(1, PipelineConfig::default(), Backpressure::Lossy(4));
-        let mut delivered = 0;
-        for i in 0..10u64 {
-            if handles[0].record(t(0, i)) {
-                delivered += 1;
-            }
-        }
-        assert_eq!(delivered, 4, "capacity-4 lossy channel admits 4 of 10");
-        drop(handles);
-        let mut out = Vec::new();
-        while tracer.poll(&mut out) {}
-        assert_eq!(out.len(), 4);
-        assert_eq!(tracer.stats().shed_traces, 6);
-    }
-
-    #[test]
     fn blocking_backpressure_couples_ingest_to_drain_rate() {
         let (mut tracer, mut handles) = ChannelTracer::with_backpressure(
             1,
@@ -765,8 +719,6 @@ mod tests {
             Backpressure::Unbounded,
             Backpressure::Blocking(1),
             Backpressure::Blocking(64),
-            Backpressure::Lossy(1),
-            Backpressure::Lossy(64),
         ];
         for (seed, backpressure) in modes.into_iter().enumerate() {
             let (mut tracer, handles) = ChannelTracer::with_backpressure(
@@ -813,9 +765,7 @@ mod tests {
                     dispatched, delivered,
                     "{backpressure:?}: client {c} lost, duplicated or reordered a trace"
                 );
-                if !matches!(backpressure, Backpressure::Lossy(_)) {
-                    assert_eq!(delivered.len() as u64, PER_CLIENT, "{backpressure:?} sheds");
-                }
+                assert_eq!(delivered.len() as u64, PER_CLIENT, "{backpressure:?} sheds");
                 delivered_total += delivered.len() as u64;
             }
             assert_eq!(stats.dispatched, delivered_total);

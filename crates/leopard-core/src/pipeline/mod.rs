@@ -148,11 +148,10 @@ pub struct PipelineStats {
     /// Exact back-to-back duplicate pushes dropped at the local buffers
     /// (re-delivery under chaotic trace transport).
     pub duplicates_dropped: u64,
-    /// Traces shed before reaching the pipeline: lossy-backpressure
-    /// drops, records refused by a closed stream or after collector
-    /// shutdown, what an evicted client's buffer still held, and the
-    /// remainder of a stream closed at a clock regression (see
-    /// [`ClientHandle::record`]).
+    /// Traces shed before reaching the pipeline: records refused by a
+    /// closed stream or after collector shutdown, what an evicted client's
+    /// buffer still held, and the remainder of a stream closed at a clock
+    /// regression (see [`ClientHandle::record`]).
     pub shed_traces: u64,
     /// Traces dropped because they arrived below a forced-dispatch
     /// floor: [`TwoLevelPipeline::force_dispatch`] flushed the buffers

@@ -794,7 +794,11 @@ fn handle_ingest_conn(shared: &Shared, mut sock: WireConn) {
             return;
         }
         NextFrame::Bad(e) => {
-            reject(&mut sock, RejectReason::Malformed, &e.to_string());
+            let reason = match dec.unverified_hello_version() {
+                Some(v) if v != u64::from(WIRE_VERSION) => RejectReason::Version,
+                _ => RejectReason::Malformed,
+            };
+            reject(&mut sock, reason, &e.to_string());
             return;
         }
         NextFrame::Eof | NextFrame::Stop => return,
@@ -1602,6 +1606,29 @@ mod tests {
             ..hello_for("future")
         };
         let (_, answer) = handshake(&ingest, hello);
+        assert_eq!(
+            rejected_for(&answer),
+            Some(RejectReason::Version),
+            "{answer:?}"
+        );
+        // A version-1 peer: its frames end in FxHash cut to 32 bits, which
+        // this build cannot verify. Refused for its version all the same,
+        // not as a corrupt frame.
+        let payload = Frame::Hello(Hello {
+            version: 1,
+            ..hello_for("past")
+        })
+        .encode_payload();
+        let mut fx = crate::fxhash::FxHasher::default();
+        std::hash::Hasher::write(&mut fx, &payload);
+        let mut bytes = Vec::new();
+        crate::wire::put_varint(&mut bytes, payload.len() as u64);
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&(std::hash::Hasher::finish(&fx) as u32).to_le_bytes());
+        let mut sock = ingest.connect().unwrap();
+        sock.write_all(&bytes).unwrap();
+        sock.flush().unwrap();
+        let answer = read_frame(&mut sock).unwrap().expect("an answer");
         assert_eq!(
             rejected_for(&answer),
             Some(RejectReason::Version),

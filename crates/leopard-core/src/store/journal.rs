@@ -3,7 +3,7 @@
 //! `leopard serve` makes a stream's ingest cursor durable with a full
 //! image only occasionally; between images it appends the trace frames
 //! it ingested — in the wire format ([`crate::wire`]: varint length ‖
-//! payload ‖ FxHash-32), exactly as the client sent them — to
+//! payload ‖ CRC-32), exactly as the client sent them — to
 //! `<stream>.wal` and syncs. Recovery loads the image and replays the
 //! journal through the verifier, which is what a reconnecting client
 //! resending from the image's cursor would have caused anyway.

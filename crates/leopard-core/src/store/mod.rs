@@ -48,9 +48,6 @@ pub enum StoreError {
     /// The spill tier is poisoned by an earlier unrecoverable fault;
     /// the original failure is carried as a message.
     Poisoned(String),
-    /// State on disk is referenced but unavailable (e.g. a resume names
-    /// spilled records but no spill directory was configured).
-    Unavailable(String),
 }
 
 impl StoreError {
@@ -80,7 +77,6 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "store i/o error: {e}"),
             StoreError::Corrupt(m) => write!(f, "store corruption: {m}"),
             StoreError::Poisoned(m) => write!(f, "spill tier poisoned: {m}"),
-            StoreError::Unavailable(m) => write!(f, "spilled state unavailable: {m}"),
         }
     }
 }

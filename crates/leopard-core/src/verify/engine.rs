@@ -89,57 +89,53 @@ pub fn open(
     image: Option<LoadedImage>,
     preload: &[(Key, Value)],
 ) -> Result<Opened, CheckpointError> {
-    let tier = || opts.spill.as_ref().map(SpillTier::open);
-    let mut warnings = Vec::new();
-    let Some(image) = image else {
-        let mut verifier = Verifier::new(opts.verifier);
-        match tier() {
-            Some(Ok(tier)) => verifier.attach_spill(tier),
-            Some(Err(e)) => warnings.push(verifier.note_spill_unavailable(&e)),
-            None => {}
-        }
-        for &(k, val) in preload {
-            verifier.preload(k, val);
-        }
-        return Ok(Opened {
-            verifier,
-            cursor: 0,
-            image_bytes: 0,
-            warnings,
-        });
-    };
-    let ckpt = &image.checkpoint;
-    if ckpt.config != opts.verifier {
+    if image
+        .as_ref()
+        .is_some_and(|i| i.checkpoint.config != opts.verifier)
+    {
         return Err(CheckpointError::ConfigMismatch);
     }
-    let mut verifier = Verifier::from_checkpoint(ckpt)?;
-    if let Some(w) = image.warning {
-        // A fallback to the previous image: degraded, but safe.
-        verifier.coverage.push_note(w.clone());
-        warnings.push(w);
-    }
-    let spilled = ckpt.spill.len();
-    match tier() {
-        Some(Ok(tier)) => verifier.resume_spill(tier, &ckpt.spill),
-        Some(Err(e)) if spilled == 0 => warnings.push(verifier.note_spill_unavailable(&e)),
+    let spilled = image.as_ref().map_or(0, |i| i.checkpoint.spill.len());
+    let (tier, unavailable) = match opts.spill.as_ref().map(SpillTier::open) {
+        Some(Ok(tier)) => (Some(tier), None),
+        Some(Err(e)) if spilled == 0 => (None, Some(e)),
         Some(Err(e)) => {
             return Err(CheckpointError::SpillUnavailable(format!(
                 "checkpoint references {spilled} spilled record(s) but the spill tier cannot \
                  be opened: {e}"
             )))
         }
-        None if spilled > 0 => {
-            return Err(CheckpointError::SpillUnavailable(format!(
-                "checkpoint references {spilled} spilled record(s) but no spill directory is \
-                 configured"
-            )))
+        None => (None, None),
+    };
+    let mut warnings = Vec::new();
+    let (mut verifier, cursor, image_bytes) = match image {
+        None => {
+            let mut verifier = Verifier::new(opts.verifier);
+            if let Some(tier) = tier {
+                verifier.attach_spill(tier);
+            }
+            for &(k, val) in preload {
+                verifier.preload(k, val);
+            }
+            (verifier, 0, 0)
         }
-        None => {}
+        Some(image) => {
+            let mut verifier = Verifier::resume(&image.checkpoint, tier)?;
+            if let Some(w) = image.warning {
+                // A fallback to the previous image: degraded, but safe.
+                verifier.ledger().0.push_note(w.clone());
+                warnings.push(w);
+            }
+            (verifier, image.checkpoint.traces_ingested, image.bytes)
+        }
+    };
+    if let Some(e) = unavailable {
+        warnings.push(verifier.note_spill_unavailable(&e));
     }
     Ok(Opened {
         verifier,
-        cursor: ckpt.traces_ingested,
-        image_bytes: image.bytes,
+        cursor,
+        image_bytes,
         warnings,
     })
 }
@@ -149,7 +145,7 @@ pub fn open(
 /// later one will be) and there is no verdict to reach. Stop feeding.
 pub fn feed<'a>(v: &'a mut Verifier, trace: &Trace) -> Result<(), &'a StoreError> {
     v.process(trace);
-    v.store_fault.as_ref().map_or(Ok(()), Err)
+    v.store_fault().map_or(Ok(()), Err)
 }
 
 /// Writes `v`'s image, with `cursor` as its resume cursor, to `path`
@@ -158,10 +154,12 @@ pub fn feed<'a>(v: &'a mut Verifier, trace: &Trace) -> Result<(), &'a StoreError
 /// `leopard_checkpoints_written_total` only once written. Returns the byte
 /// size of the image's JSON document.
 pub fn save(v: &Verifier, cursor: u64, io: &dyn StoreIo, path: &Path) -> StoreResult<u64> {
-    if let Some(fault) = &v.store_fault {
+    if let Some(fault) = v.store_fault() {
         return Err(StoreError::Poisoned(fault.to_string()));
     }
-    v.sync_spill()?;
+    if let Some(tier) = v.versions().spill_tier() {
+        tier.sync()?;
+    }
     let mut ckpt = v.checkpoint();
     ckpt.traces_ingested = cursor;
     let bytes = ckpt.store(io, path).map_err(StoreError::Io)?;

@@ -18,6 +18,7 @@
 // mark the exception `#[expect(clippy::…, reason = "…")]`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+mod core;
 mod depgraph;
 pub mod engine;
 mod lock_table;
@@ -32,20 +33,19 @@ pub use version_store::{
     VersionEntry, VersionStore, VersionUid,
 };
 
+use self::core::MechanismCore;
 use crate::budget::{BudgetCounters, MemBudget, MemUsage};
-use crate::catalog::{IsolationLevel, MechanismSet, SnapshotLevel};
-use crate::checkpoint::{Checkpoint, CheckpointError, PendingReadSnap, CHECKPOINT_VERSION};
+use crate::catalog::{IsolationLevel, MechanismSet};
+use crate::checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 use crate::fxhash::FxHashSet;
-use crate::interval::{resolve_exclusive_pair, Interval, PairOrder};
 use crate::obs;
 use crate::preflight::QuarantineGate;
-use crate::report::{BugReport, Violation};
-use crate::stats::{DeductionStats, DepKind};
-use crate::trace::{OpKind, Trace};
+use crate::report::BugReport;
+use crate::stats::DeductionStats;
+use crate::store::{SpillTier, StoreError};
+use crate::trace::Trace;
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Verifier configuration.
@@ -197,10 +197,24 @@ impl Coverage {
             && self.indeterminate_txns.is_empty()
     }
 
-    fn push_note(&mut self, note: String) {
+    pub(crate) fn push_note(&mut self, note: String) {
         if self.notes.len() < MAX_COVERAGE_NOTES {
             self.notes.push(note);
         }
+    }
+
+    /// Adds `client` to the evicted set with a note saying `why`: what it
+    /// sent from there on is a hole in the verdict, and its in-flight
+    /// transaction, if any, will surface as indeterminate. `false` if it
+    /// was there already.
+    pub(crate) fn evict(&mut self, client: ClientId, why: &str) -> bool {
+        let new = !self.evicted_clients.contains(&client);
+        if new {
+            self.evicted_clients.push(client);
+            self.evicted_clients.sort_unstable();
+            self.push_note(format!("evicted: {client} {why}"));
+        }
+        new
     }
 }
 
@@ -247,7 +261,7 @@ pub struct VerifyOutcome {
     /// Observability snapshot, present only when [`crate::obs`]
     /// recording was enabled for the run. Never feeds back into a
     /// verdict: with recording off this is `None` and the rest of the
-    /// outcome is byte-identical (`tests/obs_equivalence.rs`).
+    /// outcome is byte-identical (the `obs` row of `tests/equivalence.rs`).
     pub obs: Option<crate::obs::ObsSnapshot>,
     /// The first unrecoverable spill-store failure, if one occurred.
     /// When set, the run stopped admitting traces at the fault and the
@@ -268,80 +282,28 @@ impl VerifyOutcome {
     }
 }
 
-/// A deferred consistent-read check (due once the stream passes
-/// `snapshot.hi`).
+/// The mechanism-mirrored verifier: the four checks (`MechanismCore`)
+/// under the one resource policy that governs them.
 ///
-/// The tie-break after `due` is the check's *birth position* in the
-/// stream — (trace sequence, element index) — so equal-`due` checks run in
-/// the order they were deferred.
-#[derive(Debug)]
-struct PendingRead {
-    due: Timestamp,
-    born_seq: u64,
-    born_elem: u64,
-    reader: TxnId,
-    key: Key,
-    observed: Value,
-    snapshot: Interval,
-    read_op: Interval,
-}
-
-impl PendingRead {
-    fn key(&self) -> (Timestamp, u64, u64) {
-        (self.due, self.born_seq, self.born_elem)
-    }
-}
-impl PartialEq for PendingRead {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for PendingRead {}
-impl PartialOrd for PendingRead {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingRead {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// One step `Verifier::link_version_adjacency` planned while it had the
-/// version store borrowed: a dependency to count and, unless unresolved,
-/// to add.
-#[derive(Debug)]
-struct Planned {
-    from: TxnId,
-    to: TxnId,
-    kind: DepKind,
-    bucket: u8, // 0 certain, 1 deduced, 2 uncertain (no edge)
-}
-
-/// The mechanism-mirrored verifier.
+/// Everything about budgets, the spill tier, quarantine and the store
+/// fault is decided here and nowhere else. [`Verifier::process`] is a
+/// prologue (refuse after a store fault; make resident every version chain
+/// the trace will touch; quarantine), the core's `apply`, and an epilogue
+/// (GC cadence, then rungs 1 and 1.5 of the overload ladder —
+/// `Verifier::relieve` — and the high-water mark). The online chain
+/// takes rungs 2 and 3 from what `relieve` returns.
 #[derive(Debug)]
 pub struct Verifier {
-    cfg: VerifierConfig,
-    txns: TxnTable,
-    versions: VersionStore,
-    locks: LockTable,
-    graph: DepGraph,
-    report: BugReport,
-    stats: DeductionStats,
-    pending_reads: BinaryHeap<Reverse<PendingRead>>,
-    stream_pos: Timestamp,
-    counters: VerifyCounters,
+    core: MechanismCore,
+    /// What the ladder had to do, and the memory high-water marks.
+    budget: BudgetCounters,
     coverage: Coverage,
     quarantine: QuarantineGate,
-    // Scratch buffers reused across traces to avoid per-trace allocation.
-    scratch_lock_checks: Vec<(Key, LockCheck)>,
-    scratch_planned: Vec<Planned>,
     /// First unrecoverable spill-store failure. Once latched the
     /// verifier refuses further work: a spilled chain that cannot be
     /// faulted back in makes any verdict unreliable, and a typed error
     /// beats a silent wrong one.
-    store_fault: Option<crate::store::StoreError>,
+    store_fault: Option<StoreError>,
     /// Cleared after a spill-write failure: the tier stays attached for
     /// reads (already-spilled records must remain reachable) but no
     /// further spill passes run — the counted in-memory fallback.
@@ -355,38 +317,36 @@ pub struct Verifier {
     armed: MemBudget,
     /// The floor-above-budget warning went to stderr already.
     floor_warned: bool,
+    /// Scratch: the keys being made resident.
+    keys: Vec<Key>,
 }
 
 impl Verifier {
     /// Creates a verifier.
     #[must_use]
     pub fn new(cfg: VerifierConfig) -> Verifier {
+        Verifier::around(MechanismCore::new(cfg))
+    }
+
+    /// A governor with nothing on its books yet, around `core`.
+    fn around(core: MechanismCore) -> Verifier {
         Verifier {
-            txns: TxnTable::default(),
-            versions: VersionStore::default(),
-            locks: LockTable::default(),
-            graph: DepGraph::default(),
-            report: BugReport::default(),
-            stats: DeductionStats::default(),
-            pending_reads: BinaryHeap::new(),
-            stream_pos: Timestamp::ZERO,
-            counters: VerifyCounters::default(),
+            budget: BudgetCounters::default(),
             coverage: Coverage::default(),
             quarantine: QuarantineGate::default(),
-            scratch_lock_checks: Vec::new(),
-            scratch_planned: Vec::new(),
             store_fault: None,
             spill_writes_enabled: true,
-            armed: cfg.mem_budget,
+            armed: core.cfg.mem_budget,
             floor_warned: false,
-            cfg,
+            keys: Vec::new(),
+            core,
         }
     }
 
     /// Installs the initial database state: reads may observe these values
     /// before the first traced write commits.
     pub fn preload(&mut self, key: Key, value: Value) {
-        self.versions.preload(key, value);
+        self.core.preload(key, value);
     }
 
     /// Processes one dispatched trace. Traces must arrive in
@@ -395,24 +355,14 @@ impl Verifier {
         // A latched store fault means some spilled state is unreachable:
         // every verdict from here on would be built on a partial store.
         // Refuse the work; the caller surfaces the typed error.
-        if self.store_fault.is_some() {
+        if self.store_fault.is_some() || !self.make_resident(Some(trace)) {
             return;
-        }
-        // Residency pre-fault: every record this trace (or the terminal
-        // it triggers) will touch must be in memory before dispatch, so
-        // the mechanism code below never observes a spilled chain as
-        // "no record".
-        if self.versions.spill_attached() {
-            self.fault_in_for(trace);
-            if self.store_fault.is_some() {
-                return;
-            }
         }
         // Degraded mode: route ill-formed traces (inverted interval,
         // per-client clock regression, post-terminal operation, duplicate
         // mismatched terminal) to quarantine instead of corrupting the
         // mirrored state; verification continues on the rest.
-        if self.cfg.degraded {
+        if self.core.cfg.degraded {
             if let Some(diag) = self.quarantine.admit(trace) {
                 self.coverage.quarantined_traces += 1;
                 self.coverage.push_note(format!("quarantined: {diag}"));
@@ -420,127 +370,96 @@ impl Verifier {
                 return;
             }
         }
-        // Clock-skew tolerance: widen the interval so bounded
-        // synchronisation error cannot fabricate a "certain" order. Only
-        // the interval is adjusted; the operation payload is borrowed.
-        let interval = if self.cfg.clock_skew_bound > 0 {
-            let eps = self.cfg.clock_skew_bound;
-            Interval::new(
-                Timestamp(trace.interval.lo.0.saturating_sub(eps)),
-                trace.interval.hi.saturating_add(eps),
-            )
-        } else {
-            trace.interval
-        };
-        self.stream_pos = self.stream_pos.max(interval.lo);
-        self.flush_pending_reads(self.stream_pos);
-        let me = self.cfg.mechanisms.mutual_exclusion;
-        let cr = self.cfg.mechanisms.consistent_read;
+        self.core.apply(trace);
+        self.take_demotions();
 
-        match &trace.op {
-            OpKind::Read(set) => {
-                self.txns.observe(trace.txn, trace.client, interval);
-                for (ei, &(key, value)) in set.iter().enumerate() {
-                    self.handle_read_element(trace.txn, interval, key, value, cr, false, ei as u64);
-                }
-            }
-            OpKind::LockedRead(set) => {
-                self.txns.observe(trace.txn, trace.client, interval);
-                for (ei, &(key, value)) in set.iter().enumerate() {
-                    if me {
-                        self.locks.acquire(key, trace.txn, interval);
-                        let info = self.txns.observe(trace.txn, trace.client, interval);
-                        if !info.locked_read_keys.contains(&key) {
-                            info.locked_read_keys.push(key);
-                        }
-                    }
-                    // A locking read always observes the latest committed
-                    // state: statement-level snapshot semantics.
-                    self.handle_read_element(trace.txn, interval, key, value, cr, true, ei as u64);
-                }
-            }
-            OpKind::Write(set) => {
-                let snapshot = self
-                    .txns
-                    .observe(trace.txn, trace.client, interval)
-                    .first_op;
-                for &(key, value) in set {
-                    self.versions
-                        .install(key, value, trace.txn, interval, snapshot);
-                    if me {
-                        self.locks.acquire(key, trace.txn, interval);
-                    }
-                    let info = self.txns.observe(trace.txn, trace.client, interval);
-                    if info.own_writes.insert(key, value).is_none() {
-                        info.write_keys.push(key);
-                    }
-                }
-            }
-            OpKind::Commit => {
-                self.txns.observe(trace.txn, trace.client, interval);
-                self.handle_commit(trace.txn, interval);
-            }
-            OpKind::Abort => {
-                self.txns.observe(trace.txn, trace.client, interval);
-                self.handle_abort(trace.txn, interval);
-            }
-        }
-
-        self.counters.traces += 1;
-        obs::ctr(obs::Counter::OpsIngested, 1);
-        if self.cfg.gc && self.counters.traces.is_multiple_of(self.cfg.gc_every) {
-            self.collect_garbage();
-            if !self.cfg.mem_budget.exceeded_by(self.mem_usage()) {
+        let cfg = self.core.cfg;
+        if cfg.gc && self.core.traces.is_multiple_of(cfg.gc_every) {
+            self.core.collect_garbage();
+            if !cfg.mem_budget.exceeded_by(self.core.mem_usage()) {
                 // Back under the budget: whatever floor the last relief
                 // ran into is gone, and the next one is due at the budget.
-                self.armed = self.cfg.mem_budget;
+                self.armed = cfg.mem_budget;
             }
         }
-        // Budget governance: all the count accessors behind `mem_usage`
-        // are O(1), so re-checking after every trace is cheap. The
-        // high-water mark is observed *after* enforcement: it measures
-        // the governed steady-state footprint, not the transient spike a
-        // forced GC exists to remove.
-        let mut usage = self.mem_usage();
-        if self.armed.exceeded_by(usage) {
-            usage = self.relieve();
+        // All the count accessors behind `mem_usage` are O(1), so checking
+        // after every trace is cheap. The high-water mark is observed
+        // *after* enforcement: it measures the governed steady-state
+        // footprint, not the transient spike a forced GC exists to remove.
+        let usage = self.relieve(MemUsage::default());
+        self.budget.observe(usage);
+    }
+
+    /// Residency: faults in every version chain the core will look up —
+    /// for `trace` ([`MechanismCore::touched_keys`]), or with `None` for
+    /// every deferred check, which is what finishing runs — so that the
+    /// mechanism code never observes a spilled chain as "no record".
+    /// `false` when a chain could not be read back: the fault is latched.
+    fn make_resident(&mut self, trace: Option<&Trace>) -> bool {
+        if !self.core.versions.spill_attached() {
+            return true;
         }
-        self.counters.budget.observe(usage);
+        let mut keys = std::mem::take(&mut self.keys);
+        match trace {
+            Some(trace) => self.core.touched_keys(trace, &mut keys),
+            None => keys.extend(self.core.pending_keys(Timestamp::MAX)),
+        }
+        let resident = keys.drain(..).all(|key| self.fault_in(key));
+        self.keys = keys;
+        resident
     }
 
-    /// [`Verifier::relieve_beside`] for a verifier that is the whole
-    /// footprint.
-    fn relieve(&mut self) -> MemUsage {
-        self.relieve_beside(MemUsage::default())
-    }
-
-    /// The online chain's entry to the one relief: `beside` is what the
-    /// chain holds outside the verifier (the tracer's buffers) and counts
-    /// against the same budget. Gated by `armed` like the per-trace
-    /// check, so a floor above the budget is not fought on every poll.
-    /// Returns the chain's usage afterwards.
-    pub(crate) fn relieve_if_armed(&mut self, beside: MemUsage) -> MemUsage {
-        let usage = self.mem_usage() + beside;
-        if self.armed.exceeded_by(usage) {
-            self.relieve_beside(beside)
-        } else {
-            usage
+    /// Faults one record back in, latching the store fault on an
+    /// unrecoverable error. Returns `false` when latched.
+    fn fault_in(&mut self, key: Key) -> bool {
+        match self.core.versions.ensure_resident(key) {
+            Ok(faulted) => {
+                self.budget.spill_faults += u64::from(faulted);
+                true
+            }
+            Err(e) => {
+                self.coverage
+                    .push_note(format!("spill store fault on {key:?}: {e}"));
+                self.store_fault = Some(e);
+                false
+            }
         }
     }
 
-    /// Rungs 1 and 1.5 of the overload ladder: a forced GC and, if the
-    /// budget is still exceeded and a tier takes writes, a spill pass —
-    /// cold chains go to disk before any rung that costs coverage gets a
-    /// chance to run. Re-arms an eighth of the budget above where it
-    /// ends, or at the budget if that is higher. Returns the usage left,
-    /// `beside` included.
-    fn relieve_beside(&mut self, beside: MemUsage) -> MemUsage {
+    /// Moves the consistent-read mismatches the core demoted (degraded
+    /// mode only) into coverage.
+    fn take_demotions(&mut self) {
+        for note in self.core.demoted.drain(..) {
+            self.coverage.demoted_reads += 1;
+            self.coverage.push_note(note);
+            obs::ctr(obs::Counter::DemotedReads, 1);
+        }
+    }
+
+    /// Rungs 1 and 1.5 of the overload ladder, run when the usage — the
+    /// verifier's plus `beside`, what the caller holds outside it against
+    /// the same budget (the online chain's tracer buffers) — is above the
+    /// armed level: a forced GC and, if the budget is still exceeded and a
+    /// tier takes writes, a spill pass — cold chains go to disk before any
+    /// rung that costs coverage gets a chance to run. Re-arms an eighth of
+    /// the budget above where it ends, or at the budget if that is higher,
+    /// so a floor above the budget is not fought on every trace. Returns
+    /// the usage left, `beside` included: still over the budget means
+    /// rungs 2 and 3 are the caller's to take.
+    pub(crate) fn relieve(&mut self, beside: MemUsage) -> MemUsage {
+        let mut usage = self.core.mem_usage() + beside;
+        if !self.armed.exceeded_by(usage) {
+            return usage;
+        }
         self.force_gc();
-        let mut usage = self.mem_usage() + beside;
-        let cap = self.cfg.mem_budget;
-        if cap.exceeded_by(usage) && self.can_spill() {
+        usage = self.core.mem_usage() + beside;
+        let cap = self.core.cfg.mem_budget;
+        let can_spill = self.spill_writes_enabled
+            && self.store_fault.is_none()
+            && self.core.versions.spill_attached();
+        if cap.exceeded_by(usage) && can_spill {
             self.spill_pass(beside.bytes);
-            usage = self.mem_usage() + beside;
+            usage = self.core.mem_usage() + beside;
         }
         if cap.exceeded_by(usage) {
             // What is left cannot be collected or spilled. Not a coverage
@@ -567,14 +486,9 @@ impl Verifier {
     /// Forces a garbage-collection pass immediately, off the periodic
     /// `gc_every` cadence — rung 1 of the overload ladder.
     pub(crate) fn force_gc(&mut self) {
-        self.counters.budget.forced_gcs += 1;
+        self.budget.forced_gcs += 1;
         obs::ctr(obs::Counter::ForcedGcs, 1);
-        self.collect_garbage();
-    }
-
-    /// `true` when a spill tier is attached and still accepting writes.
-    fn can_spill(&self) -> bool {
-        self.spill_writes_enabled && self.versions.spill_attached() && self.store_fault.is_none()
+        self.core.collect_garbage();
     }
 
     /// Runs one spill pass — rung 1.5 of the overload ladder, between
@@ -590,31 +504,28 @@ impl Verifier {
     fn spill_pass(&mut self, beside_bytes: u64) {
         let t0 = obs::span_start();
         // A record an open transaction wrote or matched a read against,
-        // or a deferred check names, is faulted back in when that
+        // or a deferred check names, is looked up again when that
         // transaction ends or the check comes due: spilling it buys
         // nothing.
-        let pinned: FxHashSet<Key> = self
-            .txns
-            .open_keys()
-            .chain(self.pending_reads.iter().map(|Reverse(p)| p.key))
-            .collect();
+        let pending = self.core.pending_keys(Timestamp::MAX);
+        let pinned: FxHashSet<Key> = self.core.txns.open_keys().chain(pending).collect();
         // With no byte cap configured the pass is a no-op (entry caps
         // alone cannot be relieved by spilling, and the ladder's other
         // rungs handle them as before).
-        let target = match self.cfg.mem_budget.max_bytes {
+        let target = match self.core.cfg.mem_budget.max_bytes {
             0 => u64::MAX,
             cap => {
-                let elsewhere =
-                    self.mem_usage().bytes - self.versions.mem_usage().bytes + beside_bytes;
+                let elsewhere = self.core.mem_usage().bytes - self.core.versions.mem_usage().bytes
+                    + beside_bytes;
                 (cap / 2).saturating_sub(elsewhere)
             }
         };
-        let (spilled, wrote) = self.versions.spill_cold(target, &pinned);
-        self.counters.budget.spilled_records += spilled as u64;
+        let (spilled, wrote) = self.core.versions.spill_cold(target, &pinned);
+        self.budget.spilled_records += spilled as u64;
         match wrote {
-            Ok(()) => self.counters.budget.spill_passes += 1,
+            Ok(()) => self.budget.spill_passes += 1,
             Err(e) => {
-                self.counters.budget.spill_fallbacks += 1;
+                self.budget.spill_fallbacks += 1;
                 self.spill_writes_enabled = false;
                 self.coverage.push_note(format!(
                     "spill disabled after write failure (records stay in memory): {e}"
@@ -625,63 +536,11 @@ impl Verifier {
             let dur = obs::span_end(obs::Stage::Spill, obs::LANE_DRIVER, t0);
             obs::hist(obs::HistId::SpillPassUs, dur);
         }
-        if let Some(tier) = self.versions.spill_tier() {
+        if let Some(tier) = self.core.versions.spill_tier() {
             let stats = tier.stats();
             obs::gauge_set(obs::Gauge::SpillBytes, stats.bytes_on_disk);
             obs::gauge_set(obs::Gauge::SpillWriteAmp, stats.write_amp_milli());
             obs::gauge_set(obs::Gauge::SpillLiveRatio, stats.live_ratio_milli());
-        }
-    }
-
-    /// Faults in every record `trace` will touch. Read/write sets name
-    /// their keys directly; terminals touch the transaction's write keys
-    /// and the keys of its matched reads (replayed at commit).
-    fn fault_in_for(&mut self, trace: &Trace) {
-        match &trace.op {
-            OpKind::Read(set) | OpKind::LockedRead(set) | OpKind::Write(set) => {
-                for &(key, _) in set {
-                    if !self.fault_in(key) {
-                        return;
-                    }
-                }
-            }
-            OpKind::Commit | OpKind::Abort => {
-                let Some(info) = self.txns.get(trace.txn) else {
-                    return;
-                };
-                let mut keys: Vec<Key> = info
-                    .write_keys
-                    .iter()
-                    .chain(info.matched_reads.iter().map(|m| &m.key))
-                    .copied()
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                for key in keys {
-                    if !self.fault_in(key) {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Faults one record back in, latching the store fault on an
-    /// unrecoverable error. Returns `false` when latched.
-    fn fault_in(&mut self, key: Key) -> bool {
-        match self.versions.ensure_resident(key) {
-            Ok(faulted) => {
-                if faulted {
-                    self.counters.budget.spill_faults += 1;
-                }
-                true
-            }
-            Err(e) => {
-                self.coverage
-                    .push_note(format!("spill store fault on {key:?}: {e}"));
-                self.store_fault = Some(e);
-                false
-            }
         }
     }
 
@@ -690,8 +549,8 @@ impl Verifier {
     /// note, never a silent change of verdict. Rung 1.5 stays disarmed;
     /// the ladder's other rungs govern exactly as before. Returns the
     /// warning for an operator.
-    fn note_spill_unavailable(&mut self, why: &crate::store::StoreError) -> String {
-        self.counters.budget.spill_fallbacks += 1;
+    fn note_spill_unavailable(&mut self, why: &StoreError) -> String {
+        self.budget.spill_fallbacks += 1;
         obs::ctr(obs::Counter::SpillFallbacks, 1);
         self.coverage
             .push_note(format!("spill unavailable (records stay in memory): {why}"));
@@ -700,133 +559,64 @@ impl Verifier {
 
     /// Attaches a spill tier (rung 1.5 of the overload ladder) to the
     /// version store. Call before feeding traces.
-    pub fn attach_spill(&mut self, tier: crate::store::SpillTier) {
-        self.versions.attach_spill(tier);
-    }
-
-    /// Resume path: re-attaches the spill tier and adopts the
-    /// checkpoint's spill index, clearing the spilled-state-unavailable
-    /// latch set by [`Verifier::from_checkpoint`].
-    fn resume_spill(&mut self, tier: crate::store::SpillTier, index: &[SpillIndexEntry]) {
-        self.versions.adopt_spill(tier, index);
-        if matches!(
-            self.store_fault,
-            Some(crate::store::StoreError::Unavailable(_))
-        ) {
-            self.store_fault = None;
-        }
-    }
-
-    /// Durably syncs the spill tier (no-op without one). Called before a
-    /// checkpoint is written so the image never references unsynced
-    /// pages.
-    fn sync_spill(&self) -> crate::store::StoreResult<()> {
-        match self.versions.spill_tier() {
-            Some(tier) => tier.sync(),
-            None => Ok(()),
-        }
+    pub fn attach_spill(&mut self, tier: SpillTier) {
+        self.core.versions.attach_spill(tier);
     }
 
     /// Spill-tier activity counters (zeroes without a tier).
     #[must_use]
     pub fn spill_stats(&self) -> crate::store::SpillStats {
-        self.versions
+        self.core
+            .versions
             .spill_tier()
-            .map(crate::store::SpillTier::stats)
+            .map(SpillTier::stats)
             .unwrap_or_default()
-    }
-
-    /// Folds an externally measured usage sample (e.g. verifier plus
-    /// pipeline, from the online governor) into the budget high-water
-    /// marks carried by the checkpointable counters.
-    pub fn observe_usage(&mut self, usage: MemUsage) {
-        self.counters.budget.observe(usage);
     }
 
     /// Cheap estimate of the verifier's live memory across the four
     /// mirrored mechanism structures and the deferred read checks.
     #[must_use]
     pub fn mem_usage(&self) -> MemUsage {
-        self.versions.mem_usage()
-            + self.locks.mem_usage()
-            + self.graph.mem_usage()
-            + self.txns.mem_usage()
-            + MemUsage::per_entry(self.pending_reads.len(), 96)
+        self.core.mem_usage()
     }
 
     /// Flushes every remaining deferred check and returns the outcome.
     #[must_use]
     pub fn finish(mut self) -> VerifyOutcome {
-        self.flush_pending_reads(Timestamp::MAX);
-        self.counters.peak_footprint = self.counters.peak_footprint.max(self.footprint().total());
+        // After a store fault, latched earlier or met here, the deferred
+        // checks stay unrun: the outcome is not a verdict either way.
+        let indeterminate = if self.store_fault.is_none() && self.make_resident(None) {
+            self.core.finish()
+        } else {
+            self.core.txns.active_txns()
+        };
+        self.take_demotions();
+        let counters = self.counters();
         let mut coverage = self.coverage;
-        let indeterminate = self.txns.active_txns();
         for &txn in &indeterminate {
             coverage.push_note(format!("indeterminate: {txn} has no terminal trace"));
         }
         coverage.indeterminate_txns = indeterminate;
         VerifyOutcome {
-            report: self.report,
-            stats: self.stats,
-            counters: self.counters,
+            report: self.core.report,
+            stats: self.core.stats,
+            counters,
             coverage,
             obs: obs::snapshot_if_enabled(),
             store_fault: self.store_fault,
         }
     }
 
-    /// Records that `client` was force-evicted by the pipeline (its
-    /// in-flight transaction, if any, will surface as indeterminate).
-    pub fn note_evicted_client(&mut self, client: ClientId) {
-        if self.evict_from_coverage(client, "force-closed by stall timeout") {
-            obs::ctr(obs::Counter::StallEvictions, 1);
-        }
+    /// The ladder's books, for the rungs and evictions a driver takes
+    /// outside the verifier: the holes in coverage and the budget counters
+    /// (both part of the image).
+    pub(crate) fn ledger(&mut self) -> (&mut Coverage, &mut BudgetCounters) {
+        (&mut self.coverage, &mut self.budget)
     }
 
-    /// Records that the tracer closed `client`'s stream at `error` (its
-    /// clock stepped backwards): what the client sent from there on is a
-    /// hole in the verdict, exactly as if it had been evicted.
-    pub fn note_stream_error(&mut self, client: ClientId, error: &dyn fmt::Display) {
-        self.evict_from_coverage(client, &format!("stream closed: {error}"));
-    }
-
-    /// Adds `client` to the evicted set with a note saying `why`; `false`
-    /// if it was there already.
-    fn evict_from_coverage(&mut self, client: ClientId, why: &str) -> bool {
-        let new = !self.coverage.evicted_clients.contains(&client);
-        if new {
-            self.coverage.evicted_clients.push(client);
-            self.coverage.evicted_clients.sort_unstable();
-            self.coverage.push_note(format!("evicted: {client} {why}"));
-        }
-        new
-    }
-
-    /// Records that `client` was evicted by rung 3 of the overload
-    /// ladder: the memory budget was still exceeded after forced GC and
-    /// forced dispatch, so the laggiest client was sacrificed. The hole
-    /// is counted separately from stall-timeout evictions.
-    pub fn note_budget_eviction(&mut self, client: ClientId) {
-        self.counters.budget.budget_evictions += 1;
-        obs::ctr(obs::Counter::BudgetEvictions, 1);
-        self.evict_from_coverage(client, "force-closed under memory pressure");
-    }
-
-    /// Folds `n` newly shed traces (lossy backpressure, records into a
-    /// closed stream, what an evicted buffer held, forced-dispatch
-    /// stragglers) into the budget counters so they survive
-    /// checkpoint/resume.
-    pub fn note_shed_traces(&mut self, n: u64) {
-        if n > 0 {
-            self.counters.budget.shed_traces += n;
-            self.coverage
-                .push_note(format!("shed: {n} traces dropped under backpressure"));
-        }
-    }
-
-    /// Counts a pipeline force-dispatch (rung 2) in the budget counters.
-    pub fn note_forced_dispatch(&mut self) {
-        self.counters.budget.forced_dispatches += 1;
+    /// The latched store fault, if any: see [`engine::feed`].
+    pub(crate) fn store_fault(&self) -> Option<&StoreError> {
+        self.store_fault.as_ref()
     }
 
     /// The coverage accumulated so far (finalised, with indeterminate
@@ -842,41 +632,27 @@ impl Verifier {
     /// identical checkpoints (all maps are flattened in sorted order).
     #[must_use]
     pub fn checkpoint(&self) -> Checkpoint {
-        let mut pending: Vec<PendingReadSnap> = self
-            .pending_reads
-            .iter()
-            .map(|Reverse(p)| PendingReadSnap {
-                due: p.due,
-                born_seq: p.born_seq,
-                born_elem: p.born_elem,
-                reader: p.reader,
-                key: p.key,
-                observed: p.observed,
-                snapshot: p.snapshot,
-                read_op: p.read_op,
-            })
-            .collect();
-        pending.sort_unstable_by_key(|p| (p.due, p.born_seq, p.born_elem));
+        let core = &self.core;
         let (quarantine_seq, quarantine_clients, quarantine_terminals) = self.quarantine.snapshot();
         Checkpoint {
             version: CHECKPOINT_VERSION,
-            config: self.cfg,
-            stream_pos: self.stream_pos,
-            next_uid: self.versions.next_uid(),
-            traces_ingested: self.counters.traces,
-            txns: self.txns.snapshot(),
-            versions: self.versions.snapshot(),
-            locks: self.locks.snapshot(),
-            graph: self.graph.snapshot(),
-            pending_reads: pending,
+            config: core.cfg,
+            stream_pos: core.stream_pos,
+            next_uid: core.versions.next_uid(),
+            traces_ingested: core.traces,
+            txns: core.txns.snapshot(),
+            versions: core.versions.snapshot(),
+            locks: core.locks.snapshot(),
+            graph: core.graph.snapshot(),
+            pending_reads: core.pending_snapshot(),
             quarantine_seq,
             quarantine_clients,
             quarantine_terminals,
-            counters: self.counters,
-            stats: self.stats,
-            report: self.report.clone(),
+            counters: self.counters(),
+            stats: core.stats,
+            report: core.report.clone(),
             coverage: self.coverage.clone(),
-            spill: self.versions.spill_index(),
+            spill: core.versions.spill_index(),
             armed: self.armed,
         }
     }
@@ -885,713 +661,97 @@ impl Verifier {
     /// initial state: the preloaded versions are part of the image. Feed
     /// the capture's traces starting at index
     /// [`Checkpoint::traces_ingested`] and the run continues to the same
-    /// verdict as an uninterrupted one.
+    /// verdict as an uninterrupted one. An image that names spilled
+    /// records is refused: resume it through [`engine::open`] with its
+    /// spill directory.
     pub fn from_checkpoint(ckpt: &Checkpoint) -> Result<Verifier, CheckpointError> {
+        Verifier::resume(ckpt, None)
+    }
+
+    /// [`Verifier::from_checkpoint`], re-attaching `tier` as the one the
+    /// image's spill index points into.
+    fn resume(ckpt: &Checkpoint, tier: Option<SpillTier>) -> Result<Verifier, CheckpointError> {
         if ckpt.version != CHECKPOINT_VERSION {
             return Err(CheckpointError::Version {
                 found: ckpt.version,
                 expected: CHECKPOINT_VERSION,
             });
         }
-        let mut pending_reads = BinaryHeap::with_capacity(ckpt.pending_reads.len());
-        for p in &ckpt.pending_reads {
-            pending_reads.push(Reverse(PendingRead {
-                due: p.due,
-                born_seq: p.born_seq,
-                born_elem: p.born_elem,
-                reader: p.reader,
-                key: p.key,
-                observed: p.observed,
-                snapshot: p.snapshot,
-                read_op: p.read_op,
-            }));
+        let mut core = MechanismCore::restore(ckpt);
+        match tier {
+            Some(tier) => core.versions.adopt_spill(tier, &ckpt.spill),
+            None if ckpt.spill.is_empty() => {}
+            None => {
+                return Err(CheckpointError::SpillUnavailable(format!(
+                    "checkpoint references {} spilled record(s) but no spill directory is \
+                     configured",
+                    ckpt.spill.len()
+                )))
+            }
         }
         Ok(Verifier {
-            cfg: ckpt.config,
-            txns: TxnTable::restore(&ckpt.txns),
-            versions: VersionStore::restore(&ckpt.versions, ckpt.next_uid),
-            locks: LockTable::restore(&ckpt.locks),
-            graph: DepGraph::restore(&ckpt.graph),
-            report: ckpt.report.clone(),
-            stats: ckpt.stats,
-            pending_reads,
-            stream_pos: ckpt.stream_pos,
-            counters: ckpt.counters,
+            budget: ckpt.counters.budget,
             coverage: ckpt.coverage.clone(),
             quarantine: QuarantineGate::restore(
                 ckpt.quarantine_seq,
                 &ckpt.quarantine_clients,
                 &ckpt.quarantine_terminals,
             ),
-            scratch_lock_checks: Vec::new(),
-            scratch_planned: Vec::new(),
-            // A checkpoint referencing spilled records cannot verify
-            // without its spill directory: latch the typed error now;
-            // `resume_spill` clears it.
-            store_fault: (!ckpt.spill.is_empty()).then(|| {
-                crate::store::StoreError::Unavailable(format!(
-                    "checkpoint references {} spilled records; resume it through \
-                     engine::open with its spill directory",
-                    ckpt.spill.len()
-                ))
-            }),
-            spill_writes_enabled: true,
             armed: ckpt.armed,
-            floor_warned: false,
+            ..Verifier::around(core)
         })
     }
 
     /// The violations found so far.
     #[must_use]
     pub fn report(&self) -> &BugReport {
-        &self.report
+        &self.core.report
     }
 
     /// Dependency-deduction statistics so far.
     #[must_use]
     pub fn stats(&self) -> &DeductionStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Current memory footprint of the mirrored structures.
     #[must_use]
     pub fn footprint(&self) -> Footprint {
-        Footprint {
-            versions: self.versions.version_count(),
-            locks: self.locks.lock_count(),
-            graph_nodes: self.graph.node_count(),
-            graph_edges: self.graph.edge_count(),
-            txns: self.txns.len(),
-            pending_checks: self.pending_reads.len(),
-        }
+        self.core.footprint()
     }
 
     /// Run counters so far.
     #[must_use]
     pub fn counters(&self) -> VerifyCounters {
-        self.counters
+        VerifyCounters {
+            traces: self.core.traces,
+            committed: self.core.committed,
+            aborted: self.core.aborted,
+            peak_footprint: self.core.peak_footprint,
+            budget: self.budget,
+        }
     }
 
     /// Read access to the mirrored dependency graph (tests, baselines).
     #[must_use]
     pub fn graph(&self) -> &DepGraph {
-        &self.graph
+        &self.core.graph
     }
 
     /// Read access to the mirrored version store (tests, diagnostics).
     #[must_use]
     pub fn versions(&self) -> &VersionStore {
-        &self.versions
-    }
-
-    // ----- consistent read ------------------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn handle_read_element(
-        &mut self,
-        txn: TxnId,
-        op_interval: Interval,
-        key: Key,
-        observed: Value,
-        cr: Option<SnapshotLevel>,
-        force_statement: bool,
-        elem: u64,
-    ) {
-        let Some(level) = cr else { return };
-        let Some(info) = self.txns.get(txn) else {
-            return;
-        };
-
-        // Case 1 (§V-A): the operation sees changes made by earlier
-        // operations within the same transaction.
-        if let Some(&own) = info.own_writes.get(&key) {
-            if own != observed {
-                if self.cfg.degraded {
-                    // A dropped write delivery of the same transaction can
-                    // make the last *observed* own-write stale: demote.
-                    self.demote_read(format!(
-                        "demoted: {txn} read {observed} of {key} over own write {own} \
-                         (possible missing write delivery)"
-                    ));
-                } else {
-                    self.report.violations.push(Violation::ConsistentRead {
-                        reader: txn,
-                        key,
-                        observed,
-                        snapshot: op_interval,
-                        candidates: vec![own],
-                    });
-                }
-            }
-            return;
-        }
-
-        let snapshot = match (level, force_statement) {
-            (SnapshotLevel::Transaction, false) => info.first_op,
-            _ => op_interval,
-        };
-        // Defer until the stream position passes the snapshot's after
-        // timestamp: beyond that point every commit that could possibly
-        // overlap the snapshot interval has been dispatched.
-        let check = PendingRead {
-            due: snapshot.hi,
-            born_seq: self.counters.traces,
-            born_elem: elem,
-            reader: txn,
-            key,
-            observed,
-            snapshot,
-            read_op: op_interval,
-        };
-        if check.due <= self.stream_pos {
-            self.run_read_check(&check);
-        } else {
-            self.pending_reads.push(Reverse(check));
-        }
-    }
-
-    /// Counts and notes a consistent-read mismatch demoted to coverage
-    /// (degraded mode only).
-    fn demote_read(&mut self, note: String) {
-        self.coverage.demoted_reads += 1;
-        self.coverage.push_note(note);
-        obs::ctr(obs::Counter::DemotedReads, 1);
-    }
-
-    fn flush_pending_reads(&mut self, up_to: Timestamp) {
-        while self
-            .pending_reads
-            .peek()
-            .is_some_and(|Reverse(front)| front.due <= up_to)
-        {
-            if let Some(Reverse(check)) = self.pending_reads.pop() {
-                // The record may have been spilled since the check was
-                // deferred; fault it in, and on a latched store fault put
-                // the check back (the typed error supersedes any verdict,
-                // but state must stay consistent for diagnostics).
-                if self.versions.spill_attached() && !self.fault_in(check.key) {
-                    self.pending_reads.push(Reverse(check));
-                    return;
-                }
-                self.run_read_check(&check);
-            }
-        }
-    }
-
-    fn run_read_check(&mut self, check: &PendingRead) {
-        match self.versions.check_read(
-            check.key,
-            check.observed,
-            &check.snapshot,
-            self.cfg.minimal_candidate_set,
-        ) {
-            ReadMatch::OwnWrite => {}
-            ReadMatch::Unique {
-                writer,
-                uid,
-                interval_certain,
-            } => {
-                if interval_certain {
-                    self.stats.wr.certain += 1;
-                } else {
-                    self.stats.wr.deduced += 1;
-                }
-                if let Some(info) = self.txns.get_mut(check.reader) {
-                    let matched = MatchedRead {
-                        key: check.key,
-                        uid,
-                        writer,
-                        read_op: check.read_op,
-                        interval_certain,
-                    };
-                    match info.outcome {
-                        // Reader still running: buffer until its commit.
-                        None => info.matched_reads.push(matched),
-                        // Commit already processed (possible only with
-                        // degenerate zero-width intervals): emit directly.
-                        Some(TxnOutcome::Committed(_)) => {
-                            self.emit_matched_read(check.reader, &matched)
-                        }
-                        Some(TxnOutcome::Aborted(_)) => {}
-                    }
-                }
-            }
-            ReadMatch::Ambiguous { .. } => {
-                self.stats.wr.uncertain += 1;
-            }
-            ReadMatch::Violation { candidates } => {
-                // Degraded mode: every unmatched read is demoted to a
-                // coverage note. This is deliberate and total — with the
-                // stream known to be incomplete, *no* consistent-read
-                // mismatch is trustworthy evidence of a DBMS bug:
-                //
-                // * observed value absent from the version store → its
-                //   write delivery may simply have been dropped (a
-                //   fabricated value is indistinguishable from a dropped
-                //   write);
-                // * observed value present but pending → the writer's
-                //   commit delivery may have been dropped;
-                // * observed value committed but outside the candidate
-                //   window → dropped deliveries cannot move commit
-                //   intervals, but a dropped intermediate write splices
-                //   the overwrite chain, which shrinks the candidate set
-                //   until a genuinely current read looks stale.
-                //
-                // Zero false positives under chaos therefore costs the
-                // consistent-read check its entire degraded-mode power;
-                // each demotion is counted and noted so an operator can
-                // re-verify an intact capture of the same run. Mutual
-                // exclusion, first-updater-wins and the serialization
-                // certifier keep full power — their evidence is commit
-                // intervals, which mangling cannot move.
-                if self.cfg.degraded {
-                    self.demote_read(format!(
-                        "demoted: {} read {} of {} matched no candidate \
-                         (explainable by a missing delivery)",
-                        check.reader, check.observed, check.key
-                    ));
-                    return;
-                }
-                self.report.violations.push(Violation::ConsistentRead {
-                    reader: check.reader,
-                    key: check.key,
-                    observed: check.observed,
-                    snapshot: check.snapshot,
-                    candidates,
-                });
-            }
-        }
-    }
-
-    /// Installs the wr edge and (with dependency transfer on) derives the
-    /// rw edge to the already-committed direct successor, for a committed
-    /// reader.
-    fn emit_matched_read(&mut self, reader: TxnId, m: &MatchedRead) {
-        self.versions.add_reader(m.key, m.uid, reader, m.read_op);
-        if m.writer != TxnId::INITIAL {
-            self.add_dep(m.writer, reader, DepKind::Wr);
-        }
-        if self.cfg.dep_transfer {
-            if let Some(succ) = self.versions.committed_successor(m.key, m.uid) {
-                let succ_txn = succ.txn;
-                let certain = m.read_op.certainly_before(&succ.install);
-                if certain {
-                    self.stats.rw.certain += 1;
-                } else {
-                    self.stats.rw.deduced += 1;
-                }
-                self.add_dep(reader, succ_txn, DepKind::Rw);
-            }
-        }
-    }
-
-    // ----- commit / abort ---------------------------------------------------
-
-    fn handle_commit(&mut self, txn: TxnId, commit: Interval) {
-        let Some(info) = self.txns.get_mut(txn) else {
-            return;
-        };
-        if info.outcome.is_some() {
-            return; // duplicate terminal trace: ignore
-        }
-        info.outcome = Some(TxnOutcome::Committed(commit));
-        let snapshot = info.first_op;
-        // Taken, not cloned: nothing below reads this transaction's entry,
-        // and both lists go back when the commit is through.
-        let write_keys = std::mem::take(&mut info.write_keys);
-        let locked_read_keys = std::mem::take(&mut info.locked_read_keys);
-        let matched_reads = std::mem::take(&mut info.matched_reads);
-        self.counters.committed += 1;
-
-        // Mutual exclusion: release all locks, checking pairs (§V-B).
-        // Orders are re-derived during version adjacency below.
-        self.release_locks(txn, &write_keys, &locked_read_keys, commit);
-
-        // Install versions: they become visible within the commit interval.
-        self.versions.commit(txn, &write_keys, commit);
-
-        // Serialization certifier: node plus the dependencies this commit
-        // completes.
-        self.graph.add_node(txn, snapshot, commit);
-
-        // wr edges (and derived rw edges) from this transaction's reads.
-        for m in &matched_reads {
-            self.emit_matched_read(txn, m);
-        }
-
-        // FUW + ww adjacency per written key.
-        for &key in &write_keys {
-            if self.cfg.mechanisms.first_updater_wins {
-                self.check_fuw(txn, key, snapshot, commit);
-            }
-            self.settle_version_order(txn, key);
-            self.link_version_adjacency(txn, key);
-        }
-        self.restore_key_lists(txn, write_keys, locked_read_keys);
-    }
-
-    /// Hands back the key lists a terminal took out of `txn`'s entry.
-    fn restore_key_lists(&mut self, txn: TxnId, write_keys: Vec<Key>, locked_read_keys: Vec<Key>) {
-        if let Some(info) = self.txns.get_mut(txn) {
-            info.write_keys = write_keys;
-            info.locked_read_keys = locked_read_keys;
-        }
-    }
-
-    /// Mirrors the release, at a terminal, of every lock `txn` held (on its
-    /// written keys, then its locked-read keys) and reports each holder
-    /// pair that was certainly concurrent.
-    fn release_locks(
-        &mut self,
-        txn: TxnId,
-        write_keys: &[Key],
-        locked_read_keys: &[Key],
-        release: Interval,
-    ) {
-        if !self.cfg.mechanisms.mutual_exclusion {
-            return;
-        }
-        let mut checks = std::mem::take(&mut self.scratch_lock_checks);
-        self.locks
-            .release_txn(txn, write_keys, release, &mut checks);
-        self.locks
-            .release_txn(txn, locked_read_keys, release, &mut checks);
-        for (key, check) in checks.drain(..) {
-            if let LockCheck::Violation { own_acquire, other } = check {
-                self.report.violations.push(Violation::MutualExclusion {
-                    key,
-                    first: (txn, own_acquire, release),
-                    second: other,
-                });
-            }
-        }
-        self.scratch_lock_checks = checks;
-    }
-
-    /// Moves `txn`'s freshly committed version to its mechanism-resolved
-    /// position in `key`'s chain.
-    ///
-    /// The chain is kept in install-interval order, but for overlapping
-    /// installs that order is only a guess; when ME (lock spans) or FUW
-    /// (snapshot-commit spans) proves the opposite order for an adjacent
-    /// pair, the entries are swapped. Without this, rw antidependencies
-    /// derived from "readers of the predecessor" could point backwards in
-    /// time and fabricate certifier violations.
-    fn settle_version_order(&mut self, txn: TxnId, key: Key) {
-        let me_spans = self.cfg.mechanisms.mutual_exclusion;
-        let fuw_spans = self.cfg.mechanisms.first_updater_wins;
-        if !me_spans && !fuw_spans {
-            return; // no mechanism resolves overlapping orders
-        }
-        loop {
-            let Some((pred, me_entry, succ)) = self.versions.committed_neighbors(key, txn) else {
-                return;
-            };
-            let my_uid = me_entry.uid;
-            let my_install = me_entry.install;
-            let my_snapshot = me_entry.writer_snapshot;
-            let Some(my_commit) = me_entry.visibility else {
-                return;
-            };
-            // An uncommitted neighbour resolves no order (`None`): no swap.
-            let resolve_with = |other: &VersionEntry| {
-                let other_commit = other.visibility?;
-                Some(if me_spans {
-                    resolve_exclusive_pair(&my_install, &my_commit, &other.install, &other_commit)
-                } else {
-                    resolve_exclusive_pair(
-                        &my_snapshot,
-                        &my_commit,
-                        &other.writer_snapshot,
-                        &other_commit,
-                    )
-                })
-            };
-            // Does the resolved order contradict the chain order?
-            let mut swap_with = None;
-            if let Some(p) = pred {
-                if p.txn != TxnId::INITIAL
-                    && my_install.overlaps(&p.install)
-                    && resolve_with(p) == Some(PairOrder::FirstThenSecond)
-                {
-                    // I certainly precede my chain predecessor: swap.
-                    swap_with = Some(p.uid);
-                }
-            }
-            if swap_with.is_none() {
-                if let Some(s) = succ {
-                    if my_install.overlaps(&s.install)
-                        && resolve_with(s) == Some(PairOrder::SecondThenFirst)
-                    {
-                        // My chain successor certainly precedes me: swap.
-                        swap_with = Some(s.uid);
-                    }
-                }
-            }
-            match swap_with {
-                Some(other_uid) => {
-                    self.versions.swap_entries(key, my_uid, other_uid);
-                }
-                None => return,
-            }
-        }
-    }
-
-    fn handle_abort(&mut self, txn: TxnId, abort: Interval) {
-        let Some(info) = self.txns.get_mut(txn) else {
-            return;
-        };
-        if info.outcome.is_some() {
-            return;
-        }
-        info.outcome = Some(TxnOutcome::Aborted(abort));
-        let write_keys = std::mem::take(&mut info.write_keys);
-        let locked_read_keys = std::mem::take(&mut info.locked_read_keys);
-        info.matched_reads.clear();
-        self.counters.aborted += 1;
-
-        // Locks were held regardless of the outcome: ME violations between
-        // an aborted and any other transaction are still bugs.
-        self.release_locks(txn, &write_keys, &locked_read_keys, abort);
-
-        // Aborted versions are discarded (§II-A).
-        self.versions.abort(txn, &write_keys);
-        self.restore_key_lists(txn, write_keys, locked_read_keys);
-    }
-
-    /// First-updater-wins (§V-C, Alg. 2): for every other committed writer
-    /// of `key`, either a serial order is deducible (ww) or the two
-    /// updates were certainly concurrent — a lost update.
-    fn check_fuw(&mut self, txn: TxnId, key: Key, snapshot: Interval, commit: Interval) {
-        let mut violations = Vec::new();
-        for other in self.versions.committed_others(key, txn) {
-            let Some(other_commit) = other.visibility else {
-                continue;
-            };
-            match resolve_exclusive_pair(&snapshot, &commit, &other.writer_snapshot, &other_commit)
-            {
-                PairOrder::CertainlyConcurrent => {
-                    violations.push((other.txn, other.writer_snapshot, other_commit))
-                }
-                // Serial orders: the ww dependency is recorded by version
-                // adjacency (link_version_adjacency); pairwise resolutions
-                // beyond adjacency are implied transitively.
-                PairOrder::FirstThenSecond | PairOrder::SecondThenFirst => {}
-            }
-        }
-        for (other_txn, other_snapshot, other_commit) in violations {
-            self.report.violations.push(Violation::FirstUpdaterWins {
-                key,
-                first: (txn, snapshot, commit),
-                second: (other_txn, other_snapshot, other_commit),
-            });
-        }
-    }
-
-    /// Emits ww edges between `txn`'s freshly committed version on `key`
-    /// and its committed neighbours, plus rw edges from the predecessor's
-    /// readers (Fig. 9 derivation).
-    fn link_version_adjacency(&mut self, txn: TxnId, key: Key) {
-        let mut planned = std::mem::take(&mut self.scratch_planned);
-        'plan: {
-            let Some((pred, me_entry, succ)) = self.versions.committed_neighbors(key, txn) else {
-                break 'plan;
-            };
-            let my_install = me_entry.install;
-            let Some(my_commit) = me_entry.visibility else {
-                break 'plan;
-            };
-            let my_snapshot = me_entry.writer_snapshot;
-            // `None` for an uncommitted neighbour: no ww edge to plan.
-            let plan_pair = |other: &VersionEntry, other_is_pred: bool| -> Option<Planned> {
-                let other_commit = other.visibility?;
-                let overlap = my_install.overlaps(&other.install);
-                let (from, to, bucket);
-                if !overlap {
-                    // Installation order is certain.
-                    if other_is_pred {
-                        from = other.txn;
-                        to = txn;
-                    } else {
-                        from = txn;
-                        to = other.txn;
-                    }
-                    bucket = 0;
-                } else if self.cfg.mechanisms.mutual_exclusion {
-                    // Locks pin the order: hold span is install..commit.
-                    match resolve_exclusive_pair(
-                        &my_install,
-                        &my_commit,
-                        &other.install,
-                        &other_commit,
-                    ) {
-                        PairOrder::FirstThenSecond => {
-                            from = txn;
-                            to = other.txn;
-                            bucket = 1;
-                        }
-                        PairOrder::SecondThenFirst => {
-                            from = other.txn;
-                            to = txn;
-                            bucket = 1;
-                        }
-                        // Certain concurrency was already reported by the
-                        // ME lock check; no order is deducible.
-                        PairOrder::CertainlyConcurrent => {
-                            from = txn;
-                            to = other.txn;
-                            bucket = 2;
-                        }
-                    }
-                } else if self.cfg.mechanisms.first_updater_wins {
-                    // FUW pins the order via snapshot..commit spans.
-                    match resolve_exclusive_pair(
-                        &my_snapshot,
-                        &my_commit,
-                        &other.writer_snapshot,
-                        &other_commit,
-                    ) {
-                        PairOrder::FirstThenSecond => {
-                            from = txn;
-                            to = other.txn;
-                            bucket = 1;
-                        }
-                        PairOrder::SecondThenFirst => {
-                            from = other.txn;
-                            to = txn;
-                            bucket = 1;
-                        }
-                        PairOrder::CertainlyConcurrent => {
-                            from = txn;
-                            to = other.txn;
-                            bucket = 2;
-                        }
-                    }
-                } else {
-                    // No mechanism resolves overlapping blind writes
-                    // (e.g. pure OCC): the dependency stays uncertain.
-                    from = txn;
-                    to = other.txn;
-                    bucket = 2;
-                }
-                Some(Planned {
-                    from,
-                    to,
-                    kind: DepKind::Ww,
-                    bucket,
-                })
-            };
-            if let Some(pred) = pred {
-                if pred.txn != TxnId::INITIAL {
-                    planned.extend(plan_pair(pred, true));
-                } else {
-                    planned.push(Planned {
-                        from: TxnId::INITIAL,
-                        to: txn,
-                        kind: DepKind::Ww,
-                        bucket: 3, // initial: no edge, no stats
-                    });
-                }
-                // rw edges: readers of the direct predecessor antidepend on
-                // this writer (Fig. 9).
-                if self.cfg.dep_transfer {
-                    for &(reader, read_op) in &pred.readers {
-                        if reader == txn {
-                            continue;
-                        }
-                        let certain = read_op.certainly_before(&my_install);
-                        planned.push(Planned {
-                            from: reader,
-                            to: txn,
-                            kind: DepKind::Rw,
-                            bucket: u8::from(!certain),
-                        });
-                    }
-                }
-            }
-            if let Some(succ) = succ {
-                // Out-of-order commit: this version's successor committed
-                // first, so the pair was never linked.
-                planned.extend(plan_pair(succ, false));
-            }
-        }
-        for p in planned.drain(..) {
-            match (p.kind, p.bucket) {
-                (DepKind::Ww, 0) => self.stats.ww.certain += 1,
-                (DepKind::Ww, 1) => self.stats.ww.deduced += 1,
-                (DepKind::Ww, 2) => {
-                    self.stats.ww.uncertain += 1;
-                    continue; // no edge for unresolved pairs
-                }
-                (DepKind::Ww, _) => {
-                    continue; // initial-state predecessor: nothing to add
-                }
-                (DepKind::Rw, 0) => self.stats.rw.certain += 1,
-                (DepKind::Rw, _) => self.stats.rw.deduced += 1,
-                (DepKind::Wr, _) => unreachable!("wr edges are planned elsewhere"),
-            }
-            self.add_dep(p.from, p.to, p.kind);
-        }
-        self.scratch_planned = planned;
-    }
-
-    /// Adds a dependency edge and reports any certifier-rule match.
-    fn add_dep(&mut self, from: TxnId, to: TxnId, kind: DepKind) {
-        let rule = self.cfg.mechanisms.certifier;
-        if let Some(v) = self.graph.add_edge(from, to, kind, rule) {
-            self.report
-                .violations
-                .push(Violation::SerializationCertifier {
-                    pattern: v.pattern.to_string(),
-                    txns: v.txns,
-                });
-        }
-    }
-
-    /// Periodic pruning of structures no active transaction can still
-    /// conflict with (§V complexity-analysis paragraphs; Definition 4).
-    fn collect_garbage(&mut self) {
-        let before = self.footprint().total();
-        self.counters.peak_footprint = self.counters.peak_footprint.max(before);
-        let t0 = obs::span_start();
-        let mut low = self
-            .txns
-            .earliest_active_snapshot()
-            .unwrap_or(self.stream_pos)
-            .min(self.stream_pos);
-        if let Some(pending_low) = self
-            .pending_reads
-            .iter()
-            .map(|Reverse(p)| p.snapshot.lo)
-            .min()
-        {
-            low = low.min(pending_low);
-        }
-        // The table first: what it still holds after its own pass is the
-        // liveness rule the reader lists are pruned by.
-        self.txns.prune(low);
-        let txns = &self.txns;
-        self.versions
-            .prune(low, |reader| txns.get(reader).is_some());
-        self.locks.prune(low);
-        self.graph.prune(low);
-        if t0.is_some() {
-            let dur = obs::span_end(obs::Stage::GcBarrier, obs::LANE_DRIVER, t0);
-            obs::hist(obs::HistId::GcPauseUs, dur);
-            obs::ctr(obs::Counter::GcPasses, 1);
-            let after = self.footprint().total();
-            obs::ctr(
-                obs::Counter::GcReclaimedEntries,
-                before.saturating_sub(after) as u64,
-            );
-        }
+        &self.core.versions
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBuilder;
+    use crate::catalog::SnapshotLevel;
+    use crate::interval::Interval;
+    use crate::report::Violation;
+    use crate::trace::{OpKind, TraceBuilder};
 
     fn verify_all(
         cfg: VerifierConfig,
@@ -1906,7 +1066,7 @@ mod tests {
         for t in b.build_sorted() {
             v.process(&t);
         }
-        v.collect_garbage();
+        v.core.collect_garbage();
         let mut b = TraceBuilder::new();
         b.commit(ts + 21, ts + 23, 1, 202);
         v.process(&b.build_sorted()[0]);

@@ -10,9 +10,11 @@
 //! varint(payload_len) ‖ payload ‖ u32le checksum(payload)
 //! ```
 //!
-//! where the checksum is the FxHash of the payload truncated to 32 bits
-//! — enough to catch the torn/bit-flipped frames the chaos soak injects,
-//! not a cryptographic MAC. The payload's first byte is a frame tag;
+//! where the checksum is the CRC-32 of the payload
+//! ([`crate::store::crc32`], the one the spill log and the checkpoint
+//! seal use) — it catches every torn or bit-flipped frame the chaos soak
+//! injects; it is not a cryptographic MAC. The payload's first byte is a
+//! frame tag;
 //! integers are LEB128 varints; `ts_aft` is a zigzag delta against
 //! `ts_bef` (intervals are short, inverted ones — an ill-formedness the
 //! verifier must be able to *see* — still round-trip via wrapping).
@@ -31,12 +33,14 @@ use crate::trace::{OpKind, Trace};
 use crate::types::{ClientId, Key, Timestamp, TxnId, Value};
 use crate::verify::{KeyVersions, VersionEntry, VersionUid};
 use std::fmt;
-use std::hash::Hasher as _;
 use std::io::{Read, Write};
 
 /// Wire protocol version carried in every [`Hello`]; the server rejects
 /// anything else with [`RejectReason::Version`].
-pub const WIRE_VERSION: u32 = 1;
+///
+/// Version 2: the frame checksum is CRC-32. Version 1's was FxHash cut to
+/// 32 bits, which never saw bytes 4–7 of a payload's last 8-byte word.
+pub const WIRE_VERSION: u32 = 2;
 
 /// Upper bound on one frame's payload, enforced on both encode and
 /// decode. A trace frame is tens of bytes; a `Hello` with a large
@@ -399,12 +403,10 @@ fn level_from_byte(b: u8) -> Result<IsolationLevel, WireError> {
     }
 }
 
-/// FxHash of `payload` truncated to 32 bits — the frame checksum.
+/// CRC-32 of `payload` — the frame checksum.
 #[must_use]
 pub fn checksum(payload: &[u8]) -> u32 {
-    let mut h = crate::fxhash::FxHasher::default();
-    h.write(payload);
-    (h.finish() & 0xffff_ffff) as u32
+    crate::store::crc32::crc32(payload)
 }
 
 impl Frame {
@@ -715,6 +717,19 @@ impl FrameDecoder {
     #[must_use]
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The protocol version the buffered bytes claim if they start a
+    /// [`Hello`], checksum *not* verified. A peer of another version may
+    /// checksum differently (version 1 did), and is to be refused for its
+    /// version, not as damage.
+    pub(crate) fn unverified_hello_version(&self) -> Option<u64> {
+        let mut cur = Cur::new(&self.buf[self.pos..]);
+        cur.varint().ok()?;
+        if cur.u8().ok()? != TAG_HELLO {
+            return None;
+        }
+        cur.varint().ok()
     }
 
     /// Decodes the next complete frame. `Ok(None)` means more bytes are

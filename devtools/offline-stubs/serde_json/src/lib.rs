@@ -43,6 +43,7 @@ pub fn to_writer<W: std::io::Write, T: ?Sized + Serialize>(
 /// Deserializes a value from a JSON string.
 pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T> {
     let mut parser = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -121,6 +122,8 @@ fn print_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -262,16 +265,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // advance over one UTF-8 scalar
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, which no multi-byte scalar contains,
+                    // so the run ends on a character boundary of `text`.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error("invalid UTF-8".to_string()))?;
-                    let ch = rest
-                        .chars()
-                        .next()
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
                         .ok_or_else(|| Error("unterminated string".to_string()))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(&self.text[start..start + run]);
+                    self.pos += run;
                 }
                 None => return Err(Error("unterminated string".to_string())),
             }
@@ -319,5 +322,45 @@ impl Parser<'_> {
                 .map(Content::U64)
                 .map_err(|_| Error(format!("invalid number `{text}`")))
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn multi_byte_scalars_next_to_escapes_round_trip_unchanged() {
+        for text in [
+            "é\"ü\\漢\n字\t🦀",
+            "\\é",
+            "é\\",
+            "🦀",
+            "",
+            "plain ascii",
+            "\u{8}\u{c}\r/",
+        ] {
+            let json = to_string(&text.to_string()).expect("serializes");
+            let back: String = from_str(&json).expect("parses");
+            assert_eq!(back, text, "{json}");
+        }
+        let back: String = from_str(r#""\u00e9é\/\u6f22漢""#).expect("parses");
+        assert_eq!(back, "éé/漢漢");
+    }
+
+    #[test]
+    fn an_unterminated_string_is_still_an_error() {
+        for json in [r#""abc"#, r#""ab\"#, r#""é"#, r#"""#, r#"{"key":"va"#] {
+            assert!(from_str::<String>(json).is_err(), "{json}");
+        }
+    }
+
+    /// One `from_utf8` over the rest of the input per character made this
+    /// about 10^12 byte validations: effectively a hang.
+    #[test]
+    fn a_one_mebibyte_string_value_parses() {
+        let text = "x".repeat(1 << 20);
+        let back: String = from_str(&format!("\"{text}\"")).expect("parses");
+        assert_eq!(back, text);
     }
 }

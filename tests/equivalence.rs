@@ -20,7 +20,11 @@
 //! point, so nothing a row switches on leaks into persisted state. The
 //! budget and footprint gauges measure the engine's memory topology, not
 //! the history, and are left out.
+//!
+//! Beside the table: what the spill rung may cost when the budget is below
+//! anything it can reach (no thrashing).
 
+use leopard::testseed::test_seed;
 use leopard_core::obs;
 use leopard_core::store::io::FaultSpec;
 use leopard_core::{
@@ -47,6 +51,9 @@ struct Row {
     obs: bool,
     /// The spill tier's disk fails a fifth of its reads and is not retried.
     hostile: bool,
+    /// The spill tier's disk cuts half of its writes short; the tier goes
+    /// on at the residual offset.
+    short_writes: bool,
 }
 
 const PLAIN: Row = Row {
@@ -57,6 +64,7 @@ const PLAIN: Row = Row {
     degraded: false,
     obs: false,
     hostile: false,
+    short_writes: false,
 };
 
 const BUDGET_SPILL: Row = Row {
@@ -68,7 +76,7 @@ const BUDGET_SPILL: Row = Row {
 
 /// The two references — the product defaults, plain and degraded — run
 /// first.
-const ROWS: [Row; 9] = [
+const ROWS: [Row; 10] = [
     PLAIN,
     Row {
         name: "degraded",
@@ -107,6 +115,11 @@ const ROWS: [Row; 9] = [
         hostile: true,
         ..BUDGET_SPILL
     },
+    Row {
+        name: "budget+spill, short writes",
+        short_writes: true,
+        ..BUDGET_SPILL
+    },
 ];
 
 /// Cells (capture, level, row) that do *not* reach the plain verdict, and
@@ -142,6 +155,13 @@ impl Row {
             settings.fault = FaultSpec {
                 seed: plain_peak,
                 read_err_prob: 0.2,
+                ..FaultSpec::default()
+            };
+        }
+        if let (Some(settings), true) = (&mut spill, self.short_writes) {
+            settings.fault = FaultSpec {
+                seed: plain_peak,
+                short_write_prob: 0.5,
                 ..FaultSpec::default()
             };
         }
@@ -245,7 +265,7 @@ fn inputs() -> Vec<(String, Capture)> {
 #[test]
 fn every_engine_configuration_reaches_the_plain_verdict() {
     let dir = scratch("table");
-    let (mut spilled, mut typed, mut hostile_verdicts) = (0, 0, 0);
+    let (mut spilled, mut spilled_in_storm, mut typed, mut hostile_verdicts) = (0, 0, 0, 0);
     obs::set_enabled(false);
     for (fi, (name, cap)) in inputs().iter().enumerate() {
         for (li, level) in LEVELS.iter().enumerate() {
@@ -298,6 +318,9 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
                     } else {
                         assert_eq!(b.spill_fallbacks, 0, "{what}");
                         spilled += b.spilled_records;
+                        if row.short_writes {
+                            spilled_in_storm += b.spilled_records;
+                        }
                     }
                     if KNOWN_GAPS.contains(&(name.as_str(), *level, row.name)) {
                         assert_ne!(
@@ -330,9 +353,95 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(spilled > 0, "the budget never forced a spill: vacuous rows");
     assert!(
+        spilled_in_storm > 0,
+        "nothing was written through the short-write storm: a vacuous row"
+    );
+    assert!(
         typed > 0 && hostile_verdicts > 0,
         "the failing disk should end some cells typed ({typed}) and let some through \
          ({hostile_verdicts})"
+    );
+}
+
+/// The benchmark's shape — SmallBank over 2 000 preloaded rows at a
+/// quarter of the memory the run needs, which is below what the ladder
+/// can collect or spill its way down to. The verdict must not move, and
+/// the tier must not thrash: passes are batched and re-armed by growth
+/// (not one per trace), a record is not spilled to be faulted straight
+/// back, and the log stays within a small multiple of what went into it.
+#[test]
+fn a_budget_below_the_resident_floor_does_not_thrash() {
+    let seed = test_seed(0x7445);
+    let spec = CleanRunSpec {
+        workload: "smallbank".to_string(),
+        rows: 2_000,
+        clients: 8,
+        txns_per_client: 150,
+        level: IsolationLevel::Serializable,
+        seed,
+        tick: 10,
+        schedule: Schedule::Interleaved,
+    };
+    let cap = generate_clean_capture(&spec).expect("clean capture");
+    let dir = scratch("thrash");
+    let plain = PLAIN.opts(IsolationLevel::Serializable, 0, &dir);
+    let (base, _) = run_cell(&plain, &cap, None).expect("a verdict");
+    let peak = base.counters.budget.peak_bytes;
+    let opts = BUDGET_SPILL.opts(IsolationLevel::Serializable, peak, &dir);
+    let budget = opts.verifier.mem_budget.max_bytes;
+    assert_eq!(budget, peak / 4);
+
+    let opened = engine::open(&opts, None, &cap.header.preload).expect("opens");
+    assert!(opened.warnings.is_empty(), "{:?}", opened.warnings);
+    let mut v = opened.verifier;
+    for t in &cap.traces {
+        engine::feed(&mut v, t).expect("no store fault");
+    }
+    let tier = v.spill_stats();
+    let on_disk: u64 = std::fs::read_dir(dir.join("tier"))
+        .expect("spill dir")
+        .map(|e| e.expect("entry").metadata().expect("metadata").len())
+        .sum();
+    let out = engine::finish(v).expect("a verdict");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(
+        comparable(&base, false),
+        comparable(&out, false),
+        "spilling changed the verdict (seed {seed:#x})"
+    );
+    let b = out.counters.budget;
+    let traces = cap.traces.len() as u64;
+    assert!(
+        b.peak_bytes > budget,
+        "premise: the floor ({}) is above the budget ({budget})",
+        b.peak_bytes
+    );
+    assert!(b.spilled_records > 0, "premise: the tier was used");
+    assert!(
+        b.spill_passes <= traces / 8,
+        "{} spill passes for {traces} traces",
+        b.spill_passes
+    );
+    assert!(
+        b.forced_gcs <= traces / 8,
+        "{} forced GCs for {traces} traces",
+        b.forced_gcs
+    );
+    assert!(
+        b.spill_faults <= b.spilled_records,
+        "{} faults for {} records spilled",
+        b.spill_faults,
+        b.spilled_records
+    );
+    assert_eq!(
+        tier.bytes_on_disk, on_disk,
+        "the tier's own account of the directory"
+    );
+    assert!(
+        on_disk <= 4 * tier.record_bytes_out,
+        "{on_disk} bytes on disk for {} bytes of records",
+        tier.record_bytes_out
     );
 }
 

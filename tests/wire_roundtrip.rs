@@ -304,3 +304,46 @@ fn hello_version_constant_is_on_the_wire() {
         other => panic!("expected Hello, got {other:?}"),
     }
 }
+
+/// The checksum sees every bit of a payload. Version 1's — FxHash cut to
+/// its low 32 bits — never saw bytes 4–7 of a payload's last 8-byte word:
+/// a flip there decoded as a different, valid trace.
+#[test]
+fn every_single_bit_flip_of_a_corpus_trace_payload_fails_the_checksum() {
+    let corpus = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let mut frames = 0u64;
+    for entry in std::fs::read_dir(corpus).expect("tests/corpus exists") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().and_then(|x| x.to_str()) != Some("jsonl") {
+            continue;
+        }
+        let file = std::fs::File::open(&path).expect("open capture");
+        let reader = leopard_core::CaptureReader::new(file).expect("capture header");
+        for (i, trace) in reader.enumerate() {
+            let trace = trace.expect("well-formed trace");
+            let bytes = Frame::Trace(TraceFrame {
+                seq: i as u64 + 1,
+                trace,
+            })
+            .to_bytes();
+            // One length byte (a trace frame is tens of bytes), the
+            // payload, four checksum bytes.
+            assert!(bytes[0] < 0x80, "{}: frame {i} is long", path.display());
+            let payload = 1..bytes.len() - 4;
+            assert_eq!(payload.len(), usize::from(bytes[0]));
+            for bit in payload.start * 8..payload.end * 8 {
+                let mut damaged = bytes.clone();
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                let got = read_frame(&mut damaged.as_slice());
+                assert!(
+                    matches!(got, Err(WireError::Corrupt { .. })),
+                    "{}: frame {i}, payload bit {}: {got:?}",
+                    path.display(),
+                    bit - 8
+                );
+            }
+            frames += 1;
+        }
+    }
+    assert!(frames > 1_000, "only {frames} corpus trace frames");
+}
