@@ -57,10 +57,6 @@ verify options:
                                 metrics block when observability is on)
   --metrics-out <FILE>          enable observability; write the metrics
                                 registry in Prometheus text format here
-  --trace-out <FILE>            enable observability; write a Chrome
-                                trace-event timeline (load in Perfetto) here
-  --metrics-interval <SECS>     with --metrics-out: also rewrite the file
-                                every SECS seconds while the run progresses
 
 chaos options:
   --workload <NAME>             bundled workload (default blindw-rw)
@@ -99,10 +95,6 @@ chaos options:
                                 metrics block when observability is on)
   --metrics-out <FILE>          enable observability; write Prometheus
                                 metrics here at the end of the run
-  --trace-out <FILE>            enable observability; write a Chrome
-                                trace-event timeline (load in Perfetto) here
-  --metrics-interval <SECS>     with --metrics-out: also rewrite the file
-                                every SECS seconds while the run progresses
 
 lint-history options:
   --json                        emit the diagnostic report as JSON
@@ -342,7 +334,7 @@ impl Default for RecordConfig {
 }
 
 /// The engine flag group: every option of the verifier engine and of its
-/// observability sinks, declared ([`ENGINE_FLAGS`]), parsed and validated
+/// metrics sink, declared ([`ENGINE_FLAGS`]), parsed and validated
 /// once for every subcommand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineArgs {
@@ -365,10 +357,6 @@ pub struct EngineArgs {
     pub spill_dir: Option<String>,
     /// Enable observability and write Prometheus metrics to this path.
     pub metrics_out: Option<String>,
-    /// Enable observability and write a Chrome trace-event file here.
-    pub trace_out: Option<String>,
-    /// Rewrite `metrics_out` every this many seconds during the run.
-    pub metrics_interval: Option<u64>,
 }
 
 impl Default for EngineArgs {
@@ -383,8 +371,6 @@ impl Default for EngineArgs {
             mem_budget: None,
             spill_dir: None,
             metrics_out: None,
-            trace_out: None,
-            metrics_interval: None,
         }
     }
 }
@@ -393,7 +379,7 @@ impl Default for EngineArgs {
 /// degraded, under the skew bound its plan needs; the rest of a `serve`
 /// stream's engine comes from its handshake, which is what `ingest`'s two
 /// flags fill in.
-const ENGINE_FLAGS: [(&str, &str); 11] = [
+const ENGINE_FLAGS: [(&str, &str); 9] = [
     ("--level", "verify chaos ingest"),
     ("--skew-bound", "verify"),
     ("--no-gc", "verify"),
@@ -403,8 +389,6 @@ const ENGINE_FLAGS: [(&str, &str); 11] = [
     ("--mem-budget", "verify chaos ingest"),
     ("--spill-dir", "verify chaos serve"),
     ("--metrics-out", "verify chaos"),
-    ("--trace-out", "verify chaos"),
-    ("--metrics-interval", "verify chaos"),
 ];
 
 /// `true` when subcommand `sub` accepts engine flag `flag`.
@@ -436,8 +420,6 @@ impl EngineArgs {
             "--mem-budget" => self.mem_budget = Some(want(flag, it.next())?),
             "--spill-dir" => self.spill_dir = Some(want(flag, it.next())?),
             "--metrics-out" => self.metrics_out = Some(want(flag, it.next())?),
-            "--trace-out" => self.trace_out = Some(want(flag, it.next())?),
-            "--metrics-interval" => self.metrics_interval = Some(want(flag, it.next())?),
             other => unreachable!("`{other}` is in ENGINE_FLAGS but is not parsed"),
         }
         Ok(true)
@@ -460,12 +442,6 @@ impl EngineArgs {
         // A zero budget would shed everything; reject it loudly.
         if self.mem_budget == Some(0) {
             return fail("--mem-budget must be at least 1 byte");
-        }
-        if self.metrics_interval == Some(0) {
-            return fail("--metrics-interval must be at least 1");
-        }
-        if self.metrics_interval.is_some() && self.metrics_out.is_none() {
-            return fail("--metrics-interval needs --metrics-out <FILE>");
         }
         Ok(())
     }
@@ -970,7 +946,7 @@ mod tests {
         let cmd = parse_args(&args(
             "verify cap.jsonl --level rr --skew-bound 5 --no-gc --degraded --resume a.ckpt \
              --checkpoint b.ckpt --checkpoint-every 64 --mem-budget 1048576 --spill-dir d \
-             --json --metrics-out m.prom --trace-out t.json --metrics-interval 5",
+             --json --metrics-out m.prom",
         ));
         let engine = EngineArgs {
             level: IsolationLevel::RepeatableRead,
@@ -982,8 +958,6 @@ mod tests {
             mem_budget: Some(1_048_576),
             spill_dir: Some("d".to_string()),
             metrics_out: Some("m.prom".to_string()),
-            trace_out: Some("t.json".to_string()),
-            metrics_interval: Some(5),
         };
         let all = VerifyConfig {
             file: "cap.jsonl".to_string(),
@@ -1019,8 +993,6 @@ mod tests {
             ("--mem-budget 4096", "verify chaos ingest"),
             ("--spill-dir d", "verify chaos serve"),
             ("--metrics-out m.prom", "verify chaos"),
-            ("--trace-out t.json", "verify chaos"),
-            ("--metrics-interval 5", "verify chaos"),
         ];
         let accepted = |sub: &str, flag: &str| {
             was.iter()
@@ -1032,7 +1004,6 @@ mod tests {
                 // acceptance decides the outcome.
                 let needs = match flag {
                     "--checkpoint-every 8" if accepted(sub, "--checkpoint ") => "--checkpoint c",
-                    "--metrics-interval 5" if accepted(sub, "--metrics-out") => "--metrics-out m",
                     _ => "",
                 };
                 let file = if "verify ingest lint-history".contains(sub) {
@@ -1081,16 +1052,6 @@ mod tests {
                 "verify cap.jsonl|chaos|ingest cap.jsonl",
                 "--mem-budget must be at least 1 byte",
             ),
-            (
-                "--metrics-interval 5",
-                "verify cap.jsonl|chaos",
-                "--metrics-interval needs --metrics-out <FILE>",
-            ),
-            (
-                "--metrics-out m.prom --metrics-interval 0",
-                "verify cap.jsonl|chaos",
-                "--metrics-interval must be at least 1",
-            ),
         ];
         for (flags, subcommands, message) in cases {
             for sub in subcommands.split('|') {
@@ -1107,6 +1068,18 @@ mod tests {
 
     #[test]
     fn removed_flags_are_usage_errors() {
+        let check = |line: &str, flag: &str| {
+            let err = parse_args(&args(line)).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag `{flag}`"), "{line}");
+            assert_eq!(crate::run(&args(line), &mut Vec::new()), 2, "{line}");
+        };
+        // The span timeline and the metrics rewriter: gone everywhere.
+        for sub in "verify cap.jsonl|chaos|serve|ingest cap.jsonl|record|soak|lint-history cap.jsonl|oracle"
+            .split('|')
+        {
+            check(&format!("{sub} --trace-out t.json"), "--trace-out");
+            check(&format!("{sub} --metrics-interval 5"), "--metrics-interval");
+        }
         for (line, flag) in [
             ("verify cap.jsonl --shards 4", "--shards"),
             ("chaos --shards 4", "--shards"),
@@ -1123,8 +1096,7 @@ mod tests {
                 "--spill-cache-pages",
             ),
         ] {
-            let err = parse_args(&args(line)).unwrap_err();
-            assert_eq!(err.0, format!("unknown flag `{flag}`"), "{line}");
+            check(line, flag);
         }
     }
 

@@ -21,126 +21,48 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Observability sinks behind `--metrics-out` / `--trace-out` /
-/// `--metrics-interval`. Constructing one with any sink turns the
+/// The sink behind `--metrics-out`. Constructing one with a path turns the
 /// process-global registry on and clears state left by a previous run,
-/// so the exported files describe exactly this invocation.
-struct ObsSinks {
-    metrics_out: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    interval: Option<Duration>,
-    last_write: Instant,
-}
+/// so the exported file describes exactly this invocation.
+struct MetricsOut(Option<PathBuf>);
 
-impl ObsSinks {
-    fn new(args: &EngineArgs) -> ObsSinks {
-        if args.metrics_out.is_some() || args.trace_out.is_some() {
+impl MetricsOut {
+    fn new(args: &EngineArgs) -> MetricsOut {
+        if args.metrics_out.is_some() {
             obs::reset();
             obs::set_enabled(true);
         }
-        ObsSinks {
-            metrics_out: args.metrics_out.as_ref().map(PathBuf::from),
-            trace_out: args.trace_out.as_ref().map(PathBuf::from),
-            interval: args.metrics_interval.map(Duration::from_secs),
-            last_write: Instant::now(),
-        }
+        MetricsOut(args.metrics_out.as_ref().map(PathBuf::from))
     }
 
-    fn enabled(&self) -> bool {
-        self.metrics_out.is_some() || self.trace_out.is_some()
-    }
-
-    /// Rewrites the metrics file if the configured interval has elapsed.
-    /// Cheap to call per trace: one clock read, and only when an interval
-    /// was actually requested.
-    fn tick(&mut self) {
-        let (Some(path), Some(every)) = (self.metrics_out.as_deref(), self.interval) else {
-            return;
-        };
-        if self.last_write.elapsed() >= every {
-            let _ = std::fs::write(path, obs::render_prometheus());
-            self.last_write = Instant::now();
-        }
-    }
-
-    /// Runs [`ObsSinks::tick`] on a background thread until the returned
-    /// guard is dropped — for runs that block in one call (chaos) instead
-    /// of looping over traces.
-    fn spawn_ticker(&self) -> Option<ObsTicker> {
-        let (Some(path), Some(every)) = (self.metrics_out.clone(), self.interval) else {
-            return None;
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut last = Instant::now();
-            // relaxed: a latest-value stop flag; missing one iteration is harmless
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(25).min(every));
-                if last.elapsed() >= every {
-                    let _ = std::fs::write(&path, obs::render_prometheus());
-                    last = Instant::now();
-                }
-            }
-        });
-        Some(ObsTicker {
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// Final export of both sinks. Returns `false` (after printing the
-    /// error) if either file cannot be written.
+    /// Writes the exposition file. Returns `false` (after printing the
+    /// error) if it cannot be written.
     fn finish(&self, out: &mut dyn Write, quiet: bool) -> bool {
-        if let Some(path) = &self.metrics_out {
-            if let Err(e) = std::fs::write(path, obs::render_prometheus()) {
-                let _ = writeln!(out, "error: cannot write {}: {e}", path.display());
-                return false;
-            }
-            if !quiet {
-                let _ = writeln!(out, "metrics written to {}", path.display());
-            }
+        let Some(path) = &self.0 else {
+            return true;
+        };
+        if let Err(e) = std::fs::write(path, obs::render_prometheus()) {
+            let _ = writeln!(out, "error: cannot write {}: {e}", path.display());
+            return false;
         }
-        if let Some(path) = &self.trace_out {
-            if let Err(e) = std::fs::write(path, obs::render_chrome_trace()) {
-                let _ = writeln!(out, "error: cannot write {}: {e}", path.display());
-                return false;
-            }
-            if !quiet {
-                let _ = writeln!(out, "trace written to {}", path.display());
-            }
+        if !quiet {
+            let _ = writeln!(out, "metrics written to {}", path.display());
         }
         true
     }
 
     /// The `,"obs":{...}` suffix spliced into the single-line JSON
     /// summary, or an empty string when observability is off.
-    fn json_block(&self, snapshot: Option<&obs::ObsSnapshot>) -> String {
-        if !self.enabled() {
+    fn json_block(&self) -> String {
+        if self.0.is_none() {
             return String::new();
         }
-        snapshot
-            .and_then(|s| serde_json::to_string(s).ok())
+        obs::snapshot_if_enabled()
+            .and_then(|s| serde_json::to_string(&s).ok())
             .map(|j| format!(",\"obs\":{j}"))
             .unwrap_or_default()
-    }
-}
-
-/// Stops the background metrics rewriter when dropped.
-struct ObsTicker {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for ObsTicker {
-    fn drop(&mut self) {
-        // relaxed: plain shutdown flag; the join below is the synchronization
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -324,9 +246,95 @@ fn render_budget(
     text
 }
 
+/// The part of `leopard verify` that runs the engine: feeds `reader`'s
+/// traces past the first `skip`, writes the checkpoints `opts` asks for
+/// and finishes the verifier. `Err` carries the process exit code and has
+/// said why.
+fn feed_capture(
+    cfg: &VerifyConfig,
+    opts: &engine::EngineOpts,
+    reader: &mut CaptureReader<std::fs::File>,
+    mut verifier: leopard_core::Verifier,
+    skip: u64,
+    out: &mut dyn Write,
+) -> Result<leopard_core::VerifyOutcome, i32> {
+    let save = |verifier: &leopard_core::Verifier, cursor: u64, out: &mut dyn Write| {
+        let Some(path) = &opts.checkpoint else {
+            return Ok(());
+        };
+        if let Err(e) = engine::save(verifier, cursor, &FsIo, path) {
+            let _ = writeln!(out, "error: cannot checkpoint: {e}");
+            return Err(1);
+        }
+        Ok(())
+    };
+    crate::signals::install_termination_handler();
+    let mut seen = 0u64;
+    loop {
+        if crate::signals::termination_requested() {
+            // Graceful shutdown: persist the exact resume point (the caller
+            // flushes the metrics), then exit with the conventional 128+SIG
+            // code so wrappers can tell "interrupted" from "violations".
+            let processed = seen.saturating_sub(skip);
+            save(&verifier, seen.max(skip), out)?;
+            match &opts.checkpoint {
+                Some(path) => {
+                    let _ = writeln!(
+                        out,
+                        "interrupted after {processed} traces; checkpoint flushed to {}",
+                        path.display()
+                    );
+                }
+                None => {
+                    let _ = writeln!(out, "interrupted after {processed} traces");
+                }
+            }
+            return Err(130);
+        }
+        match reader.next_trace() {
+            Ok(Some(trace)) => {
+                seen += 1;
+                if seen <= skip {
+                    continue;
+                }
+                // A latched store fault means spilled state could not be
+                // read back: the engine has stopped ingesting, and
+                // reporting a verdict would be unsound. Fail typed.
+                if let Err(fault) = engine::feed(&mut verifier, &trace) {
+                    let _ = writeln!(
+                        out,
+                        "error: {fault} after {} traces; no verdict is \
+                         reported (rerun from the last good checkpoint)",
+                        seen - skip
+                    );
+                    return Err(1);
+                }
+                if opts.checkpoint_due(seen - skip) {
+                    save(&verifier, seen, out)?;
+                }
+            }
+            Ok(None) => break,
+            Err(e) => {
+                let _ = writeln!(out, "error: {e}");
+                return Err(1);
+            }
+        }
+    }
+    save(&verifier, seen.max(skip), out)?;
+    if let (Some(path), false) = (&opts.checkpoint, cfg.json) {
+        let _ = writeln!(out, "checkpoint written to {}", path.display());
+    }
+    engine::finish(verifier).map_err(|fault| {
+        // Deferred checks may fault records in at finish; the same rule
+        // applies — a typed error, never a verdict over partial state.
+        let _ = writeln!(out, "error: {fault}; no verdict is reported");
+        1
+    })
+}
+
 /// `leopard verify`: audit a capture file.
 pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
-    let mut sinks = ObsSinks::new(&cfg.engine);
+    let sinks = MetricsOut::new(&cfg.engine);
     if cfg.skip_preflight {
         if !cfg.json {
             let _ = writeln!(out, "preflight: skipped (--skip-preflight)");
@@ -398,97 +406,19 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
     for warning in &opened.warnings {
         let _ = writeln!(out, "warning: {warning}");
     }
-    let (mut verifier, skip) = (opened.verifier, opened.cursor);
+    let (verifier, skip) = (opened.verifier, opened.cursor);
     if let (Some(from), false) = (&cfg.resume, cfg.json) {
         let _ = writeln!(out, "resumed from {from}: {skip} traces already ingested");
     }
 
-    let save = |verifier: &leopard_core::Verifier, cursor: u64, out: &mut dyn Write| {
-        let Some(path) = &opts.checkpoint else {
-            return true;
-        };
-        if let Err(e) = engine::save(verifier, cursor, &FsIo, path) {
-            let _ = writeln!(out, "error: cannot checkpoint: {e}");
-            return false;
-        }
-        true
-    };
-    crate::signals::install_termination_handler();
-    let mut seen = 0u64;
-    loop {
-        if crate::signals::termination_requested() {
-            // Graceful shutdown: persist the exact resume point and the
-            // metrics snapshot, then exit with the conventional 128+SIG
-            // code so wrappers can tell "interrupted" from "violations".
-            let processed = seen.saturating_sub(skip);
-            if !save(&verifier, seen.max(skip), out) {
-                return 1;
-            }
-            match &opts.checkpoint {
-                Some(path) => {
-                    let _ = writeln!(
-                        out,
-                        "interrupted after {processed} traces; checkpoint flushed to {}",
-                        path.display()
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "interrupted after {processed} traces");
-                }
-            }
-            sinks.finish(out, cfg.json);
-            return 130;
-        }
-        match reader.next_trace() {
-            Ok(Some(trace)) => {
-                seen += 1;
-                if seen <= skip {
-                    continue;
-                }
-                // A latched store fault means spilled state could not be
-                // read back: the engine has stopped ingesting, and
-                // reporting a verdict would be unsound. Fail typed.
-                if let Err(fault) = engine::feed(&mut verifier, &trace) {
-                    let _ = writeln!(
-                        out,
-                        "error: {fault} after {} traces; no verdict is \
-                         reported (rerun from the last good checkpoint)",
-                        seen - skip
-                    );
-                    sinks.finish(out, cfg.json);
-                    return 1;
-                }
-                sinks.tick();
-                if opts.checkpoint_due(seen - skip) && !save(&verifier, seen, out) {
-                    return 1;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                let _ = writeln!(out, "error: {e}");
-                return 1;
-            }
-        }
-    }
-    if !save(&verifier, seen.max(skip), out) {
-        return 1;
-    }
-    if let (Some(path), false) = (&opts.checkpoint, cfg.json) {
-        let _ = writeln!(out, "checkpoint written to {}", path.display());
-    }
-    let outcome = engine::finish(verifier);
-    if !sinks.finish(out, cfg.json) {
-        return 1;
-    }
-    let outcome = match outcome {
-        Ok(outcome) => outcome,
-        Err(fault) => {
-            // Deferred checks may fault records in at finish; the same
-            // rule applies — a typed error, never a verdict over partial
-            // state.
-            let _ = writeln!(out, "error: {fault}; no verdict is reported");
-            return 1;
-        }
+    // Every exit from here on has run the engine: the metrics file is
+    // written once, whichever way the stream ended.
+    let streamed = feed_capture(cfg, &opts, &mut reader, verifier, skip, out);
+    let flushed = sinks.finish(out, cfg.json);
+    let outcome = match streamed {
+        Ok(outcome) if flushed => outcome,
+        Ok(_) => return 1,
+        Err(code) => return code,
     };
     if cfg.json {
         let cov = &outcome.coverage;
@@ -512,7 +442,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
             outcome.report.violations.len(),
             outcome.report.is_clean(),
             cov.is_complete(),
-            sinks.json_block(outcome.obs.as_ref()),
+            sinks.json_block(),
         );
         return if outcome.report.is_clean() { 0 } else { 3 };
     }
@@ -544,7 +474,7 @@ pub fn verify(cfg: &VerifyConfig, out: &mut dyn Write) -> i32 {
 /// bursts) through the *online* Tracer→Verifier chain in degraded mode,
 /// and report both the verdict and how much of the history it covers.
 pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
-    let sinks = ObsSinks::new(&cfg.engine);
+    let sinks = MetricsOut::new(&cfg.engine);
     // Channel-layer losses are counted unconditionally in the global
     // registry (they must never be silent), so the per-run figure is a
     // before/after delta rather than an absolute read.
@@ -607,7 +537,6 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
         engine,
         ..OnlineOptions::default()
     };
-    let ticker = sinks.spawn_ticker();
     // SIGINT/SIGTERM flip a flag the client threads poll; the run then
     // winds down through the normal path, so the final checkpoint and
     // metrics snapshot are flushed before the process exits with 130.
@@ -647,7 +576,6 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
             (timeout.outcome, timeout.stats)
         }
     };
-    drop(ticker);
     // saturating: a concurrent in-process run (tests) may reset the
     // registry mid-flight; a clamped-to-zero figure beats a panic.
     let post_shutdown_drops =
@@ -704,7 +632,7 @@ pub fn chaos(cfg: &ChaosConfig, out: &mut dyn Write) -> i32 {
             outcome.report.violations.len(),
             outcome.report.is_clean(),
             cov.is_complete(),
-            sinks.json_block(outcome.obs.as_ref()),
+            sinks.json_block(),
         );
     } else {
         let _ = writeln!(
@@ -1391,10 +1319,9 @@ mod tests {
     }
 
     #[test]
-    fn verify_with_observability_writes_metrics_and_trace() {
+    fn verify_with_observability_writes_metrics_whether_or_not_it_succeeds() {
         let path = tmp("obs_cap");
         let metrics = tmp("obs_metrics");
-        let trace = tmp("obs_trace");
         let mut out = Vec::new();
         let code = record(
             &RecordConfig {
@@ -1415,7 +1342,6 @@ mod tests {
                 json: true,
                 engine: EngineArgs {
                     metrics_out: Some(metrics.clone()),
-                    trace_out: Some(trace.clone()),
                     ..EngineArgs::default()
                 },
                 ..VerifyConfig::default()
@@ -1432,14 +1358,33 @@ mod tests {
         let prom = std::fs::read_to_string(&metrics).unwrap();
         assert!(prom.contains("# TYPE leopard_ops_ingested_total counter"));
         assert!(prom.contains("leopard_dispatch_latency_us_bucket{le=\"+Inf\"}"));
-        let tr = std::fs::read_to_string(&trace).unwrap();
-        assert!(tr.contains("\"traceEvents\""));
-        assert!(tr.contains("\"ph\":\"X\""));
+
+        // A run that dies on its checkpoint is the one whose metrics are
+        // wanted: exit 1, and the file is there all the same.
+        std::fs::remove_file(&metrics).unwrap();
+        let mut out = Vec::new();
+        let code = verify(
+            &VerifyConfig {
+                file: path.clone(),
+                json: true,
+                engine: EngineArgs {
+                    metrics_out: Some(metrics.clone()),
+                    checkpoint: Some(format!("{}/ckpt", tmp("obs_no_such_dir"))),
+                    ..EngineArgs::default()
+                },
+                ..VerifyConfig::default()
+            },
+            &mut out,
+        );
+        let text = String::from_utf8_lossy(&out);
+        assert_eq!(code, 1, "{text}");
+        assert!(text.contains("error: cannot checkpoint"), "{text}");
+        let prom = std::fs::read_to_string(&metrics).unwrap();
+        assert!(prom.contains("# TYPE leopard_ops_ingested_total counter"));
 
         leopard_core::obs::set_enabled(false);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&metrics);
-        let _ = std::fs::remove_file(&trace);
     }
 
     #[test]

@@ -309,8 +309,9 @@ impl Checkpoint {
     /// ([`StoreIo::write_atomic`]). The file `path` held before is first
     /// renamed to `<path>.prev` and stays there as the one fallback
     /// [`Checkpoint::load`] has; between the two renames `path` does not
-    /// exist and `<path>.prev` is the newest image. Returns the byte
-    /// length of the JSON document.
+    /// exist and `<path>.prev` is the newest image. (Only a head that
+    /// verified is ever there to be renamed: `load` removes one it
+    /// refused.) Returns the byte length of the JSON document.
     pub fn store(&self, io: &dyn StoreIo, path: &Path) -> std::io::Result<u64> {
         let file = seal(self.to_json());
         match io.rename(path, &previous_path(path)) {
@@ -330,6 +331,9 @@ impl Checkpoint {
     /// Reads the image at `path` back: the head if its seal verifies,
     /// else the previous image with a [`LoadedImage::warning`], else
     /// [`CheckpointError::Corrupt`]. `Ok(None)` when neither file exists.
+    /// A head refused for the previous image is removed, so that the next
+    /// [`Checkpoint::store`] does not rotate it over the one good image
+    /// before its own write is durable.
     /// A document that verifies but does not parse as this build's
     /// version is refused as such; the previous image is no older a
     /// version and is not tried.
@@ -366,12 +370,16 @@ impl Checkpoint {
             )));
         };
         match unseal(&previous) {
-            Ok(json) => loaded(
-                json,
-                Some(format!(
-                    "checkpoint head image {head}; resumed from the previous image"
-                )),
-            ),
+            Ok(json) => {
+                let image = loaded(
+                    json,
+                    Some(format!(
+                        "checkpoint head image {head}; resumed from the previous image"
+                    )),
+                )?;
+                io.remove(path)?;
+                Ok(image)
+            }
             Err(why) => Err(CheckpointError::Corrupt(format!(
                 "head image {head}; previous image {why}"
             ))),
@@ -383,6 +391,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::catalog::IsolationLevel;
+    use crate::store::io::{FaultIo, FaultSpec};
     use crate::trace::TraceBuilder;
     use crate::verify::Verifier;
 
@@ -508,13 +517,16 @@ mod tests {
         assert_eq!(loaded.warning, None);
         // A head that does not verify — flipped byte, truncated, or gone,
         // which is what a crash between the two renames leaves — loads the
-        // image it replaced, with a warning.
+        // image it replaced, with a warning, and is not kept.
         let head = std::fs::read(&path).expect("head");
-        damage(&path, |file| file[5] ^= 0x01);
-        assert!(matches!(load(&path), Ok(Some((1, true)))), "flipped byte");
-        damage(&path, |file| file.truncate(SEAL + 3));
-        assert!(matches!(load(&path), Ok(Some((1, true)))), "truncated");
-        std::fs::remove_file(&path).expect("remove head");
+        let refused = |what: &str, how: fn(&mut Vec<u8>)| {
+            std::fs::write(&path, &head).expect("restore head");
+            damage(&path, how);
+            assert!(matches!(load(&path), Ok(Some((1, true)))), "{what}");
+            assert!(!path.exists(), "{what}: the refused head is still there");
+        };
+        refused("flipped byte", |file| file[5] ^= 0x01);
+        refused("truncated", |file| file.truncate(SEAL + 3));
         assert!(matches!(load(&path), Ok(Some((1, true)))), "missing");
         // Nothing that verifies is a typed error, with or without a
         // previous image to have tried.
@@ -530,6 +542,34 @@ mod tests {
         assert!(load(&path).is_err(), "both bad");
         std::fs::remove_file(previous_path(&path)).expect("remove previous");
         assert!(matches!(load(&path), Err(CheckpointError::Corrupt(_))));
+    }
+
+    /// A head that failed its seal is never rotated over the good previous
+    /// image: the write after a fallback load may fail, and the previous
+    /// image is still what loads.
+    #[test]
+    fn a_failed_store_after_a_fallback_load_keeps_the_previous_image() {
+        let path = image_path("failed-store");
+        image(1).write(&path).expect("first image");
+        image(2).write(&path).expect("second image");
+        damage(&path, |file| file[5] ^= 0x01);
+        assert!(matches!(load(&path), Ok(Some((1, true)))));
+        let full_disk = FaultIo::new(
+            FsIo,
+            FaultSpec {
+                enospc_after_bytes: Some(0),
+                ..FaultSpec::default()
+            },
+        );
+        image(3).store(&full_disk, &path).expect_err("disk is full");
+        let loaded = load(&path);
+        assert!(matches!(loaded, Ok(Some((1, true)))), "{loaded:?}");
+        // And a write that lands is the head again, with the image the
+        // fallback found behind it.
+        image(3).write(&path).expect("third image");
+        assert!(matches!(load(&path), Ok(Some((3, false)))));
+        damage(&path, |file| file[5] ^= 0x01);
+        assert!(matches!(load(&path), Ok(Some((1, true)))));
     }
 
     /// The two layouts older builds wrote — a bare JSON document, a

@@ -1,33 +1,27 @@
-//! Process-wide observability: metrics registry, stage spans, exporters.
+//! Process-wide observability: one metrics registry, two exporters.
 //!
 //! Leopard's value is *efficient online* verification, which makes the
 //! engine's own behavior part of the product: where a streaming run
-//! spends time (dispatch, GC, spill, checkpoint), how far the
-//! dispatch watermark lags the newest capture, and how often the
-//! overload ladder fires are all questions a verdict alone cannot
-//! answer. This module is the single, dependency-free answer:
+//! spends time (dispatch, GC, spill), how far the dispatch watermark lags
+//! the newest capture, and how often the overload ladder fires are all
+//! questions a verdict alone cannot answer. This module is the single,
+//! dependency-free answer:
 //!
 //! * a static [`Registry`] of atomic **counters**, **gauges** and
 //!   fixed-bucket **histograms** covering every stage of the chain
 //!   (ingest, dispatch, GC, budget ladder,
 //!   sheds/evictions/quarantines);
-//! * **span** instrumentation — bounded ring buffer of
-//!   `(stage, lane, start, duration)` records around capture →
-//!   preflight → dispatch → GC barrier → spill → checkpoint → report;
-//! * three **exporters**: Prometheus text exposition
-//!   ([`Registry::render_prometheus`]), a structured JSON snapshot
-//!   ([`Registry::snapshot`], embedded in
-//!   [`VerifyOutcome`](crate::VerifyOutcome) / `--json` output), and a
-//!   Chrome trace-event timeline ([`Registry::render_chrome_trace`])
-//!   loadable in Perfetto / `about://tracing`, with one lane each for
-//!   the verifier, the pipeline, the online governor and the CLI.
+//! * a gated **timer** ([`timer_start`] / [`timer_end`]) that feeds the
+//!   histograms and reads no clock while recording is off;
+//! * two **exporters**: Prometheus text exposition
+//!   ([`Registry::render_prometheus`]) and a structured JSON snapshot
+//!   ([`Registry::snapshot`], the `"obs"` block of `--json` output).
 //!
-//! Everything is lock-free: plain relaxed atomics for tallies, a
-//! sequence word per span slot that a reader checks on both sides of the
-//! fields (a seqlock). The global registry starts **disabled**; every
-//! gated entry point is a single relaxed boolean load when off, so
-//! instrumented builds pay nothing measurable until a caller opts in with
-//! [`set_enabled`].
+//! Everything is a plain relaxed atomic: every metric is an independent
+//! tally or sample, so there is no multi-word protocol to get wrong. The
+//! global registry starts **disabled**; every gated entry point is a
+//! single relaxed boolean load when off, so instrumented builds pay
+//! nothing measurable until a caller opts in with [`set_enabled`].
 //! Instrumentation is verdict-neutral by construction — nothing in this
 //! module is read back by the verification state machines, and the `obs`
 //! row of `tests/equivalence.rs` enforces byte-identical verdicts and
@@ -44,7 +38,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Upper bounds (µs) of the finite histogram buckets, shared by every
@@ -53,19 +46,6 @@ pub const BUCKET_BOUNDS_US: [u64; 14] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000,
 ];
-
-/// Capacity of the span ring buffer. Once full, the oldest spans are
-/// overwritten in claim order.
-pub const SPAN_CAPACITY: usize = 4096;
-
-/// Trace lane (Chrome-trace `tid`) of the verifier.
-pub const LANE_DRIVER: u32 = 0;
-/// Trace lane of the two-level dispatch pipeline.
-pub const LANE_PIPELINE: u32 = 61;
-/// Trace lane of the online engine's governor loop.
-pub const LANE_ONLINE: u32 = 62;
-/// Trace lane of CLI-driven stages (capture read, preflight, report).
-pub const LANE_CLI: u32 = 63;
 
 /// Monotonic counters tracked by the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,56 +367,6 @@ impl HistId {
     }
 }
 
-/// Pipeline stages a span can cover. Stage values are packed into span
-/// slots, so the discriminants are stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Stage {
-    /// Reading/recording the capture stream.
-    Capture = 0,
-    /// Capture preflight validation.
-    Preflight = 1,
-    /// Pipeline dispatch (watermark advance + drain).
-    Dispatch = 2,
-    /// A garbage-collection pass.
-    GcBarrier = 5,
-    /// Serializing a checkpoint image.
-    Checkpoint = 6,
-    /// Final verdict assembly and reporting.
-    Report = 7,
-    /// A spill pass: cold records written out under memory pressure.
-    Spill = 8,
-}
-
-impl Stage {
-    /// Span/exposition name of the stage.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Capture => "capture",
-            Stage::Preflight => "preflight",
-            Stage::Dispatch => "dispatch",
-            Stage::GcBarrier => "gc-barrier",
-            Stage::Checkpoint => "checkpoint",
-            Stage::Report => "report",
-            Stage::Spill => "spill",
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Stage> {
-        match v {
-            0 => Some(Stage::Capture),
-            1 => Some(Stage::Preflight),
-            2 => Some(Stage::Dispatch),
-            5 => Some(Stage::GcBarrier),
-            6 => Some(Stage::Checkpoint),
-            7 => Some(Stage::Report),
-            8 => Some(Stage::Spill),
-            _ => None,
-        }
-    }
-}
-
 /// One fixed-bucket microsecond histogram: per-bucket tallies plus sum
 /// and count, all relaxed atomics.
 struct Hist {
@@ -474,60 +404,17 @@ impl Hist {
     }
 }
 
-/// One span record slot, a seqlock. A writer marks `seq` [`SLOT_BUSY`],
-/// stores the fields and publishes with a release store of `seq`
-/// (claim + 1); an exporter reads `seq`, the fields, and `seq` again, and
-/// keeps the span only if `seq` did not move. After the ring wraps, a slot
-/// holds the most recent span that claimed it.
-struct SpanSlot {
-    seq: AtomicU64,
-    start_us: AtomicU64,
-    dur_us: AtomicU64,
-    meta: AtomicU64,
-}
-
-impl SpanSlot {
-    const fn new() -> SpanSlot {
-        SpanSlot {
-            seq: AtomicU64::new(0),
-            start_us: AtomicU64::new(0),
-            dur_us: AtomicU64::new(0),
-            meta: AtomicU64::new(0),
-        }
-    }
-}
-
-/// `SpanSlot::seq` while a writer is between its first field store and its
-/// publishing store. Never a published value: claims count up from zero.
-const SLOT_BUSY: u64 = u64::MAX;
-
-/// Bounded lock-free ring of span records.
-struct SpanRing {
-    head: AtomicU64,
-    slots: [SpanSlot; SPAN_CAPACITY],
-}
-
-impl SpanRing {
-    const fn new() -> SpanRing {
-        SpanRing {
-            head: AtomicU64::new(0),
-            slots: [const { SpanSlot::new() }; SPAN_CAPACITY],
-        }
-    }
-}
-
-/// The observability registry: every counter, gauge, histogram and
-/// span slot, as lock-free atomics.
+/// The observability registry: every counter, gauge and histogram, as
+/// relaxed atomics.
 ///
 /// A process-global instance backs the module-level free functions
-/// ([`ctr`], [`span_start`], …); tests construct private instances so
+/// ([`ctr`], [`hist`], …); tests construct private instances so
 /// assertions don't race concurrently-running suites.
 pub struct Registry {
     enabled: AtomicBool,
     counters: [AtomicU64; COUNTER_COUNT],
     gauges: [AtomicU64; GAUGE_COUNT],
     hists: [Hist; HIST_COUNT],
-    spans: SpanRing,
 }
 
 static GLOBAL: Registry = Registry::new();
@@ -541,12 +428,10 @@ impl Registry {
             counters: [const { AtomicU64::new(0) }; COUNTER_COUNT],
             gauges: [const { AtomicU64::new(0) }; GAUGE_COUNT],
             hists: [const { Hist::new() }; HIST_COUNT],
-            spans: SpanRing::new(),
         }
     }
 
-    /// True when span/metric recording through the gated entry points
-    /// is on.
+    /// True when recording through the gated entry points is on.
     #[must_use]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed) // relaxed: an on/off hint; no data is ordered against the flag
@@ -557,9 +442,9 @@ impl Registry {
         self.enabled.store(on, Ordering::Relaxed); // relaxed: an on/off hint; no data is ordered against the flag
     }
 
-    /// Zeroes every metric and span slot. The enabled flag is
-    /// preserved. Meant for bench cells and CLI run starts; racing a
-    /// reset against live recording yields mixed (but safe) values.
+    /// Zeroes every metric. The enabled flag is preserved. Meant for
+    /// bench cells and CLI run starts; racing a reset against live
+    /// recording yields mixed (but safe) values.
     pub fn reset(&self) {
         for c in &self.counters {
             c.store(0, Ordering::Relaxed); // relaxed: reset between bench cells; no readers race a reset
@@ -569,10 +454,6 @@ impl Registry {
         }
         for h in &self.hists {
             h.reset();
-        }
-        self.spans.head.store(0, Ordering::Relaxed); // relaxed: reset between bench cells; no readers race a reset
-        for slot in &self.spans.slots {
-            slot.seq.store(0, Ordering::Release); // release: invalidate the slot before any future acquire read
         }
     }
 
@@ -606,29 +487,6 @@ impl Registry {
     /// Records one microsecond observation into a histogram.
     pub fn hist_observe(&self, h: HistId, us: u64) {
         self.hists[h.idx()].observe(us);
-    }
-
-    /// Records one completed span. A no-op while disabled.
-    pub fn record_span(&self, stage: Stage, lane: u32, start_us: u64, dur_us: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let claim = self.spans.head.fetch_add(1, Ordering::Relaxed); // relaxed: slot claim; publication order comes from the seq release below
-        let slot = &self.spans.slots[(claim as usize) % SPAN_CAPACITY];
-        // acquire: orders this span's fields after the previous owner's,
-        // whose publishing release store this reads.
-        if slot.seq.swap(SLOT_BUSY, Ordering::Acquire) == SLOT_BUSY {
-            // A writer a whole lap behind is still mid-slot; the ring is
-            // lossy, so this span is the one dropped.
-            return;
-        }
-        // release (all three): a reader that sees one of these values also
-        // sees the busy mark above, so its second read of `seq` differs.
-        slot.start_us.store(start_us, Ordering::Release);
-        slot.dur_us.store(dur_us, Ordering::Release);
-        let meta = u64::from(stage as u8) | (u64::from(lane) << 8);
-        slot.meta.store(meta, Ordering::Release);
-        slot.seq.store(claim + 1, Ordering::Release); // release: publishes the slot fields to acquire readers
     }
 
     /// Point-in-time structured snapshot of every metric.
@@ -667,13 +525,10 @@ impl Registry {
                 }
             })
             .collect();
-        let recorded = self.spans.head.load(Ordering::Relaxed); // relaxed: exporter read of an independent tally
         ObsSnapshot {
             counters,
             gauges,
             histograms,
-            spans_recorded: recorded,
-            spans_retained: recorded.min(SPAN_CAPACITY as u64),
         }
     }
 
@@ -719,76 +574,11 @@ impl Registry {
         }
         out
     }
-
-    /// Renders the span ring as a Chrome trace-event (Perfetto) JSON
-    /// document: one complete (`"ph":"X"`) event per retained span, on
-    /// named verifier/pipeline/online/CLI lanes.
-    #[must_use]
-    pub fn render_chrome_trace(&self) -> String {
-        let mut events: Vec<(u64, u64, Stage, u32)> = Vec::new();
-        for slot in &self.spans.slots {
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == 0 || seq == SLOT_BUSY {
-                continue;
-            }
-            // acquire (all three): pairs with the writer's release stores —
-            // a value from a later writer brings that writer's busy mark.
-            let meta = slot.meta.load(Ordering::Acquire);
-            let start = slot.start_us.load(Ordering::Acquire);
-            let dur = slot.dur_us.load(Ordering::Acquire);
-            // relaxed: ordered after the field loads by their acquires.
-            if slot.seq.load(Ordering::Relaxed) != seq {
-                continue; // overwritten mid-read; the fields may be mixed
-            }
-            let Some(stage) = Stage::from_u8((meta & 0xFF) as u8) else {
-                continue;
-            };
-            let lane = ((meta >> 8) & 0xFFFF_FFFF) as u32;
-            events.push((start, dur, stage, lane));
-        }
-        events.sort_unstable();
-        let mut lanes: Vec<u32> = events.iter().map(|e| e.3).collect();
-        lanes.sort_unstable();
-        lanes.dedup();
-        let mut out = String::with_capacity(64 + 96 * events.len());
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        out.push_str(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"leopard\"}}",
-        );
-        for lane in &lanes {
-            out.push_str(&format!(
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                lane,
-                lane_name(*lane)
-            ));
-        }
-        for (start, dur, stage, lane) in &events {
-            out.push_str(&format!(
-                ",{{\"name\":\"{}\",\"cat\":\"leopard\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}}}",
-                stage.name(),
-                lane,
-                start,
-                dur
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl Default for Registry {
     fn default() -> Registry {
         Registry::new()
-    }
-}
-
-fn lane_name(lane: u32) -> String {
-    match lane {
-        LANE_DRIVER => "verifier".to_string(),
-        LANE_PIPELINE => "pipeline".to_string(),
-        LANE_ONLINE => "online-engine".to_string(),
-        LANE_CLI => "cli".to_string(),
-        n => format!("lane-{n}"),
     }
 }
 
@@ -865,9 +655,8 @@ pub fn is_valid_label_name(s: &str) -> bool {
     chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
-/// Structured point-in-time snapshot of the registry, embedded in
-/// [`VerifyOutcome`](crate::VerifyOutcome) and `--json` output when
-/// observability is enabled.
+/// Structured point-in-time snapshot of the registry, the `"obs"` block
+/// of `--json` output when observability is enabled.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ObsSnapshot {
     /// Every counter with its value, in registry order.
@@ -876,10 +665,6 @@ pub struct ObsSnapshot {
     pub gauges: Vec<MetricSample>,
     /// Every histogram with per-bucket tallies.
     pub histograms: Vec<HistSnapshot>,
-    /// Spans recorded since the last reset (including overwritten).
-    pub spans_recorded: u64,
-    /// Spans still retained in the ring.
-    pub spans_retained: u64,
 }
 
 impl ObsSnapshot {
@@ -998,40 +783,24 @@ pub fn hist(h: HistId, us: u64) {
     }
 }
 
-/// Microseconds since the process-wide observability epoch.
+/// Starts a timer: `Some(now)` when recording is enabled, `None` (and no
+/// clock read) when disabled.
+#[inline]
 #[must_use]
-pub fn now_us() -> u64 {
-    anchor().elapsed().as_micros() as u64
-}
-
 #[expect(
     clippy::disallowed_methods,
-    reason = "observability only: the wall-clock anchor for span timestamps never feeds verification state"
+    reason = "observability only: a histogram's wall-clock duration never feeds verification state"
 )]
-fn anchor() -> Instant {
-    static ANCHOR: OnceLock<Instant> = OnceLock::new();
-    *ANCHOR.get_or_init(Instant::now)
+pub fn timer_start() -> Option<Instant> {
+    enabled().then(Instant::now)
 }
 
-/// Starts a span clock: `Some(start_us)` when recording is enabled,
-/// `None` (and no clock read) when disabled.
+/// Microseconds since a timer opened by [`timer_start`] (0 when it was
+/// never started), for [`hist`].
 #[inline]
 #[must_use]
-pub fn span_start() -> Option<u64> {
-    enabled().then(now_us)
-}
-
-/// Completes a span opened by [`span_start`], recording it into the
-/// global ring. Returns the span duration in microseconds (0 when the
-/// span was never started).
-#[inline]
-pub fn span_end(stage: Stage, lane: u32, start: Option<u64>) -> u64 {
-    let Some(start_us) = start else {
-        return 0;
-    };
-    let dur_us = now_us().saturating_sub(start_us);
-    GLOBAL.record_span(stage, lane, start_us, dur_us);
-    dur_us
+pub fn timer_end(start: Option<Instant>) -> u64 {
+    start.map_or(0, |t| t.elapsed().as_micros() as u64)
 }
 
 /// Global snapshot when recording is enabled, `None` otherwise.
@@ -1046,12 +815,6 @@ pub fn render_prometheus() -> String {
     GLOBAL.render_prometheus()
 }
 
-/// Renders the global span ring as a Chrome trace-event JSON document.
-#[must_use]
-pub fn render_chrome_trace() -> String {
-    GLOBAL.render_chrome_trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1060,76 +823,6 @@ mod tests {
         let r = Box::new(Registry::new());
         r.set_enabled(true);
         r
-    }
-
-    /// Minimal JSON syntax check (the offline serde_json stub has no
-    /// dynamic `Value` type): consumes one JSON value, returns the rest.
-    fn json_value(s: &str) -> Result<&str, String> {
-        let s = s.trim_start();
-        let mut chars = s.char_indices();
-        match chars.next().map(|(_, c)| c) {
-            Some('{') => json_seq(&s[1..], '}', true),
-            Some('[') => json_seq(&s[1..], ']', false),
-            Some('"') => json_string(s),
-            Some(c) if c == '-' || c.is_ascii_digit() => {
-                let end = s
-                    .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                    .unwrap_or(s.len());
-                Ok(&s[end..])
-            }
-            Some(_) if s.starts_with("true") => Ok(&s[4..]),
-            Some(_) if s.starts_with("false") => Ok(&s[5..]),
-            Some(_) if s.starts_with("null") => Ok(&s[4..]),
-            other => Err(format!("unexpected start: {other:?}")),
-        }
-    }
-
-    fn json_string(s: &str) -> Result<&str, String> {
-        debug_assert!(s.starts_with('"'));
-        let bytes = s.as_bytes();
-        let mut i = 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'"' => return Ok(&s[i + 1..]),
-                b'\\' => i += 2,
-                _ => i += 1,
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn json_seq(mut s: &str, close: char, keyed: bool) -> Result<&str, String> {
-        s = s.trim_start();
-        if let Some(rest) = s.strip_prefix(close) {
-            return Ok(rest);
-        }
-        loop {
-            if keyed {
-                s = s.trim_start();
-                if !s.starts_with('"') {
-                    return Err(format!("expected key at: {:.20}", s));
-                }
-                s = json_string(s)?.trim_start();
-                s = s
-                    .strip_prefix(':')
-                    .ok_or_else(|| format!("expected ':' at: {:.20}", s))?;
-            }
-            s = json_value(s)?.trim_start();
-            if let Some(rest) = s.strip_prefix(',') {
-                s = rest;
-            } else {
-                return s
-                    .strip_prefix(close)
-                    .ok_or_else(|| format!("expected '{close}' at: {:.20}", s));
-            }
-        }
-    }
-
-    fn assert_valid_json(s: &str) {
-        match json_value(s) {
-            Ok(rest) => assert!(rest.trim().is_empty(), "trailing JSON content: {rest:.40}"),
-            Err(e) => panic!("invalid JSON: {e}"),
-        }
     }
 
     #[test]
@@ -1244,11 +937,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_records_no_spans_but_always_counts_losses() {
+    fn loss_counters_land_on_a_disabled_registry() {
         let r = Box::new(Registry::new());
         assert!(!r.enabled());
-        r.record_span(Stage::Dispatch, LANE_PIPELINE, 0, 10);
-        assert_eq!(r.snapshot().spans_recorded, 0);
         // ctr_add itself is ungated — the gating lives in the module
         // fns — so loss accounting through ctr_always always lands.
         r.ctr_add(Counter::PostShutdownDrops, 2);
@@ -1256,77 +947,46 @@ mod tests {
     }
 
     #[test]
-    fn span_ring_wraps_and_trace_render_is_valid_json() {
-        let r = fresh();
-        for i in 0..(SPAN_CAPACITY as u64 + 10) {
-            r.record_span(Stage::Dispatch, LANE_PIPELINE, i, 1);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.spans_recorded, SPAN_CAPACITY as u64 + 10);
-        assert_eq!(snap.spans_retained, SPAN_CAPACITY as u64);
-        let trace = r.render_chrome_trace();
-        assert_valid_json(&trace);
-        // process_name + one thread_name + SPAN_CAPACITY retained spans.
-        assert_eq!(trace.matches("\"ph\":\"M\"").count(), 2);
-        assert_eq!(trace.matches("\"ph\":\"X\"").count(), SPAN_CAPACITY);
-        assert!(trace.contains("\"args\":{\"name\":\"pipeline\"}"));
-        assert!(trace.contains("\"name\":\"dispatch\""));
-    }
-
-    #[test]
-    fn span_ring_renders_consistent_spans_while_writers_wrap_it() {
-        const WRITERS: u64 = 3;
-        // Enough exposure that a reader which does not re-check `seq`
-        // renders a span mixed from two writers in every run (8 of 8 on
-        // two cores); 1 000 laps caught it in half.
-        const LAPS: u64 = 2000;
-        // Every writer encodes `dur_us` as a function of `start_us`.
-        let dur_of = |start: u64| start * 7 + 3;
-        let r = fresh();
-        let start_line = std::sync::Barrier::new(WRITERS as usize + 1);
-        let writing = AtomicU64::new(WRITERS);
-        std::thread::scope(|s| {
-            for w in 0..WRITERS {
-                let (r, start_line, writing) = (&r, &start_line, &writing);
-                s.spawn(move || {
-                    start_line.wait();
-                    for i in 0..LAPS * SPAN_CAPACITY as u64 {
-                        let start = i * WRITERS + w;
-                        r.record_span(Stage::Dispatch, LANE_PIPELINE, start, dur_of(start));
-                    }
-                    writing.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-            start_line.wait();
-            while writing.load(Ordering::SeqCst) > 0 {
-                let trace = r.render_chrome_trace();
-                for event in trace.split("\"ts\":").skip(1) {
-                    let (start, rest) = event.split_once(",\"dur\":").expect("ts then dur");
-                    let (dur, _) = rest.split_once('}').expect("dur closes the event");
-                    let (start, dur): (u64, u64) = (start.parse().unwrap(), dur.parse().unwrap());
-                    assert_eq!(dur, dur_of(start), "a span torn between two writers");
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn reset_zeroes_metrics_and_spans() {
+    fn reset_zeroes_every_metric() {
         let r = fresh();
         r.ctr_add(Counter::GcPasses, 5);
         r.gauge_set(Gauge::MemBytes, 123);
         r.hist_observe(HistId::DispatchLatencyUs, 9);
-        r.record_span(Stage::GcBarrier, LANE_DRIVER, 1, 2);
         r.reset();
         assert!(r.enabled(), "reset preserves the enabled flag");
         let snap = r.snapshot();
         assert_eq!(snap.counter("leopard_gc_passes_total"), Some(0));
         assert_eq!(snap.gauge("leopard_mem_bytes"), Some(0));
-        assert_eq!(snap.spans_recorded, 0);
         assert!(snap.histograms.iter().all(|h| h.count == 0));
-        let trace = r.render_chrome_trace();
-        assert_valid_json(&trace);
-        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 0);
+    }
+
+    #[test]
+    fn both_exporters_carry_exactly_the_registry() {
+        let r = fresh();
+        // The JSON block: three top-level keys, nothing else.
+        let json = serde_json::to_string(&r.snapshot()).expect("snapshot serializes");
+        let (mut depth, mut keys) = (0, Vec::new());
+        for (at, c) in json.char_indices() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                ':' if depth == 1 => keys.push(json[..at].rsplit('"').nth(1).expect("a key")),
+                _ => {}
+            }
+        }
+        assert_eq!(keys, ["counters", "gauges", "histograms"]);
+        // The exposition: one series per metric, in registry order.
+        let text = r.render_prometheus();
+        let series: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split(' ').next().expect("TYPE has a name"))
+            .collect();
+        let registry: Vec<&str> = (Counter::ALL.iter().map(|c| c.name()))
+            .chain(Gauge::ALL.iter().map(|g| g.name()))
+            .chain(HistId::ALL.iter().map(|h| h.name()))
+            .collect();
+        assert_eq!(series, registry);
     }
 
     #[test]
@@ -1342,18 +1002,8 @@ mod tests {
         assert_eq!(back.gauge("leopard_mem_bytes"), Some(2));
     }
 
-    #[test]
-    fn lane_names_cover_every_lane() {
-        assert_eq!(lane_name(LANE_DRIVER), "verifier");
-        assert_eq!(lane_name(LANE_PIPELINE), "pipeline");
-        assert_eq!(lane_name(LANE_ONLINE), "online-engine");
-        assert_eq!(lane_name(LANE_CLI), "cli");
-        assert_eq!(lane_name(7), "lane-7");
-    }
-
     // --- The exporters through the public API: Prometheus text exposition
-    // (monotone cumulative buckets, `+Inf` = `_count`, name validity) and
-    // the Chrome trace-event document shape.
+    // (monotone cumulative buckets, `+Inf` = `_count`, name validity).
 
     /// A registry with a little of everything, for the exporter tests.
     fn populated_registry() -> Box<Registry> {
@@ -1365,8 +1015,6 @@ mod tests {
         for us in [10, 80, 300, 7_000, 2_000_000] {
             r.hist_observe(HistId::GcPauseUs, us);
         }
-        r.record_span(Stage::Dispatch, LANE_PIPELINE, 100, 50);
-        r.record_span(Stage::GcBarrier, LANE_DRIVER, 200, 25);
         r
     }
 
@@ -1463,22 +1111,6 @@ mod tests {
             last = now;
         }
         assert_eq!(last, 111);
-    }
-
-    #[test]
-    fn chrome_trace_document_names_every_lane() {
-        let r = populated_registry();
-        let trace = r.render_chrome_trace();
-        assert!(trace.starts_with('{') && trace.ends_with('}'));
-        assert!(trace.contains("\"traceEvents\""));
-        // Two complete events were recorded, on the pipeline and verifier lanes.
-        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 2);
-        assert!(trace.contains("\"name\":\"dispatch\""));
-        assert!(trace.contains("\"name\":\"gc-barrier\""));
-        assert!(trace.contains("\"args\":{\"name\":\"pipeline\"}"));
-        assert!(trace.contains("\"args\":{\"name\":\"verifier\"}"));
-        // Metadata events name the lanes before any span references them.
-        assert!(trace.contains("\"thread_name\""));
     }
 
     #[test]

@@ -74,14 +74,12 @@ pub struct OnlineOptions {
 /// Best-effort image write: an unwritable checkpoint must not take the
 /// verification down, but it is said, and it is not counted as written.
 fn save_image(verifier: &Verifier, cursor: u64, path: &Path) {
-    let span = obs::span_start();
     if let Err(e) = engine::save(verifier, cursor, &FsIo, path) {
         eprintln!(
             "leopard: warning: checkpoint not written to {}: {e}",
             path.display()
         );
     }
-    obs::span_end(obs::Stage::Checkpoint, obs::LANE_ONLINE, span);
 }
 
 /// Force-closes `client`'s stream because it stalled the chain and records
@@ -228,11 +226,6 @@ impl OnlineLeopard {
             let mut last_progress = Instant::now();
             loop {
                 let live = tracer.poll(&mut batch);
-                let span = if batch.is_empty() {
-                    None
-                } else {
-                    obs::span_start()
-                };
                 for trace in batch.drain(..) {
                     verifier.process(&trace);
                     processed += 1;
@@ -242,7 +235,6 @@ impl OnlineLeopard {
                         }
                     }
                 }
-                obs::span_end(obs::Stage::Dispatch, obs::LANE_ONLINE, span);
                 // A stream the tracer closed at a clock regression is an
                 // eviction the client caused itself: the verdict does not
                 // speak for what that client did afterwards.

@@ -433,15 +433,14 @@ impl TwoLevelPipeline {
 
     /// Dispatches every currently provable trace into `out`.
     pub fn drain_available(&mut self, out: &mut Vec<Trace>) {
-        let span = obs::span_start();
+        let timer = obs::timer_start();
         let before = out.len();
         while let Some(t) = self.try_dispatch() {
             out.push(t);
         }
         let drained = out.len() - before;
-        if span.is_some() && drained > 0 {
-            let dur = obs::span_end(obs::Stage::Dispatch, obs::LANE_PIPELINE, span);
-            obs::hist(obs::HistId::DispatchLatencyUs, dur);
+        if timer.is_some() && drained > 0 {
+            obs::hist(obs::HistId::DispatchLatencyUs, obs::timer_end(timer));
             obs::ctr(obs::Counter::Dispatched, drained as u64);
             obs::gauge_set(obs::Gauge::WatermarkLag, self.watermark_lag());
         }

@@ -807,7 +807,7 @@ impl MechanismCore {
     pub(super) fn collect_garbage(&mut self) {
         let before = self.footprint().total();
         self.peak_footprint = self.peak_footprint.max(before);
-        let t0 = obs::span_start();
+        let t0 = obs::timer_start();
         let mut low = self
             .txns
             .earliest_active_snapshot()
@@ -830,8 +830,7 @@ impl MechanismCore {
         self.locks.prune(low);
         self.graph.prune(low);
         if t0.is_some() {
-            let dur = obs::span_end(obs::Stage::GcBarrier, obs::LANE_DRIVER, t0);
-            obs::hist(obs::HistId::GcPauseUs, dur);
+            obs::hist(obs::HistId::GcPauseUs, obs::timer_end(t0));
             obs::ctr(obs::Counter::GcPasses, 1);
             let after = self.footprint().total();
             obs::ctr(

@@ -258,11 +258,6 @@ pub struct VerifyOutcome {
     pub counters: VerifyCounters,
     /// How much of the history the verdict covers.
     pub coverage: Coverage,
-    /// Observability snapshot, present only when [`crate::obs`]
-    /// recording was enabled for the run. Never feeds back into a
-    /// verdict: with recording off this is `None` and the rest of the
-    /// outcome is byte-identical (the `obs` row of `tests/equivalence.rs`).
-    pub obs: Option<crate::obs::ObsSnapshot>,
     /// The first unrecoverable spill-store failure, if one occurred.
     /// When set, the run stopped admitting traces at the fault and the
     /// report/coverage cover only the prefix: not a verdict. Read the
@@ -502,7 +497,7 @@ impl Verifier {
     /// passes are disabled, and the fallback is counted — the ladder
     /// then proceeds exactly as it would without a spill tier.
     fn spill_pass(&mut self, beside_bytes: u64) {
-        let t0 = obs::span_start();
+        let t0 = obs::timer_start();
         // A record an open transaction wrote or matched a read against,
         // or a deferred check names, is looked up again when that
         // transaction ends or the check comes due: spilling it buys
@@ -533,8 +528,7 @@ impl Verifier {
             }
         }
         if t0.is_some() {
-            let dur = obs::span_end(obs::Stage::Spill, obs::LANE_DRIVER, t0);
-            obs::hist(obs::HistId::SpillPassUs, dur);
+            obs::hist(obs::HistId::SpillPassUs, obs::timer_end(t0));
         }
         if let Some(tier) = self.core.versions.spill_tier() {
             let stats = tier.stats();
@@ -602,7 +596,6 @@ impl Verifier {
             stats: self.core.stats,
             counters,
             coverage,
-            obs: obs::snapshot_if_enabled(),
             store_fault: self.store_fault,
         }
     }

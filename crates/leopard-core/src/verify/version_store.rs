@@ -388,12 +388,6 @@ impl VersionStore {
         self.records.get(&key)
     }
 
-    /// Mutable access for reader registration.
-    pub fn record_mut(&mut self, key: Key) -> Option<&mut RecordVersions> {
-        self.assert_resident(key);
-        self.records.get_mut(&key)
-    }
-
     /// Checks one read-set element against the candidate version set of
     /// `snapshot` (Alg. 2, `ConsistentRead`).
     ///

@@ -287,6 +287,7 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
                     }
                     obs::set_enabled(row.obs);
                     let cell = run_cell(&opts, cap, kill);
+                    let recorded = obs::snapshot_if_enabled();
                     obs::set_enabled(false);
                     let (mut outcome, image) = match cell {
                         Ok(cell) => cell,
@@ -335,7 +336,7 @@ fn every_engine_configuration_reaches_the_plain_verdict() {
                         comparable(&outcome, !row.moves_gc()),
                         "{what}: the verdict moved"
                     );
-                    assert_eq!(outcome.obs.is_some(), row.obs, "{what}");
+                    assert_eq!(recorded.is_some(), row.obs, "{what}");
                     let ingested = obs::counter_value(obs::Counter::OpsIngested);
                     assert!(
                         !row.obs || ingested > 0,
@@ -533,11 +534,8 @@ fn resume_at_every_split_point_of_a_small_capture() {
     let cap = generate_clean_capture(&spec).expect("clean capture");
     let dir = scratch("splits");
     let opts = PLAIN.opts(IsolationLevel::Serializable, 0, &dir);
-    // Everything but the registry snapshot, which the table running
-    // beside this test switches on and off.
     let whole_outcome = |kill: Option<usize>| {
-        let (mut outcome, _) = run_cell(&opts, &cap, kill).expect("a verdict");
-        outcome.obs = None;
+        let (outcome, _) = run_cell(&opts, &cap, kill).expect("a verdict");
         format!("{outcome:?}")
     };
     let whole = whole_outcome(None);
